@@ -2,95 +2,6 @@
 
 Clients train personalized models against a K-level tree of group models;
 the tree is rebuilt periodically by average-linkage clustering of the client
-models.  FedAvg and FedProx loops are included as flat baselines.
+models.  FedAvg and FedProx run as flat baselines in the same round loop,
+over a fixed one-group tree.
 """
-
-from .clustering import (
-    Dendrogram,
-    LevelAssignment,
-    agglomerate,
-    build_distance_matrix,
-    gradient_similarity,
-    truncate,
-    weight_distance,
-)
-from .data import ClientShard, Dataset, load_idx, partition_shards, synthetic_dataset
-from .hierarchy import (
-    GroupNode,
-    HierarchyTree,
-    anchors_for,
-    build_tree,
-    generalized_blend,
-    group_average,
-    propagate_up,
-)
-from .metrics import RoundMetrics, accuracy, evaluate, round_metrics
-from .models import (
-    Batch,
-    ModelSpec,
-    ProxAnchor,
-    forward,
-    grad,
-    init_params,
-    local_solve,
-    loss,
-    prox_grad,
-    prox_objective,
-)
-from .training import (
-    ClientState,
-    RoundState,
-    RunConfig,
-    RunResult,
-    beta_schedule,
-    fedavg_round,
-    fedprox_round,
-    local_init,
-    run,
-    run_round,
-)
-
-__all__ = [
-    "Batch",
-    "ClientShard",
-    "ClientState",
-    "Dataset",
-    "Dendrogram",
-    "GroupNode",
-    "HierarchyTree",
-    "LevelAssignment",
-    "ModelSpec",
-    "ProxAnchor",
-    "RoundMetrics",
-    "RoundState",
-    "RunConfig",
-    "RunResult",
-    "accuracy",
-    "agglomerate",
-    "anchors_for",
-    "beta_schedule",
-    "build_distance_matrix",
-    "build_tree",
-    "evaluate",
-    "fedavg_round",
-    "fedprox_round",
-    "forward",
-    "generalized_blend",
-    "grad",
-    "gradient_similarity",
-    "group_average",
-    "init_params",
-    "local_init",
-    "local_solve",
-    "loss",
-    "partition_shards",
-    "propagate_up",
-    "prox_grad",
-    "prox_objective",
-    "round_metrics",
-    "run",
-    "run_round",
-    "synthetic_dataset",
-    "truncate",
-    "weight_distance",
-]

@@ -14,44 +14,15 @@ from typing import Optional
 from .data import ConfigurationError
 from .clustering import format_dendrogram
 from .harness import (
+    CONFIG_KEYS,
     ExperimentPlan,
     compare_plan,
+    parse_bool,
     parse_config,
     run_plan,
     sweep_mu,
 )
-from .training import run
-
-# (flag, dotted key, type)
-_CONFIG_FLAGS = [
-    ("--algorithm", "run.algorithm", str),
-    ("--rounds", "run.rounds", int),
-    ("--k", "run.k", int),
-    ("--tau", "run.tau", int),
-    ("--mu", "run.mu", float),
-    ("--beta0", "run.beta0", float),
-    ("--beta-decay", "run.beta_decay", float),
-    ("--beta-min", "run.beta_min", float),
-    ("--epochs", "run.epochs", int),
-    ("--batch-size", "run.batch_size", int),
-    ("--lr", "run.lr", float),
-    ("--metric", "run.metric", str),
-    ("--fedavg-weighting", "run.fedavg_weighting", str),
-    ("--seed", "run.seed", int),
-    ("--model-kind", "model.kind", str),
-    ("--hidden-dim", "model.hidden_dim", int),
-    ("--data-source", "data.source", str),
-    ("--data-dir", "data.dir", str),
-    ("--data-seed", "data.seed", int),
-    ("--clients", "data.clients", int),
-    ("--labels-per-client", "data.labels_per_client", int),
-    ("--samples-per-client", "data.samples_per_client", int),
-    ("--test-frac", "data.test_frac", float),
-    ("--classes", "synthetic.classes", int),
-    ("--input-dim", "synthetic.input_dim", int),
-    ("--samples-per-class", "synthetic.samples_per_class", int),
-    ("--separation", "synthetic.separation", float),
-]
+from .training import HIERARCHICAL, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,27 +34,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    for flag, key, typ in _CONFIG_FLAGS:
-        p.add_argument(flag, dest=key, type=typ, default=None, help=f"override {key}")
-    p.add_argument(
-        "--fixed-structure",
-        dest="run.fixed_structure",
-        action="store_const",
-        const=True,
-        default=None,
-        help="build the hierarchy once at t=0 and never rebuild",
-    )
+    for key, (_, flag, parser) in CONFIG_KEYS.items():
+        if parser is parse_bool:
+            p.add_argument(flag, dest=key, action="store_const", const=True, help=f"set {key}")
+        else:
+            p.add_argument(flag, dest=key, type=parser, help=f"override {key}")
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {
-        key: getattr(args, key)
-        for _, key, _t in _CONFIG_FLAGS
-        if getattr(args, key) is not None
-    }
-    fixed = getattr(args, "run.fixed_structure")
-    if fixed is not None:
-        overrides["run.fixed_structure"] = fixed
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
 
 
@@ -140,7 +99,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return run_plan(plan)
         if args.command == "export-dendrogram":
             cfg = _config_from_args(args)
-            if cfg.algorithm not in ("demlearn", "demlearn-p"):
+            if cfg.algorithm not in HIERARCHICAL:
                 raise ConfigurationError(
                     "export-dendrogram requires a hierarchical algorithm"
                 )

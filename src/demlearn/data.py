@@ -63,16 +63,6 @@ def _read_bytes(path) -> bytes:
         return f.read()
 
 
-def _write_bytes(path, payload: bytes) -> None:
-    if str(path).endswith(".gz"):
-        # mtime pinned so re-writing the same data is byte-identical
-        with gzip.GzipFile(path, "wb", mtime=0) as f:
-            f.write(payload)
-    else:
-        with open(path, "wb") as f:
-            f.write(payload)
-
-
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset with pixels in [0,1]."""
     raw_img = _read_bytes(images_path)
@@ -121,21 +111,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     labels = np.frombuffer(lbody, dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if n else 0
     return Dataset(features, labels, num_classes)
-
-
-def write_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Inverse of load_idx for fixtures: features are written as rows x 1 images.
-
-    Features must be byte-representable, i.e. lie in [0, 1].
-    """
-    n, d = ds.features.shape
-    if ds.features.min() < 0.0 or ds.features.max() > 1.0:
-        raise ValueError("write_idx requires feature values in [0, 1]")
-    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
-    img = struct.pack(">iiii", IDX_IMAGE_MAGIC, n, d, 1) + pixels.tobytes()
-    lbl = struct.pack(">ii", IDX_LABEL_MAGIC, n) + ds.labels.astype(np.uint8).tobytes()
-    _write_bytes(images_path, img)
-    _write_bytes(labels_path, lbl)
 
 
 def concat_datasets(parts: Sequence[Dataset]) -> Dataset:

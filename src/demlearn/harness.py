@@ -3,7 +3,8 @@
 Configs resolve in three layers (built-in defaults, then a flat key=value
 file with dotted keys, then command-line flags).  A plan is a named list of
 runs sharing one data partition; each run emits a per-round metrics CSV, a
-summary record, per-rebuild dendrogram snapshots, and a tree log.
+summary record and, for the hierarchical algorithms, per-rebuild dendrogram
+snapshots and a tree log.
 """
 
 from __future__ import annotations
@@ -20,46 +21,47 @@ from .training import RunConfig, RunResult, run
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(text: str) -> bool:
+def parse_bool(text: str) -> bool:
     try:
         return _BOOL_WORDS[text.strip().lower()]
     except KeyError:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-# dotted config key -> (RunConfig attribute, parser for file values)
-CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "run.algorithm": ("algorithm", str),
-    "run.rounds": ("rounds", int),
-    "run.k": ("k_levels", int),
-    "run.tau": ("tau", int),
-    "run.mu": ("mu", float),
-    "run.beta0": ("beta0", float),
-    "run.beta_decay": ("beta_decay", float),
-    "run.beta_min": ("beta_min", float),
-    "run.epochs": ("epochs", int),
-    "run.batch_size": ("batch_size", int),
-    "run.lr": ("lr", float),
-    "run.metric": ("metric", str),
-    "run.fixed_structure": ("fixed_structure", _parse_bool),
-    "run.fedavg_weighting": ("fedavg_weighting", str),
-    "run.seed": ("seed", int),
-    "model.kind": ("model_kind", str),
-    "model.hidden_dim": ("hidden_dim", int),
-    "data.source": ("data_source", str),
-    "data.dir": ("data_dir", str),
-    "data.seed": ("data_seed", int),
-    "data.clients": ("n_clients", int),
-    "data.labels_per_client": ("labels_per_client", int),
-    "data.samples_per_client": ("samples_per_client", int),
-    "data.test_frac": ("test_frac", float),
-    "synthetic.classes": ("num_classes", int),
-    "synthetic.input_dim": ("input_dim", int),
-    "synthetic.samples_per_class": ("samples_per_class", int),
-    "synthetic.separation": ("class_separation", float),
+# dotted config key -> (RunConfig attribute, CLI flag, parser for file values);
+# a `parse_bool` key's flag takes no value and sets True
+CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
+    "run.algorithm": ("algorithm", "--algorithm", str),
+    "run.rounds": ("rounds", "--rounds", int),
+    "run.k": ("k_levels", "--k", int),
+    "run.tau": ("tau", "--tau", int),
+    "run.mu": ("mu", "--mu", float),
+    "run.beta0": ("beta0", "--beta0", float),
+    "run.beta_decay": ("beta_decay", "--beta-decay", float),
+    "run.beta_min": ("beta_min", "--beta-min", float),
+    "run.epochs": ("epochs", "--epochs", int),
+    "run.batch_size": ("batch_size", "--batch-size", int),
+    "run.lr": ("lr", "--lr", float),
+    "run.metric": ("metric", "--metric", str),
+    "run.fixed_structure": ("fixed_structure", "--fixed-structure", parse_bool),
+    "run.fedavg_weighting": ("fedavg_weighting", "--fedavg-weighting", str),
+    "run.seed": ("seed", "--seed", int),
+    "model.kind": ("model_kind", "--model-kind", str),
+    "model.hidden_dim": ("hidden_dim", "--hidden-dim", int),
+    "data.source": ("data_source", "--data-source", str),
+    "data.dir": ("data_dir", "--data-dir", str),
+    "data.seed": ("data_seed", "--data-seed", int),
+    "data.clients": ("n_clients", "--clients", int),
+    "data.labels_per_client": ("labels_per_client", "--labels-per-client", int),
+    "data.samples_per_client": ("samples_per_client", "--samples-per-client", int),
+    "data.test_frac": ("test_frac", "--test-frac", float),
+    "synthetic.classes": ("num_classes", "--classes", int),
+    "synthetic.input_dim": ("input_dim", "--input-dim", int),
+    "synthetic.samples_per_class": ("samples_per_class", "--samples-per-class", int),
+    "synthetic.separation": ("class_separation", "--separation", float),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
+_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in CONFIG_KEYS.items()}
 
 # fields that must agree across a shared-partition plan
 _PARTITION_ATTRS = (
@@ -109,7 +111,7 @@ def parse_config(
         for key, raw in read_config_file(path).items():
             if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            attr, parser = CONFIG_KEYS[key]
+            attr, _, parser = CONFIG_KEYS[key]
             try:
                 provided[attr] = parser(raw)
             except ValueError as exc:
@@ -117,8 +119,7 @@ def parse_config(
     for key, value in (overrides or {}).items():
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        attr, _ = CONFIG_KEYS[key]
-        provided[attr] = value
+        provided[CONFIG_KEYS[key][0]] = value
 
     algorithm = provided.get("algorithm", RunConfig.algorithm)
     if algorithm in ("demlearn-p", "fedprox") and "mu" not in provided:
@@ -130,7 +131,7 @@ def parse_config(
 
 def config_echo(cfg: RunConfig) -> dict[str, object]:
     """The resolved config as dotted keys, as written into summaries."""
-    return {key: getattr(cfg, attr) for key, (attr, _) in CONFIG_KEYS.items()}
+    return {key: getattr(cfg, attr) for key, (attr, _, _) in CONFIG_KEYS.items()}
 
 
 @dataclass
@@ -190,13 +191,8 @@ def compare_plan(base: RunConfig) -> ExperimentPlan:
     )
 
 
-def fixed_structure_mode(cfg: RunConfig) -> RunConfig:
-    """Build the structure once at t=0 and never rebuild (tau effectively infinite)."""
-    return replace(cfg, fixed_structure=True)
-
-
-def metrics_csv_lines(name: str, cfg: RunConfig, result: RunResult) -> list[str]:
-    k = cfg.k_levels if cfg.algorithm in ("demlearn", "demlearn-p") else 1
+def metrics_csv_lines(name: str, result: RunResult) -> list[str]:
+    k = result.state.tree.K
     g_cols = [f"g_spe_{i}" for i in range(1, k)] + [f"g_gen_{i}" for i in range(1, k)]
     header = ["run", "t", "c_spe", "c_gen", *g_cols, "global_acc", "global_loss"]
     lines = [",".join(header)]
@@ -235,7 +231,7 @@ def write_run_outputs(out_dir: str, name: str, cfg: RunConfig, result: RunResult
 
     csv_path = os.path.join(out_dir, f"{name}_metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(metrics_csv_lines(name, cfg, result)) + "\n")
+        f.write("\n".join(metrics_csv_lines(name, result)) + "\n")
     written.append(csv_path)
 
     summary_path = os.path.join(out_dir, f"{name}_summary.json")

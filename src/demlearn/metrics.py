@@ -3,13 +3,15 @@
 Specialization is accuracy on a model's own constituency (a client's local
 test shard, or the union of a group's members' shards); generalization is
 accuracy on the collective test data of all clients.  The root model's score
-on the collective set is reported separately as the global metric.
+on the collective set is reported separately as the global metric.  Every
+algorithm has a tree; FedAvg and FedProx have one level, so their group
+series are empty and the root is their global model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,37 +93,23 @@ def g_metrics(
     return tuple(spe_acc), tuple(gen_acc), tuple(spe_loss), tuple(gen_loss)
 
 
-def global_metric(spec: ModelSpec, model: np.ndarray, global_test: Dataset) -> tuple[float, float]:
-    """Score of the top-level model on the collective test set."""
-    return evaluate(spec, model, global_test)
-
-
 def round_metrics(
     spec: ModelSpec,
     t: int,
     clients: Sequence,
     global_test: Dataset,
-    tree: Optional[HierarchyTree] = None,
-    global_model: Optional[np.ndarray] = None,
+    tree: HierarchyTree,
 ) -> RoundMetrics:
     """Assemble the full metric record for one round.
 
-    With a hierarchy, group metrics cover levels 1..K-1 and the global score
-    comes from the root; baselines pass a bare global model and get empty
-    group series.
+    Group metrics cover levels 1..K-1 (none when K = 1) and the global score
+    comes from the root.
     """
     cs_acc, cs_loss = c_spe(spec, clients)
     cg_acc, cg_loss = c_gen(spec, clients, global_test)
-    if tree is not None:
-        shards = [c.shard for c in clients]
-        gs, gg, gsl, ggl = g_metrics(spec, tree, shards, global_test)
-        top = tree.root.model
-    else:
-        gs = gg = gsl = ggl = ()
-        top = global_model
-    if top is None:
-        raise ValueError("need either a hierarchy tree or a global model")
-    ga, gl = global_metric(spec, top, global_test)
+    shards = [c.shard for c in clients]
+    gs, gg, gsl, ggl = g_metrics(spec, tree, shards, global_test)
+    ga, gl = evaluate(spec, tree.root.model, global_test)
     return RoundMetrics(
         t=t,
         c_spe=cs_acc,

@@ -1,11 +1,12 @@
-"""Training loops: the hierarchical algorithm and the flat FL baselines.
+"""The round loop shared by all four algorithms, and run orchestration.
 
-One round of the hierarchical loop: every client re-initializes from a
-decaying blend of its ancestor group models, runs a few epochs of proximal
-SGD against those ancestors, then (every tau rounds) the server re-clusters
-the clients and finally re-averages every group model bottom-up.  FedAvg and
-FedProx broadcast a single global model instead and aggregate with
-sample-count (or agent-count) weights.
+One round: every client re-initializes from a decaying blend of its ancestor
+group models, runs a few epochs of proximal SGD against those ancestors,
+then (every tau rounds) the server re-clusters the clients and finally
+re-averages every group model bottom-up.  FedAvg and FedProx are the same
+loop over a fixed one-group tree of all clients: each round restarts every
+client from the root model (beta = 1), anchors it to the root with weight 1
+(FedProx's mu/2 ||w - w_global||^2), and never re-clusters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import clustering, hierarchy
 from .clustering import Dendrogram, LevelAssignment
 from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
-from .hierarchy import HierarchyTree, anchors_for, build_tree, generalized_blend, group_average, propagate_up
+from .hierarchy import HierarchyTree, anchors_for, build_tree, generalized_blend, propagate_up
 from .metrics import RoundMetrics, round_metrics
 from .models import LOGISTIC, MLP, Batch, ModelSpec, ProxAnchor, init_params, local_solve
 
@@ -49,7 +50,9 @@ class RunConfig:
     lr: float = 0.1
     metric: str = clustering.WEIGHT_METRIC
     fixed_structure: bool = False
-    fedavg_weighting: str = "sample"  # or "agent"
+    # "sample" or "agent"; both give the same model, because every client
+    # shard holds the same number of training samples
+    fedavg_weighting: str = "sample"
     seed: int = 42
     # model
     model_kind: str = LOGISTIC
@@ -125,14 +128,13 @@ class ClientState:
 
 @dataclass
 class RoundState:
-    """Mutable loop state; `tree` for the hierarchical loop, `global_model` for baselines."""
+    """Mutable loop state; `dendrogram` is set only in a round that re-clustered."""
 
     t: int
     clients: list[ClientState]
     spec: ModelSpec
     union_test: Dataset
-    tree: Optional[HierarchyTree] = None
-    global_model: Optional[np.ndarray] = None
+    tree: HierarchyTree
     dendrogram: Optional[Dendrogram] = None
     metrics: Optional[RoundMetrics] = None
 
@@ -149,8 +151,6 @@ def beta_schedule(t: int, cfg: RunConfig) -> float:
     """Geometric decay with a floor: max(beta_min, beta0 * beta_decay^t)."""
     if t < 0:
         raise ValueError("round index must be non-negative")
-    if not 0.0 <= cfg.beta0 <= 1.0:
-        raise ConfigurationError("beta0 must lie in [0, 1]")
     if cfg.beta0 == 0.0:
         return 0.0
     return max(cfg.beta_min, cfg.beta0 * cfg.beta_decay**t)
@@ -193,16 +193,19 @@ def _rebuild_structure(
 
 
 def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
-    """One global round of the hierarchical loop.
+    """One global round of any algorithm.
 
     Order: client re-init and local proximal solve, delta recording, periodic
     restructuring, bottom-up model propagation, metrics.
     """
     spec = state.spec
-    beta_t = beta_schedule(state.t, cfg)
+    hierarchical = cfg.algorithm in HIERARCHICAL
+    beta_t = beta_schedule(state.t, cfg) if hierarchical else 1.0
+    # a flat algorithm anchors every client to the root, its global model
+    root_anchor = [ProxAnchor(state.tree.root.model, 1.0)]
     for client in state.clients:
         w_start = local_init(client, state.tree, beta_t)
-        anchors = anchors_for(state.tree, client.id)
+        anchors = anchors_for(state.tree, client.id) if hierarchical else root_anchor
         w_new = local_solve(
             spec,
             w_start,
@@ -221,64 +224,14 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
 
     # fixed mode keeps the structure that exists at t=0 (built from the
     # initial models) so group membership is constant across all rounds
-    rebuild_due = (not cfg.fixed_structure) and state.t % cfg.tau == 0
-    if rebuild_due:
+    state.dendrogram = None
+    if hierarchical and not cfg.fixed_structure and state.t % cfg.tau == 0:
         state.tree, state.dendrogram = _rebuild_structure(state.clients, cfg)
     propagate_up(state.tree, _client_models(state.clients))
 
-    state.metrics = round_metrics(
-        spec, state.t, state.clients, state.union_test, tree=state.tree
-    )
+    state.metrics = round_metrics(spec, state.t, state.clients, state.union_test, state.tree)
     state.t += 1
     return state
-
-
-def _baseline_round(state: RoundState, cfg: RunConfig, anchored: bool) -> RoundState:
-    spec = state.spec
-    broadcast = state.global_model
-    anchors = [ProxAnchor(broadcast, 1.0)] if anchored else []
-    mu = cfg.mu if anchored else 0.0
-    for client in state.clients:
-        w_start = broadcast.copy()
-        w_new = local_solve(
-            spec,
-            w_start,
-            client.train_batch,
-            anchors,
-            mu,
-            cfg.epochs,
-            cfg.batch_size,
-            cfg.lr,
-            _client_rng(cfg, client.id, state.t),
-        )
-        client.last_delta = (
-            (w_new - w_start) / cfg.lr if cfg.lr > 0 else np.zeros_like(w_new)
-        )
-        client.w0 = w_new
-    state.global_model = _aggregate(state.clients, cfg)
-    state.metrics = round_metrics(
-        spec, state.t, state.clients, state.union_test, global_model=state.global_model
-    )
-    state.t += 1
-    return state
-
-
-def fedavg_round(state: RoundState, cfg: RunConfig) -> RoundState:
-    """Broadcast, local SGD on the plain loss, weighted average."""
-    return _baseline_round(state, cfg, anchored=False)
-
-
-def fedprox_round(state: RoundState, cfg: RunConfig) -> RoundState:
-    """FedAvg round with a single global proximal anchor (coeff 1)."""
-    return _baseline_round(state, cfg, anchored=True)
-
-
-def _aggregate(clients: list[ClientState], cfg: RunConfig) -> np.ndarray:
-    if cfg.fedavg_weighting == "sample":
-        counts = [len(c.shard.train) for c in clients]
-    else:
-        counts = [1] * len(clients)
-    return group_average([c.w0 for c in clients], counts)
 
 
 def build_client_data(cfg: RunConfig) -> list[ClientShard]:
@@ -329,41 +282,33 @@ def initial_state(cfg: RunConfig) -> RoundState:
     w_init = init_params(spec, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     clients = [ClientState(s.client_id, s, w_init.copy()) for s in shards]
     union_test = concat_datasets([s.test for s in shards])
-    state = RoundState(0, clients, spec, union_test)
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
         # distance is zero so the cut is the deterministic lowest-index one
-        state.tree, _ = _rebuild_structure(clients, cfg, metric=clustering.WEIGHT_METRIC)
+        tree, _ = _rebuild_structure(clients, cfg, metric=clustering.WEIGHT_METRIC)
     else:
-        state.global_model = _aggregate(clients, cfg)
-    return state
-
-
-ROUND_FN = {
-    "demlearn": run_round,
-    "demlearn-p": run_round,
-    "fedavg": fedavg_round,
-    "fedprox": fedprox_round,
-}
+        # FedAvg / FedProx: one group of all clients, never re-clustered; its
+        # 1/n leaf weights equal the sample-count weights, as shards are equal
+        assign = LevelAssignment(1, {1: [[c.id for c in clients]]})
+        tree = build_tree(assign, _client_models(clients))
+    return RoundState(0, clients, spec, union_test, tree)
 
 
 def run(cfg: RunConfig, record_structures: bool = False) -> RunResult:
-    """Execute the configured number of rounds and collect the metric history."""
+    """Execute the configured number of rounds and collect the metric history.
+
+    With `record_structures`, a hierarchical run also keeps each round's
+    dendrogram (if it re-clustered) and a snapshot of its tree.
+    """
     state = initial_state(cfg)
     result = RunResult([], state)
-    step = ROUND_FN[cfg.algorithm]
+    record = record_structures and cfg.algorithm in HIERARCHICAL
     for _ in range(cfg.rounds):
-        t_before = state.t
-        step(state, cfg)
+        t = state.t
+        run_round(state, cfg)
         result.metrics.append(state.metrics)
-        if record_structures and state.tree is not None:
-            if state.dendrogram is not None and _rebuilt_at(cfg, t_before):
-                result.dendrograms.append((t_before, state.dendrogram))
-            result.tree_snapshots.append(
-                (t_before, hierarchy.format_tree(state.tree))
-            )
+        if record:
+            if state.dendrogram is not None:
+                result.dendrograms.append((t, state.dendrogram))
+            result.tree_snapshots.append((t, hierarchy.format_tree(state.tree)))
     return result
-
-
-def _rebuilt_at(cfg: RunConfig, t: int) -> bool:
-    return (not cfg.fixed_structure) and t % cfg.tau == 0

@@ -1,12 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's code paths: plain loops, brute-force
-recomputation, and finite differences.
+recomputation, and finite differences.  The flat FedAvg loop reuses only the
+client solver, `local_solve`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from demlearn.models import Batch, ProxAnchor, local_solve
 
 
 def central_diff(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -75,3 +78,34 @@ def leaf_weighted_mean(node, client_models) -> np.ndarray:
     """Direct mean over a group node's leaf descendants (each leaf counts once)."""
     models = [client_models[c] for c in node.clients]
     return naive_weighted_mean(models, [1] * len(models))
+
+
+def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, client_rng):
+    """FedAvg (mu = 0) or FedProx as a flat loop, with no group tree.
+
+    The global model is the training-sample-weighted mean of the client
+    models, from the initial ones on.  Each round broadcasts it and solves
+    every client against one proximal anchor of weight 1 at it.
+    `client_rng(client_id, t)` gives a client's rng for round t.  Returns the
+    final global model and the final client models.
+    """
+    counts = [len(s.train) for s in shards]
+    w_global = naive_weighted_mean(models, counts)
+    for t in range(rounds):
+        anchors = [ProxAnchor(w_global, 1.0)]
+        models = [
+            local_solve(
+                spec,
+                w_global.copy(),
+                Batch(s.train.features, s.train.labels),
+                anchors,
+                mu,
+                epochs,
+                batch_size,
+                lr,
+                client_rng(s.client_id, t),
+            )
+            for s in shards
+        ]
+        w_global = naive_weighted_mean(models, counts)
+    return w_global, models

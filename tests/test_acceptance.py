@@ -213,7 +213,7 @@ def test_criterion_4_fedavg_reduction():
     )
     dem = run(RunConfig(algorithm="demlearn", **common))
     fed = run(RunConfig(algorithm="fedavg", **common))
-    same = dem.state.tree.root.model.tobytes() == fed.state.global_model.tobytes()
+    same = dem.state.tree.root.model.tobytes() == fed.state.tree.root.model.tobytes()
     for cd, cf in zip(dem.state.clients, fed.state.clients):
         same = same and cd.w0.tobytes() == cf.w0.tobytes()
     assert report(4, same, "5 rounds, client and global trajectories bitwise equal")

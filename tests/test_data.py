@@ -5,8 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from demlearn.data import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     ConfigurationError,
     Dataset,
     IdxFormatError,
@@ -14,10 +18,30 @@ from demlearn.data import (
     load_idx,
     partition_shards,
     synthetic_dataset,
-    write_idx,
 )
 from demlearn.metrics import accuracy
 from demlearn.models import LOGISTIC, Batch, ModelSpec, init_params, local_solve
+
+
+def write_idx(ds: Dataset, images_path, labels_path) -> None:
+    """Inverse of load_idx for fixtures: features are written as rows x 1 images.
+
+    Features must be byte-representable, i.e. lie in [0, 1].  A `.gz` path is
+    gzipped with mtime pinned, so re-writing the same data is byte-identical.
+    """
+    n, d = ds.features.shape
+    if ds.features.min() < 0.0 or ds.features.max() > 1.0:
+        raise ValueError("write_idx requires feature values in [0, 1]")
+    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
+    img = struct.pack(">iiii", IDX_IMAGE_MAGIC, n, d, 1) + pixels.tobytes()
+    lbl = struct.pack(">ii", IDX_LABEL_MAGIC, n) + ds.labels.astype(np.uint8).tobytes()
+    for path, payload in ((images_path, img), (labels_path, lbl)):
+        if str(path).endswith(".gz"):
+            with gzip.GzipFile(path, "wb", mtime=0) as f:
+                f.write(payload)
+        else:
+            with open(path, "wb") as f:
+                f.write(payload)
 
 
 def fixture_dataset():
@@ -145,6 +169,33 @@ def test_partition_infeasible_demand():
     ds = balanced_dataset(n_per_class=3, num_classes=2)
     with pytest.raises(ConfigurationError):
         partition_shards(ds, 10, 2, 50, 0.2, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_classes=st.integers(2, 6),
+    samples_per_class=st.integers(5, 80),
+    n_clients=st.integers(1, 12),
+    labels_per_client=st.integers(1, 3),
+    samples_per_client=st.integers(1, 30),
+    test_frac=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_equal_train_sizes_and_ordered_ids(
+    num_classes, samples_per_class, n_clients, labels_per_client, samples_per_client,
+    test_frac, seed,
+):
+    # FedAvg's sample-count weights equal its agent-count weights only
+    # because every client holds the same number of training samples
+    ds = synthetic_dataset(num_classes, 2, samples_per_class, 5.0, seed=0)
+    try:
+        shards = partition_shards(
+            ds, n_clients, labels_per_client, samples_per_client, test_frac, seed
+        )
+    except ConfigurationError:
+        reject()
+    assert [s.client_id for s in shards] == list(range(n_clients))
+    assert len({len(s.train) for s in shards}) == 1
 
 
 def test_partition_median_near_target():

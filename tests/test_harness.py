@@ -5,13 +5,13 @@ import time
 
 import pytest
 
-from demlearn.cli import main
+from demlearn.cli import _build_parser, main
 from demlearn.data import ConfigurationError
 from demlearn.harness import (
+    CONFIG_KEYS,
     ExperimentPlan,
     compare_plan,
     config_echo,
-    fixed_structure_mode,
     parse_config,
     run_plan,
     sweep_mu,
@@ -132,12 +132,6 @@ def test_compare_plan_has_four_algorithms():
     plan.validate()
 
 
-def test_fixed_structure_mode():
-    cfg = fixed_structure_mode(RunConfig())
-    assert cfg.fixed_structure is True
-    assert config_echo(cfg)["run.fixed_structure"] is True
-
-
 def test_plan_rejects_duplicate_names():
     plan = ExperimentPlan([("a", RunConfig()), ("a", RunConfig())])
     with pytest.raises(ConfigurationError):
@@ -254,3 +248,36 @@ def test_cli_fixed_structure_echo(tmp_path):
     )
     summary = json.loads((tmp_path / "fx_summary.json").read_text())
     assert summary["config"]["run.fixed_structure"] is True
+
+
+def test_cli_flags_are_the_config_keys(tmp_path):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    flags = {
+        a.dest: a.option_strings
+        for a in sub.choices["run"]._actions
+        if a.dest in CONFIG_KEYS
+    }
+    assert set(flags) == set(CONFIG_KEYS)
+    assert all(opts == [CONFIG_KEYS[key][1]] for key, opts in flags.items())
+
+    # one non-default value per flag, every one echoed into the summary
+    values = {
+        "run.algorithm": "fedprox", "run.rounds": 1, "run.k": 3, "run.tau": 3,
+        "run.mu": 0.02, "run.beta0": 0.9, "run.beta_decay": 0.99,
+        "run.beta_min": 0.4, "run.epochs": 1, "run.batch_size": 4, "run.lr": 0.05,
+        "run.metric": "gradients", "run.fixed_structure": True,
+        "run.fedavg_weighting": "agent", "run.seed": 5, "model.kind": "mlp-1hidden",
+        "model.hidden_dim": 4, "data.source": "synthetic", "data.dir": "elsewhere",
+        "data.seed": 3, "data.clients": 4, "data.labels_per_client": 1,
+        "data.samples_per_client": 20, "data.test_frac": 0.25, "synthetic.classes": 4,
+        "synthetic.input_dim": 6, "synthetic.samples_per_class": 40,
+        "synthetic.separation": 5.0,
+    }
+    assert set(values) == set(CONFIG_KEYS)
+    argv = ["run", "--name", "all", "--out", str(tmp_path)]
+    for key, value in values.items():
+        flag = CONFIG_KEYS[key][1]
+        argv += [flag] if value is True else [flag, str(value)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "all_summary.json").read_text())
+    assert summary["config"] == values

@@ -14,7 +14,6 @@ from demlearn.metrics import (
     c_spe,
     evaluate,
     g_metrics,
-    global_metric,
     round_metrics,
 )
 from demlearn.models import LOGISTIC, ModelSpec
@@ -136,7 +135,7 @@ def test_g_metrics_identical_models_match_global():
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
     tree = tree_for(clients, assign)
     gs, gg, _, _ = g_metrics(SPEC, tree, [c.shard for c in clients], union)
-    ga, _ = global_metric(SPEC, tree.root.model, union)
+    ga, _ = evaluate(SPEC, tree.root.model, union)
     assert all(v == pytest.approx(ga) for v in gg)
     assert ga == pytest.approx(accuracy(SPEC, w, union))
 
@@ -177,12 +176,14 @@ def test_round_metrics_invariant_under_client_reordering():
 
 
 def test_round_metrics_baseline_path():
+    # FedAvg / FedProx keep a one-level tree: no group series, root is global
     rng = np.random.default_rng(1)
     union = ds(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5))
     clients = [FakeClient(i, np.zeros(SPEC.param_count), union) for i in range(2)]
-    m = round_metrics(SPEC, 3, clients, union, global_model=np.zeros(SPEC.param_count))
+    tree = tree_for(clients, LevelAssignment(1, {1: [[0, 1]]}))
+    m = round_metrics(SPEC, 3, clients, union, tree)
     assert m.t == 3
     assert m.g_spe == () and m.g_gen == ()
     assert m.global_acc == pytest.approx(accuracy(SPEC, np.zeros(SPEC.param_count), union))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         round_metrics(SPEC, 0, clients, union)

@@ -1,22 +1,23 @@
-"""Round loops: beta schedule, local init, baselines, determinism."""
+"""The round loop: beta schedule, local init, baselines, determinism."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from demlearn import training
 from demlearn.data import ConfigurationError
 from demlearn.hierarchy import group_average
 from demlearn.training import (
     RunConfig,
     beta_schedule,
-    fedavg_round,
-    fedprox_round,
     initial_state,
     local_init,
     run,
     run_round,
 )
+
+from oracles import plain_fedavg
 
 
 def tiny_cfg(**kw):
@@ -121,25 +122,25 @@ def test_local_init_scalar_blend_arithmetic():
 def test_fedavg_single_client_global_is_client_model():
     cfg = tiny_cfg(algorithm="fedavg", n_clients=1, rounds=1)
     state = initial_state(cfg)
-    fedavg_round(state, cfg)
-    assert np.array_equal(state.global_model, state.clients[0].w0)
+    run_round(state, cfg)
+    assert np.array_equal(state.tree.root.model, state.clients[0].w0)
 
 
-def test_fedavg_identical_clients_symmetry():
+def test_fedavg_identical_clients_symmetry(monkeypatch):
     cfg = tiny_cfg(algorithm="fedavg", rounds=1)
     state = initial_state(cfg)
     # give every client the same shard so local solves coincide up to rng
     shard = state.clients[0].shard
     for c in state.clients:
         c.shard = dataclasses.replace(shard, client_id=c.id)
-    # same rng per client requires same (seed, id, t); force by id
-    for c in state.clients:
-        c.id = 0
-    fedavg_round(state, cfg)
+    # same rng per client requires same (seed, id, t); force the stream of id 0
+    client_rng = training._client_rng
+    monkeypatch.setattr(training, "_client_rng", lambda cfg, cid, t: client_rng(cfg, 0, t))
+    run_round(state, cfg)
     first = state.clients[0].w0
     for c in state.clients[1:]:
         assert np.array_equal(c.w0, first)
-    assert np.allclose(state.global_model, first, atol=1e-12)
+    assert np.allclose(state.tree.root.model, first, atol=1e-12)
 
 
 def test_weighted_mean_example():
@@ -154,21 +155,59 @@ def test_fedprox_mu_zero_matches_fedavg():
     cfg_p = tiny_cfg(algorithm="fedprox", mu=0.0, rounds=3)
     ra = run(cfg_a)
     rp = run(cfg_p)
-    assert ra.state.global_model.tobytes() == rp.state.global_model.tobytes()
+    assert ra.state.tree.root.model.tobytes() == rp.state.tree.root.model.tobytes()
     for ca, cp in zip(ra.state.clients, rp.state.clients):
         assert ca.w0.tobytes() == cp.w0.tobytes()
 
 
-def test_fedprox_round_pins_clients_toward_global():
+def test_fedprox_pins_clients_toward_global():
     cfg = tiny_cfg(algorithm="fedprox", mu=50.0, rounds=1, lr=0.01)
     cfg_free = tiny_cfg(algorithm="fedavg", rounds=1, lr=0.01)
     s_prox = initial_state(cfg)
     s_free = initial_state(cfg_free)
-    g = s_prox.global_model.copy()
-    fedprox_round(s_prox, cfg)
-    fedavg_round(s_free, cfg_free)
+    g = s_prox.tree.root.model.copy()
+    run_round(s_prox, cfg)
+    run_round(s_free, cfg_free)
     for cp, cf in zip(s_prox.clients, s_free.clients):
         assert np.linalg.norm(cp.w0 - g) < np.linalg.norm(cf.w0 - g)
+
+
+@pytest.mark.parametrize(
+    "algorithm, mu, model_kind",
+    [
+        ("fedavg", 0.0, "multinomial-logistic"),
+        ("fedprox", 0.5, "multinomial-logistic"),
+        ("fedprox", 0.2, "mlp-1hidden"),
+    ],
+)
+def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
+    cfg = tiny_cfg(algorithm=algorithm, mu=mu, model_kind=model_kind, hidden_dim=5, rounds=3)
+    start = initial_state(cfg)
+    w_global, models = plain_fedavg(
+        start.spec,
+        [c.w0 for c in start.clients],
+        [c.shard for c in start.clients],
+        cfg.rounds,
+        cfg.mu,
+        cfg.epochs,
+        cfg.batch_size,
+        cfg.lr,
+        lambda cid, t: training._client_rng(cfg, cid, t),
+    )
+    result = run(cfg)
+    assert result.state.tree.root.model.tobytes() == w_global.tobytes()
+    for client, model in zip(result.state.clients, models):
+        assert client.w0.tobytes() == model.tobytes()
+
+
+def test_flat_run_keeps_one_group_and_records_no_structures():
+    cfg = tiny_cfg(algorithm="fedprox", mu=0.1, rounds=3, tau=1, k_levels=3)
+    result = run(cfg, record_structures=True)
+    tree = result.state.tree
+    assert tree.K == 1
+    assert [n.clients for n in tree.levels[1]] == [[0, 1, 2, 3, 4]]
+    assert result.dendrograms == [] and result.tree_snapshots == []
+    assert all(m.g_spe == () and m.g_gen == () for m in result.metrics)
 
 
 # ------------------------------------------------------------ demlearn loop
@@ -252,10 +291,10 @@ def test_fedavg_reduction_bitwise():
     fed_state = initial_state(fed_cfg)
     for _ in range(5):
         run_round(dem_state, dem_cfg)
-        fedavg_round(fed_state, fed_cfg)
+        run_round(fed_state, fed_cfg)
         for cd, cf in zip(dem_state.clients, fed_state.clients):
             assert cd.w0.tobytes() == cf.w0.tobytes()
-        assert dem_state.tree.root.model.tobytes() == fed_state.global_model.tobytes()
+        assert dem_state.tree.root.model.tobytes() == fed_state.tree.root.model.tobytes()
 
 
 def test_single_client_hierarchical_run():
