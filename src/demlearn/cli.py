@@ -103,10 +103,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigurationError(
                     "export-dendrogram requires a hierarchical algorithm"
                 )
-            result = run(cfg, record_structures=True)
+            result = run(cfg)
             if not result.dendrograms:
                 raise ConfigurationError(
-                    "no dendrogram was built (did the run execute any rounds?)"
+                    "no dendrogram was built (a run with no rounds, k = 1 or "
+                    "one client clusters nothing)"
                 )
             _, dend = result.dendrograms[-1]
             text = format_dendrogram(dend)

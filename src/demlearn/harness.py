@@ -63,7 +63,7 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _, _) in CONFIG_KEYS.items()}
 
-# fields that must agree across a shared-partition plan
+# fields that must agree across the runs of a plan, which share one partition
 _PARTITION_ATTRS = (
     "data_source",
     "data_dir",
@@ -136,11 +136,13 @@ def config_echo(cfg: RunConfig) -> dict[str, object]:
 
 @dataclass
 class ExperimentPlan:
-    """Named runs plus output destination; names must be unique."""
+    """Named runs plus output destination.
+
+    Names must be unique, and every run must use the same data partition.
+    """
 
     runs: list[tuple[str, RunConfig]]
     out_dir: str = "results"
-    shared_partition: bool = True
 
     def validate(self) -> None:
         names = [name for name, _ in self.runs]
@@ -148,7 +150,7 @@ class ExperimentPlan:
             raise ConfigurationError(f"duplicate run names in plan: {names}")
         for _, cfg in self.runs:
             cfg.validate()
-        if self.shared_partition and self.runs:
+        if self.runs:
             first = self.runs[0][1]
             for name, cfg in self.runs[1:]:
                 for attr in _PARTITION_ATTRS:
@@ -266,7 +268,7 @@ def run_plan(plan: ExperimentPlan) -> int:
         return 1
     for name, cfg in plan.runs:
         try:
-            result = run(cfg, record_structures=True)
+            result = run(cfg)
         except ConfigurationError as exc:
             print(f"config error in run {name!r}: {exc}")
             return 1

@@ -11,6 +11,12 @@ row-major and fixed per ModelSpec:
 Gradients are analytic (softmax cross-entropy backprop by hand); the local
 solver is plain mini-batch SGD with an optional sum of proximal penalties
 pulling the iterate toward a set of anchor models.
+
+Inputs are validated once, where they enter: `forward`, `loss`,
+`prox_objective` and `local_solve` take a `Dataset` and check the parameter
+length, the feature width, the labels, a non-empty set, the anchor shapes and
+mu >= 0.  `grad` and `prox_grad` are the SGD step kernels on array slices;
+they trust their inputs and check nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .data import Dataset
 
 LOGISTIC = "multinomial-logistic"
 MLP = "mlp-1hidden"
@@ -55,17 +63,6 @@ class ModelSpec:
         return (self.input_dim + 1) * self.hidden_dim + (self.hidden_dim + 1) * self.num_classes
 
 
-@dataclass
-class Batch:
-    """A block of samples: features (B x input_dim) and integer labels (B,)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 @dataclass(frozen=True)
 class ProxAnchor:
     """One proximal target: an ancestor group model plus its 1/N_group weight."""
@@ -93,9 +90,9 @@ def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_batch(spec: ModelSpec, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(batch.features, dtype=np.float64)
-    y = np.asarray(batch.labels)
+def _check_data(spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(data.features, dtype=np.float64)
+    y = np.asarray(data.labels)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature matrix has shape {x.shape}, expected (B, {spec.input_dim})"
@@ -105,7 +102,7 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> tuple[np.ndarray, np.ndarray]
             f"label vector has shape {y.shape}, expected ({x.shape[0]},)"
         )
     if x.shape[0] < 1:
-        raise ValueError("batch must contain at least one sample")
+        raise ValueError("data set must contain at least one sample")
     if y.min() < 0 or y.max() >= spec.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
     return x, y
@@ -146,27 +143,30 @@ def _forward_cached(spec: ModelSpec, w: np.ndarray, x: np.ndarray):
     return _softmax(hidden @ w2 + b2), hidden
 
 
-def forward(spec: ModelSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of the true labels (clamped at 1e-12)."""
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, _LOG_FLOOR))))
+
+
+def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Class probabilities, one softmax row per sample."""
     w = _check_params(spec, w)
-    x, _ = _check_batch(spec, batch)
+    x, _ = _check_data(spec, data)
     probs, _ = _forward_cached(spec, w, x)
     return probs
 
 
-def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float:
-    """Mean cross-entropy over the batch (log clamped at 1e-12)."""
-    w = _check_params(spec, w)
-    x, y = _check_batch(spec, batch)
-    probs, _ = _forward_cached(spec, w, x)
-    picked = probs[np.arange(len(y)), y]
-    return float(-np.mean(np.log(np.maximum(picked, _LOG_FLOOR))))
+def loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
+    """Mean cross-entropy over the data set."""
+    return cross_entropy(forward(spec, w, data), data.labels)
 
 
-def grad(spec: ModelSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
-    """Analytic gradient of `loss` with respect to the flat vector."""
-    w = _check_params(spec, w)
-    x, y = _check_batch(spec, batch)
+def grad(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Analytic gradient of `loss` on samples (x, y) w.r.t. the flat vector.
+
+    A step kernel: it trusts that w, x and y fit `spec` and checks nothing.
+    """
     b = x.shape[0]
     probs, hidden = _forward_cached(spec, w, x)
     dlogits = probs.copy()
@@ -211,14 +211,14 @@ def _check_anchors(spec: ModelSpec, anchors: Sequence[ProxAnchor], mu: float) ->
 def prox_objective(
     spec: ModelSpec,
     w: np.ndarray,
-    batch: Batch,
+    data: Dataset,
     anchors: Sequence[ProxAnchor],
     mu: float,
 ) -> float:
     """loss(w) + (mu/2) * sum_k coeff_k * ||w - anchor_k||^2"""
     w = _check_params(spec, w)
     _check_anchors(spec, anchors, mu)
-    value = loss(spec, w, batch)
+    value = loss(spec, w, data)
     if mu == 0.0:
         return value
     penalty = 0.0
@@ -231,14 +231,16 @@ def prox_objective(
 def prox_grad(
     spec: ModelSpec,
     w: np.ndarray,
-    batch: Batch,
+    x: np.ndarray,
+    y: np.ndarray,
     anchors: Sequence[ProxAnchor],
     mu: float,
 ) -> np.ndarray:
-    """Gradient of `prox_objective`; reduces bitwise to `grad` when mu == 0."""
-    w = _check_params(spec, w)
-    _check_anchors(spec, anchors, mu)
-    g = grad(spec, w, batch)
+    """Gradient of `prox_objective` on samples (x, y); bitwise `grad` at mu == 0.
+
+    A step kernel like `grad`: it checks nothing.
+    """
+    g = grad(spec, w, x, y)
     if mu == 0.0:
         return g
     for a in anchors:
@@ -249,7 +251,7 @@ def prox_grad(
 def local_solve(
     spec: ModelSpec,
     w_init: np.ndarray,
-    train: Batch,
+    train: Dataset,
     anchors: Sequence[ProxAnchor],
     mu: float,
     epochs: int,
@@ -269,7 +271,7 @@ def local_solve(
     if lr < 0.0:
         raise ValueError("lr must be non-negative")
     w = _check_params(spec, w_init).copy()
-    x, y = _check_batch(spec, train)  # rejects the empty training set
+    x, y = _check_data(spec, train)  # rejects the empty training set
     _check_anchors(spec, anchors, mu)
     rng = np.random.default_rng(rng)
     n = x.shape[0]
@@ -277,6 +279,6 @@ def local_solve(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            g = prox_grad(spec, w, Batch(x[idx], y[idx]), anchors, mu)
+            g = prox_grad(spec, w, x[idx], y[idx], anchors, mu)
             w -= lr * g
     return w

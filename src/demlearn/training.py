@@ -22,7 +22,7 @@ from .clustering import Dendrogram, LevelAssignment
 from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
 from .hierarchy import HierarchyTree, anchors_for, build_tree, generalized_blend, propagate_up
 from .metrics import RoundMetrics, round_metrics
-from .models import LOGISTIC, MLP, Batch, ModelSpec, ProxAnchor, init_params, local_solve
+from .models import LOGISTIC, MLP, ModelSpec, ProxAnchor, init_params, local_solve
 
 ALGORITHMS = ("demlearn", "demlearn-p", "fedavg", "fedprox")
 HIERARCHICAL = ("demlearn", "demlearn-p")
@@ -110,6 +110,15 @@ class RunConfig:
             raise ConfigurationError(f"unknown model kind {self.model_kind!r}")
         if self.data_source not in ("synthetic", "idx"):
             raise ConfigurationError(f"unknown data source {self.data_source!r}")
+        if (
+            self.algorithm in HIERARCHICAL
+            and self.metric == clustering.GRADIENT_METRIC
+            and self.lr == 0.0
+        ):
+            raise ConfigurationError(
+                "metric=gradients needs lr > 0: with lr = 0 every update is zero "
+                "and their cosine distances are undefined"
+            )
 
 
 @dataclass
@@ -120,10 +129,6 @@ class ClientState:
     shard: ClientShard
     w0: np.ndarray
     last_delta: Optional[np.ndarray] = None
-
-    @property
-    def train_batch(self) -> Batch:
-        return Batch(self.shard.train.features, self.shard.train.labels)
 
 
 @dataclass
@@ -174,18 +179,24 @@ def _client_models(clients: list[ClientState]) -> dict[int, np.ndarray]:
     return {c.id: c.w0 for c in clients}
 
 
+def _one_group_tree(clients: list[ClientState], k_levels: int) -> HierarchyTree:
+    """A tree whose every level 1..k_levels is one group of all clients."""
+    ids = [c.id for c in clients]
+    assign = LevelAssignment(k_levels, {level: [ids] for level in range(1, k_levels + 1)})
+    return build_tree(assign, _client_models(clients))
+
+
 def _rebuild_structure(
     clients: list[ClientState], cfg: RunConfig, metric: Optional[str] = None
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
-    """Cluster clients and cut the dendrogram into a K-level tree."""
+    """Cluster clients and cut the dendrogram into a K-level tree.
+
+    With K = 1 or a lone client there is nothing to cluster: the tree is one
+    group of all clients at every level, and no dendrogram is built.
+    """
+    if cfg.k_levels == 1 or len(clients) == 1:
+        return _one_group_tree(clients, cfg.k_levels), None
     metric = metric or cfg.metric
-    if len(clients) == 1:
-        # clustering needs two points; a lone client forms every group itself
-        assign = LevelAssignment(
-            cfg.k_levels,
-            {level: [[clients[0].id]] for level in range(1, cfg.k_levels + 1)},
-        )
-        return build_tree(assign, _client_models(clients)), None
     dm = clustering.build_distance_matrix(clients, metric)
     dend = clustering.agglomerate(dm)
     assign = clustering.truncate(dend, cfg.k_levels)
@@ -209,7 +220,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         w_new = local_solve(
             spec,
             w_start,
-            client.train_batch,
+            client.shard.train,
             anchors,
             cfg.mu,
             cfg.epochs,
@@ -289,20 +300,19 @@ def initial_state(cfg: RunConfig) -> RoundState:
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as shards are equal
-        assign = LevelAssignment(1, {1: [[c.id for c in clients]]})
-        tree = build_tree(assign, _client_models(clients))
+        tree = _one_group_tree(clients, 1)
     return RoundState(0, clients, spec, union_test, tree)
 
 
-def run(cfg: RunConfig, record_structures: bool = False) -> RunResult:
+def run(cfg: RunConfig) -> RunResult:
     """Execute the configured number of rounds and collect the metric history.
 
-    With `record_structures`, a hierarchical run also keeps each round's
-    dendrogram (if it re-clustered) and a snapshot of its tree.
+    A hierarchical run also keeps each round's dendrogram (if it re-clustered)
+    and a snapshot of its tree.
     """
     state = initial_state(cfg)
     result = RunResult([], state)
-    record = record_structures and cfg.algorithm in HIERARCHICAL
+    record = cfg.algorithm in HIERARCHICAL
     for _ in range(cfg.rounds):
         t = state.t
         run_round(state, cfg)

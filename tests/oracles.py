@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from demlearn.models import Batch, ProxAnchor, local_solve
+from demlearn.models import ProxAnchor, local_solve
 
 
 def central_diff(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -97,7 +97,7 @@ def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, clien
             local_solve(
                 spec,
                 w_global.copy(),
-                Batch(s.train.features, s.train.labels),
+                s.train,
                 anchors,
                 mu,
                 epochs,

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from demlearn.clustering import agglomerate, truncate
+from demlearn.data import Dataset
 from demlearn.harness import ExperimentPlan, run_plan
 from demlearn.hierarchy import build_tree
 from demlearn.models import (
     LOGISTIC,
     MLP,
-    Batch,
     ModelSpec,
     ProxAnchor,
     prox_grad,
@@ -84,9 +84,10 @@ def test_criterion_1_gradient_correctness():
             continue
         w = rng.normal(0, 0.6, spec.param_count)
         b = int(rng.integers(1, 9))
-        batch = Batch(
+        batch = Dataset(
             rng.normal(0, 1, (b, spec.input_dim)),
             rng.integers(0, spec.num_classes, b),
+            spec.num_classes,
         )
         n_anchors = int(rng.integers(0, 4))
         anchors = [
@@ -94,7 +95,7 @@ def test_criterion_1_gradient_correctness():
             for _ in range(n_anchors)
         ]
         mu = float(rng.uniform(0, 0.5))
-        g = prox_grad(spec, w, batch, anchors, mu)
+        g = prox_grad(spec, w, batch.features, batch.labels, anchors, mu)
         fd = central_diff(lambda v: prox_objective(spec, v, batch, anchors, mu), w)
         rel = np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4))
         worst = max(worst, rel)

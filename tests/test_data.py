@@ -20,7 +20,7 @@ from demlearn.data import (
     synthetic_dataset,
 )
 from demlearn.metrics import accuracy
-from demlearn.models import LOGISTIC, Batch, ModelSpec, init_params, local_solve
+from demlearn.models import LOGISTIC, ModelSpec, init_params, local_solve
 
 
 def write_idx(ds: Dataset, images_path, labels_path) -> None:
@@ -229,7 +229,7 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     ds = synthetic_dataset(4, 8, 30, 40.0, seed=6)
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)
-    w = local_solve(spec, w, Batch(ds.features, ds.labels), [], 0.0, 60, 16, 0.1, 1)
+    w = local_solve(spec, w, ds, [], 0.0, 60, 16, 0.1, 1)
     assert accuracy(spec, w, ds) == 1.0
 
 

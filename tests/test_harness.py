@@ -242,6 +242,30 @@ def test_cli_export_dendrogram(tmp_path):
     assert out_file.read_text().startswith("dendrogram leaves=4")
 
 
+def test_cli_k1_builds_no_dendrogram(tmp_path, capsys):
+    # with one level there is nothing to cluster: no dendrogram files, and
+    # export-dendrogram has nothing to export
+    assert main(["run", "--name", "k1", *cli_args(tmp_path, ["--k", "1"])]) == 0
+    assert (tmp_path / "k1_tree.txt").exists()
+    assert list(tmp_path.glob("k1_dendrogram_t*.txt")) == []
+    capsys.readouterr()
+    out_file = tmp_path / "dend.txt"
+    args = ["export-dendrogram", "--rounds", "2", "--clients", "4", "--classes", "4",
+            "--input-dim", "6", "--samples-per-class", "40",
+            "--samples-per-client", "20", "--epochs", "1", "--k", "1",
+            "--out-file", str(out_file)]
+    assert main(args) == 1
+    assert "no dendrogram was built" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_cli_gradients_metric_with_zero_lr_exits_before_any_round(tmp_path, capsys):
+    argv = ["run", "--name", "g0", *cli_args(tmp_path, ["--metric", "gradients", "--lr", "0"])]
+    assert main(argv) == 1
+    assert "gradients needs lr > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_fixed_structure_echo(tmp_path):
     assert (
         main(["run", "--name", "fx", "--fixed-structure", *cli_args(tmp_path)]) == 0

@@ -80,10 +80,10 @@ def test_evaluate_loss_matches_uniform():
 def test_c_spe_single_and_perfect():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     client = FakeClient(0, w, ds([[1.0, 0.0]], [0]))
-    acc, _ = c_spe(SPEC, [client])
+    acc = c_spe(SPEC, [client])
     assert acc == 1.0
     clients = [client, FakeClient(1, w.copy(), ds([[-1.0, 0.0]], [2]))]
-    acc2, _ = c_spe(SPEC, clients)
+    acc2 = c_spe(SPEC, clients)
     assert acc2 == 1.0
 
 
@@ -91,7 +91,7 @@ def test_c_spe_is_mean_over_clients():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     right = FakeClient(0, w, ds([[1.0, 0.0]], [0]))
     wrong = FakeClient(1, w.copy(), ds([[1.0, 0.0]], [1]))
-    acc, _ = c_spe(SPEC, [right, wrong])
+    acc = c_spe(SPEC, [right, wrong])
     assert acc == pytest.approx(0.5)
 
 
@@ -99,7 +99,7 @@ def test_c_gen_shared_model_equals_union_accuracy():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     union = ds([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]], [0, 2, 1])
     clients = [FakeClient(i, w.copy(), union) for i in range(3)]
-    acc, _ = c_gen(SPEC, clients, union)
+    acc = c_gen(SPEC, clients, union)
     assert acc == pytest.approx(accuracy(SPEC, w, union))
 
 
@@ -111,7 +111,7 @@ def test_c_gen_two_client_hand_count():
         FakeClient(0, w_good, union),  # 2/2 correct
         FakeClient(1, w_zero, union),  # ties -> class 0: 1/2 correct
     ]
-    acc, _ = c_gen(SPEC, clients, union)
+    acc = c_gen(SPEC, clients, union)
     assert acc == pytest.approx((1.0 + 0.5) / 2)
 
 
@@ -124,7 +124,7 @@ def test_g_metrics_k1_empty():
     union = ds([[1.0, 0.0]], [0])
     clients = [FakeClient(i, w.copy(), union) for i in range(2)]
     tree = tree_for(clients, LevelAssignment(1, {1: [[0, 1]]}))
-    gs, gg, gsl, ggl = g_metrics(SPEC, tree, [c.shard for c in clients], union)
+    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
     assert gs == () and gg == ()
 
 
@@ -134,7 +134,7 @@ def test_g_metrics_identical_models_match_global():
     clients = [FakeClient(i, w.copy(), union) for i in range(4)]
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
     tree = tree_for(clients, assign)
-    gs, gg, _, _ = g_metrics(SPEC, tree, [c.shard for c in clients], union)
+    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
     ga, _ = evaluate(SPEC, tree.root.model, union)
     assert all(v == pytest.approx(ga) for v in gg)
     assert ga == pytest.approx(accuracy(SPEC, w, union))
@@ -154,7 +154,7 @@ def test_g_metrics_two_group_hand_count():
     ]
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
     tree = tree_for(clients, assign)
-    gs, gg, _, _ = g_metrics(SPEC, tree, [c.shard for c in clients], union)
+    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
     # each group model is its members' (identical) model: fits own shard,
     # scores 1/2 on the union
     assert gs[0] == pytest.approx(1.0)

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from demlearn import training
+from demlearn import clustering, training
 from demlearn.data import ConfigurationError
-from demlearn.hierarchy import group_average
+from demlearn.hierarchy import build_tree, group_average
 from demlearn.training import (
     RunConfig,
     beta_schedule,
@@ -58,6 +58,12 @@ def test_config_validation():
         tiny_cfg(k_levels=0).validate()
     with pytest.raises(ConfigurationError):
         tiny_cfg(beta0=1.5).validate()
+    for algorithm, mu in (("demlearn", 0.0), ("demlearn-p", 0.1)):
+        # zero updates have no cosine distance
+        with pytest.raises(ConfigurationError, match="gradients needs lr > 0"):
+            tiny_cfg(algorithm=algorithm, mu=mu, metric="gradients", lr=0.0).validate()
+    tiny_cfg(algorithm="fedavg", metric="gradients", lr=0.0).validate()  # never clusters
+    tiny_cfg(metric="gradients").validate()
     tiny_cfg().validate()
 
 
@@ -202,7 +208,7 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
 
 def test_flat_run_keeps_one_group_and_records_no_structures():
     cfg = tiny_cfg(algorithm="fedprox", mu=0.1, rounds=3, tau=1, k_levels=3)
-    result = run(cfg, record_structures=True)
+    result = run(cfg)
     tree = result.state.tree
     assert tree.K == 1
     assert [n.clients for n in tree.levels[1]] == [[0, 1, 2, 3, 4]]
@@ -308,6 +314,35 @@ def test_single_client_hierarchical_run():
     assert np.array_equal(tree.root.model, result.state.clients[0].w0)
 
 
+def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
+    cfg = tiny_cfg(rounds=3, tau=1, k_levels=1, n_clients=5)
+
+    def no_clustering(*args):
+        raise AssertionError("a K=1 run clustered")
+
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "agglomerate", no_clustering)
+        skipped = run(cfg)
+    assert skipped.dendrograms == []
+    assert [n.clients for n in skipped.state.tree.levels[1]] == [[0, 1, 2, 3, 4]]
+
+    def clustered(clients, cfg, metric=None):
+        dend = clustering.agglomerate(
+            clustering.build_distance_matrix(clients, metric or cfg.metric)
+        )
+        models = {c.id: c.w0 for c in clients}
+        return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
+
+    monkeypatch.setattr(training, "_rebuild_structure", clustered)
+    forced = run(cfg)
+    assert [t for t, _ in forced.dendrograms] == [0, 1, 2]
+    assert skipped.tree_snapshots == forced.tree_snapshots
+    assert skipped.metrics == forced.metrics
+    assert skipped.state.tree.root.model.tobytes() == forced.state.tree.root.model.tobytes()
+    for a, b in zip(skipped.state.clients, forced.state.clients):
+        assert a.w0.tobytes() == b.w0.tobytes()
+
+
 def test_gradient_metric_clustering_runs():
     cfg = tiny_cfg(rounds=3, metric="gradients", n_clients=6, k_levels=3)
     result = run(cfg)
@@ -326,14 +361,13 @@ def test_training_loss_non_increasing_after_warmup():
         epochs=4,
     )
     from demlearn.data import concat_datasets
-    from demlearn.models import Batch, loss
+    from demlearn.models import loss
 
     state = initial_state(cfg)
     union_train = concat_datasets([c.shard.train for c in state.clients])
-    batch = Batch(union_train.features, union_train.labels)
     losses = []
     for _ in range(cfg.rounds):
         run_round(state, cfg)
-        losses.append(loss(state.spec, state.tree.root.model, batch))
+        losses.append(loss(state.spec, state.tree.root.model, union_train))
     for a, b in zip(losses[3:], losses[4:]):
         assert b <= a + 1e-9
