@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import LevelAssignment
-from .models import ProxAnchor
+from .models import AnchorLevel
 
 
 @dataclass(eq=False)
@@ -137,12 +137,26 @@ def propagate_up(
     return tree
 
 
-def anchors_for(tree: HierarchyTree, client_id: int) -> list[ProxAnchor]:
-    """One anchor per level: (ancestor group model, 1 / group member count)."""
-    return [
-        ProxAnchor(node.model, 1.0 / node.member_count)
-        for node in tree.path_for(client_id)
-    ]
+def anchor_levels(tree: HierarchyTree, client_ids: Sequence[int]) -> list[AnchorLevel]:
+    """The proximal targets of a stack of clients, one `AnchorLevel` per level 1..K.
+
+    At each level a client is anchored to its ancestor group's model with
+    weight 1 / that group's member count.
+    """
+    paths = [tree.path_for(cid) for cid in client_ids]
+    levels = []
+    for level in range(1, tree.K + 1):
+        nodes = tree.levels[level]
+        row = {id(node): gi for gi, node in enumerate(nodes)}
+        ancestors = [path[level - 1] for path in paths]
+        levels.append(
+            AnchorLevel(
+                np.stack([node.model for node in nodes]),
+                np.array([row[id(node)] for node in ancestors], dtype=np.intp),
+                1.0 / np.array([node.member_count for node in ancestors], dtype=np.float64),
+            )
+        )
+    return levels
 
 
 def generalized_blend(tree: HierarchyTree, client_id: int) -> tuple[np.ndarray, float]:

@@ -7,6 +7,15 @@ re-averages every group model bottom-up.  FedAvg and FedProx are the same
 loop over a fixed one-group tree of all clients: each round restarts every
 client from the root model (beta = 1), anchors it to the root with weight 1
 (FedProx's mu/2 ||w - w_global||^2), and never re-clusters.
+
+The client models and their last update deltas live in two (C, M) blocks,
+allocated once per run and updated in place; each `ClientState.w0` and
+`last_delta` is a row view into them.  One call of the lockstep solver
+`models.local_solve` trains every client of a round, so every client's
+shard must hold the same number of training samples (the shard partition
+deals them so).  A round whose solve leaves a model with a non-finite
+squared norm (a non-finite entry, or entries so large that distances
+overflow) fails at once, naming the client, the round, lr and mu.
 """
 
 from __future__ import annotations
@@ -20,9 +29,9 @@ import numpy as np
 from . import clustering, hierarchy
 from .clustering import Dendrogram, LevelAssignment
 from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
-from .hierarchy import HierarchyTree, anchors_for, build_tree, generalized_blend, propagate_up
+from .hierarchy import HierarchyTree, anchor_levels, build_tree, generalized_blend, propagate_up
 from .metrics import RoundMetrics, round_metrics
-from .models import LOGISTIC, MLP, ModelSpec, ProxAnchor, init_params, local_solve
+from .models import LOGISTIC, MLP, AnchorLevel, ModelSpec, init_params, local_solve
 
 ALGORITHMS = ("demlearn", "demlearn-p", "fedavg", "fedprox")
 HIERARCHICAL = ("demlearn", "demlearn-p")
@@ -123,7 +132,12 @@ class RunConfig:
 
 @dataclass
 class ClientState:
-    """One agent: its data shard, personalized model, and last update delta."""
+    """One agent: its data shard, personalized model, and last update delta.
+
+    In a run, `w0` and (after the first round) `last_delta` are row views of
+    `RoundState.model_block` / `delta_block`, so each round changes them in
+    place; copy one to keep it.
+    """
 
     id: int
     shard: ClientShard
@@ -133,13 +147,18 @@ class ClientState:
 
 @dataclass
 class RoundState:
-    """Mutable loop state; `dendrogram` is set only in a round that re-clustered."""
+    """Mutable loop state; `dendrogram` is set only in a round that re-clustered.
+
+    Row i of `model_block` / `delta_block` belongs to `clients[i]`.
+    """
 
     t: int
     clients: list[ClientState]
     spec: ModelSpec
     union_test: Dataset
     tree: HierarchyTree
+    model_block: np.ndarray
+    delta_block: np.ndarray
     dendrogram: Optional[Dendrogram] = None
     metrics: Optional[RoundMetrics] = None
 
@@ -210,28 +229,47 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
     restructuring, bottom-up model propagation, metrics.
     """
     spec = state.spec
+    clients = state.clients
     hierarchical = cfg.algorithm in HIERARCHICAL
     beta_t = beta_schedule(state.t, cfg) if hierarchical else 1.0
-    # a flat algorithm anchors every client to the root, its global model
-    root_anchor = [ProxAnchor(state.tree.root.model, 1.0)]
-    for client in state.clients:
-        w_start = local_init(client, state.tree, beta_t)
-        anchors = anchors_for(state.tree, client.id) if hierarchical else root_anchor
-        w_new = local_solve(
-            spec,
-            w_start,
-            client.shard.train,
-            anchors,
-            cfg.mu,
-            cfg.epochs,
-            cfg.batch_size,
-            cfg.lr,
-            _client_rng(cfg, client.id, state.t),
+    w, start = state.model_block, state.delta_block
+    for i, client in enumerate(clients):
+        start[i] = local_init(client, state.tree, beta_t)
+    np.copyto(w, start)
+    if hierarchical:
+        levels = anchor_levels(state.tree, [c.id for c in clients])
+    else:
+        # a flat algorithm anchors every client to the root, its global model
+        n = len(clients)
+        levels = [AnchorLevel(state.tree.root.model[None], np.zeros(n, np.intp), np.ones(n))]
+    local_solve(
+        spec,
+        w,
+        [c.shard.train for c in clients],
+        levels,
+        cfg.mu,
+        cfg.epochs,
+        cfg.batch_size,
+        cfg.lr,
+        [_client_rng(cfg, c.id, state.t) for c in clients],
+    )
+    # a model whose squared norm overflows has diverged even if every entry is
+    # finite: its distances and averages are no longer meaningful numbers
+    finite = np.isfinite(np.einsum("ij,ij->i", w, w))
+    if not finite.all():
+        bad = clients[np.flatnonzero(~finite)[0]].id
+        raise FloatingPointError(
+            f"client {bad} diverged in round {state.t}: the squared norm of its "
+            f"model is not finite after local training (lr={cfg.lr}, mu={cfg.mu})"
         )
-        client.last_delta = (
-            (w_new - w_start) / cfg.lr if cfg.lr > 0 else np.zeros_like(w_new)
-        )
-        client.w0 = w_new
+    # the delta block held the start models; it now takes the updates
+    if cfg.lr > 0:
+        np.subtract(w, start, out=start)
+        start /= cfg.lr
+    else:
+        start.fill(0.0)
+    for client, delta in zip(clients, start):
+        client.last_delta = delta
 
     # fixed mode keeps the structure that exists at t=0 (built from the
     # initial models) so group membership is constant across all rounds
@@ -291,7 +329,8 @@ def initial_state(cfg: RunConfig) -> RoundState:
         cfg.hidden_dim if cfg.model_kind == MLP else 0,
     )
     w_init = init_params(spec, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-    clients = [ClientState(s.client_id, s, w_init.copy()) for s in shards]
+    model_block = np.tile(w_init, (len(shards), 1))
+    clients = [ClientState(s.client_id, s, w) for s, w in zip(shards, model_block)]
     union_test = concat_datasets([s.test for s in shards])
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
@@ -301,7 +340,7 @@ def initial_state(cfg: RunConfig) -> RoundState:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as shards are equal
         tree = _one_group_tree(clients, 1)
-    return RoundState(0, clients, spec, union_test, tree)
+    return RoundState(0, clients, spec, union_test, tree, model_block, np.zeros_like(model_block))
 
 
 def run(cfg: RunConfig) -> RunResult:

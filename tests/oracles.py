@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's code paths: plain loops, brute-force
-recomputation, and finite differences.  The flat FedAvg loop reuses only the
-client solver, `local_solve`.
+recomputation, and finite differences.  `scalar_local_solve` is the
+per-client SGD loop on 2-D arrays that the library's lockstep solver must
+match row for row, bit for bit; the flat FedAvg loop runs on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from demlearn.models import ProxAnchor, local_solve
+from demlearn.models import LOGISTIC
 
 
 def central_diff(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -92,9 +93,9 @@ def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, clien
     counts = [len(s.train) for s in shards]
     w_global = naive_weighted_mean(models, counts)
     for t in range(rounds):
-        anchors = [ProxAnchor(w_global, 1.0)]
+        anchors = [(w_global, 1.0)]
         models = [
-            local_solve(
+            scalar_local_solve(
                 spec,
                 w_global.copy(),
                 s.train,
@@ -109,3 +110,98 @@ def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, clien
         ]
         w_global = naive_weighted_mean(models, counts)
     return w_global, models
+
+
+# ------------------------------------------------ one client at a time
+# The SGD loop and step kernels on one client's 2-D arrays, as the library
+# ran them before its kernels took a leading client axis.  An anchor is a
+# (model, coeff) pair.
+
+
+def _scalar_views(spec, w):
+    d, c = spec.input_dim, spec.num_classes
+    if spec.kind == LOGISTIC:
+        return w[: d * c].reshape(d, c), w[d * c :]
+    h = spec.hidden_dim
+    o = 0
+    w1 = w[o : o + d * h].reshape(d, h)
+    o += d * h
+    b1 = w[o : o + h]
+    o += h
+    w2 = w[o : o + h * c].reshape(h, c)
+    o += h * c
+    return w1, b1, w2, w[o:]
+
+
+def _scalar_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def scalar_grad(spec, w, x, y):
+    """Gradient of one client's mean cross-entropy on (x, y), 2-D arrays."""
+    b = x.shape[0]
+    if spec.kind == LOGISTIC:
+        wt, bias = _scalar_views(spec, w)
+        probs, hidden = _scalar_softmax(x @ wt + bias), None
+    else:
+        w1, b1, w2, b2 = _scalar_views(spec, w)
+        hidden = np.tanh(x @ w1 + b1)
+        probs = _scalar_softmax(hidden @ w2 + b2)
+    dlogits = probs.copy()
+    dlogits[np.arange(b), y] -= 1.0
+    dlogits /= b
+
+    g = np.empty_like(w)
+    d, c = spec.input_dim, spec.num_classes
+    if spec.kind == LOGISTIC:
+        g[: d * c] = (x.T @ dlogits).ravel()
+        g[d * c :] = dlogits.sum(axis=0)
+        return g
+    h = spec.hidden_dim
+    dw2 = hidden.T @ dlogits
+    db2 = dlogits.sum(axis=0)
+    dhidden = dlogits @ w2.T
+    dpre = dhidden * (1.0 - hidden * hidden)
+    dw1 = x.T @ dpre
+    db1 = dpre.sum(axis=0)
+    o = 0
+    g[o : o + d * h] = dw1.ravel()
+    o += d * h
+    g[o : o + h] = db1
+    o += h
+    g[o : o + h * c] = dw2.ravel()
+    o += h * c
+    g[o:] = db2
+    return g
+
+
+def scalar_prox_grad(spec, w, x, y, anchors, mu):
+    """`scalar_grad` plus mu * coeff * (w - anchor) for each anchor in turn."""
+    g = scalar_grad(spec, w, x, y)
+    if mu == 0.0:
+        return g
+    for anchor, coeff in anchors:
+        g += mu * coeff * (w - anchor)
+    return g
+
+
+def scalar_local_solve(spec, w_init, train, anchors, mu, epochs, batch_size, lr, rng):
+    """One client's mini-batch SGD: reshuffle once per epoch, keep the
+    trailing partial batch, step w -= lr * g."""
+    w = np.array(w_init, dtype=np.float64)
+    x, y = train.features, train.labels
+    rng = np.random.default_rng(rng)
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            w -= lr * scalar_prox_grad(spec, w, x[idx], y[idx], anchors, mu)
+    return w
+
+
+def client_anchors(levels, i):
+    """Client i's (model, coeff) anchors from a list of `AnchorLevel`s."""
+    return [(level.models[level.group[i]], float(level.coeff[i])) for level in levels]

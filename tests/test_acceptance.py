@@ -22,8 +22,8 @@ from demlearn.hierarchy import build_tree
 from demlearn.models import (
     LOGISTIC,
     MLP,
+    AnchorLevel,
     ModelSpec,
-    ProxAnchor,
     prox_grad,
     prox_objective,
 )
@@ -90,13 +90,18 @@ def test_criterion_1_gradient_correctness():
             spec.num_classes,
         )
         n_anchors = int(rng.integers(0, 4))
+        # one client: a stack of one, each anchor its own level
         anchors = [
-            ProxAnchor(rng.normal(0, 1, spec.param_count), float(rng.uniform(0.05, 1.0)))
+            AnchorLevel(
+                rng.normal(0, 1, (1, spec.param_count)),
+                np.zeros(1, dtype=np.intp),
+                np.array([rng.uniform(0.05, 1.0)]),
+            )
             for _ in range(n_anchors)
         ]
         mu = float(rng.uniform(0, 0.5))
-        g = prox_grad(spec, w, batch.features, batch.labels, anchors, mu)
-        fd = central_diff(lambda v: prox_objective(spec, v, batch, anchors, mu), w)
+        g = prox_grad(spec, w[None], batch.features[None], batch.labels[None], anchors, mu)[0]
+        fd = central_diff(lambda v: prox_objective(spec, v[None], [batch], anchors, mu)[0], w)
         rel = np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4))
         worst = max(worst, rel)
         checked += 1

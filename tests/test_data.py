@@ -228,9 +228,9 @@ def test_synthetic_balanced_and_deterministic():
 def test_synthetic_separable_limit_trains_to_full_accuracy():
     ds = synthetic_dataset(4, 8, 30, 40.0, seed=6)
     spec = ModelSpec(LOGISTIC, 8, 4)
-    w = init_params(spec, 0)
-    w = local_solve(spec, w, ds, [], 0.0, 60, 16, 0.1, 1)
-    assert accuracy(spec, w, ds) == 1.0
+    w = init_params(spec, 0)[None]
+    local_solve(spec, w, [ds], [], 0.0, 60, 16, 0.1, [1])
+    assert accuracy(spec, w[0], ds) == 1.0
 
 
 def test_synthetic_argument_validation():

@@ -266,6 +266,21 @@ def test_cli_gradients_metric_with_zero_lr_exits_before_any_round(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+# 160 steps a round: FedProx's entries overflow inside the first solve
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+@pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])
+def test_cli_divergent_run_exits_2_and_writes_no_csv(tmp_path, capsys, algorithm):
+    # lr * mu = 100: the proximal step overshoots a hundredfold every step
+    extra = ["--algorithm", algorithm, "--mu", "1000", "--lr", "0.1", "--epochs", "40",
+             "--batch-size", "4"]
+    assert main(["run", "--name", "div", *cli_args(tmp_path, extra)]) == 2
+    assert "diverged in round" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # no CSV, no summary
+
+
 def test_cli_fixed_structure_echo(tmp_path):
     assert (
         main(["run", "--name", "fx", "--fixed-structure", *cli_args(tmp_path)]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from demlearn.clustering import LevelAssignment
 from demlearn.hierarchy import (
-    anchors_for,
+    anchor_levels,
     build_tree,
     format_tree,
     generalized_blend,
@@ -180,18 +180,18 @@ def test_propagate_missing_client_model():
 def test_anchors_k1():
     models = models_for(range(8))
     tree = build_tree(assign_k1(range(8)), models)
-    anchors = anchors_for(tree, 3)
-    assert len(anchors) == 1
-    assert anchors[0].coeff == pytest.approx(1.0 / 8.0)
-    assert np.array_equal(anchors[0].anchor, tree.root.model)
+    levels = anchor_levels(tree, [3])
+    assert len(levels) == 1
+    assert levels[0].coeff[0] == pytest.approx(1.0 / 8.0)
+    assert np.array_equal(levels[0].models[levels[0].group[0]], tree.root.model)
 
 
 def test_anchor_coeff_one_for_singleton_group():
     assign = LevelAssignment(2, {2: [[0, 1, 2]], 1: [[0], [1, 2]]})
     tree = build_tree(assign, models_for(range(3)))
-    anchors = anchors_for(tree, 0)
-    assert anchors[0].coeff == 1.0
-    assert anchors[1].coeff == pytest.approx(1.0 / 3.0)
+    levels = anchor_levels(tree, [0])
+    assert levels[0].coeff[0] == 1.0
+    assert levels[1].coeff[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_anchor_coeffs_match_subtree_sizes():
@@ -201,10 +201,26 @@ def test_anchor_coeffs_match_subtree_sizes():
         3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
     )
     tree = build_tree(assign, models)
-    anchors = anchors_for(tree, 4)
-    assert [a.coeff for a in anchors] == [pytest.approx(1 / 2), pytest.approx(1 / 3), pytest.approx(1 / 6)]
+    levels = anchor_levels(tree, [4])
+    assert [lv.coeff[0] for lv in levels] == [pytest.approx(1 / 2), pytest.approx(1 / 3), pytest.approx(1 / 6)]
     with pytest.raises(ValueError):
-        anchors_for(tree, 99)
+        anchor_levels(tree, [99])
+
+
+def test_anchor_levels_gather_each_clients_ancestors():
+    rng = np.random.default_rng(6)
+    models = {i: rng.normal(0, 1, 4) for i in range(6)}
+    assign = LevelAssignment(
+        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
+    )
+    tree = build_tree(assign, models)
+    ids = [5, 0, 3, 2]  # any order, any subset
+    levels = anchor_levels(tree, ids)
+    assert [len(lv.models) for lv in levels] == [4, 2, 1]
+    for i, cid in enumerate(ids):
+        for lv, node in zip(levels, tree.path_for(cid)):
+            assert lv.models[lv.group[i]].tobytes() == node.model.tobytes()
+            assert lv.coeff[i] == 1.0 / node.member_count
 
 
 def test_blend_all_ancestors_equal():

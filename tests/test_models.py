@@ -1,17 +1,19 @@
-"""Model core: forward/loss/grad, proximal objective, and the local solver."""
+"""Model core: forward/loss/grad, proximal objective, and the lockstep solver."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlearn import models
 from demlearn.data import Dataset
 from demlearn.models import (
     LOGISTIC,
     MLP,
+    AnchorLevel,
     ModelSpec,
-    ProxAnchor,
     forward,
     grad,
     init_params,
@@ -21,7 +23,7 @@ from demlearn.models import (
     prox_objective,
 )
 
-from oracles import central_diff
+from oracles import central_diff, client_anchors, scalar_local_solve
 
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
@@ -38,6 +40,30 @@ def random_data(spec, n, rng, scale=1.0):
         rng.normal(0.0, scale, (n, spec.input_dim)),
         rng.integers(0, spec.num_classes, n),
     )
+
+
+def anchored(*anchors):
+    """One client's (model, coeff) anchors as a stack of one, a level each."""
+    return [AnchorLevel(a[None], np.zeros(1, dtype=np.intp), np.array([c])) for a, c in anchors]
+
+
+def grad1(spec, w, x, y):
+    return grad(spec, w[None], x[None], y[None])[0]
+
+
+def prox_grad1(spec, w, x, y, levels, mu):
+    return prox_grad(spec, w[None], x[None], y[None], levels, mu)[0]
+
+
+def prox_objective1(spec, w, batch, levels, mu):
+    return prox_objective(spec, w[None], [batch], levels, mu)[0]
+
+
+def solve1(spec, w, train, levels, mu, epochs, batch_size, lr, rng):
+    """`local_solve` on a stack of one; returns the new model, w untouched."""
+    block = np.array(w, dtype=np.float64)[None]
+    local_solve(spec, block, [train], levels, mu, epochs, batch_size, lr, [rng])
+    return block[0]
 
 
 def test_param_count_is_deterministic():
@@ -151,7 +177,7 @@ def test_grad_matches_finite_differences_logistic():
     for spec in (SMALL, ModelSpec(LOGISTIC, 4, 2)):  # 4 and 10 parameters
         w = rng.normal(0, 0.5, spec.param_count)
         batch = random_data(spec, 6, rng)
-        g = grad(spec, w, batch.features, batch.labels)
+        g = grad1(spec, w, batch.features, batch.labels)
         fd = central_diff(lambda v: loss(spec, v, batch), w)
         assert np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4)) < 1e-5
 
@@ -160,7 +186,7 @@ def test_grad_matches_finite_differences_mlp():
     rng = np.random.default_rng(6)
     w = rng.normal(0, 0.5, MLP_SPEC.param_count)
     batch = random_data(MLP_SPEC, 5, rng)
-    g = grad(MLP_SPEC, w, batch.features, batch.labels)
+    g = grad1(MLP_SPEC, w, batch.features, batch.labels)
     fd = central_diff(lambda v: loss(MLP_SPEC, v, batch), w)
     assert np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4)) < 1e-5
 
@@ -169,7 +195,7 @@ def test_grad_vanishes_at_perfect_fit():
     spec = ModelSpec(LOGISTIC, 1, 2)
     w = np.array([80.0, -80.0, 0.0, 0.0])
     x, y = np.array([[1.0], [2.0]]), np.array([0, 0])
-    assert np.linalg.norm(grad(spec, w, x, y)) < 1e-12
+    assert np.linalg.norm(grad1(spec, w, x, y)) < 1e-12
 
 
 def test_grad_mean_invariant_under_duplication():
@@ -177,24 +203,24 @@ def test_grad_mean_invariant_under_duplication():
     w = rng.normal(0, 0.5, LOG10.param_count)
     batch = random_data(LOG10, 5, rng)
     x, y = batch.features, batch.labels
-    doubled = grad(LOG10, w, np.vstack([x, x]), np.concatenate([y, y]))
-    assert np.allclose(grad(LOG10, w, x, y), doubled, atol=1e-14)
+    doubled = grad1(LOG10, w, np.vstack([x, x]), np.concatenate([y, y]))
+    assert np.allclose(grad1(LOG10, w, x, y), doubled, atol=1e-14)
 
 
 def test_prox_objective_mu_zero_equals_loss():
     rng = np.random.default_rng(8)
     w = rng.normal(0, 0.5, LOG10.param_count)
     batch = random_data(LOG10, 4, rng)
-    anchors = [ProxAnchor(rng.normal(0, 1, LOG10.param_count), 0.5)]
-    assert prox_objective(LOG10, w, batch, anchors, 0.0) == loss(LOG10, w, batch)
+    anchors = anchored((rng.normal(0, 1, LOG10.param_count), 0.5))
+    assert prox_objective1(LOG10, w, batch, anchors, 0.0) == loss(LOG10, w, batch)
 
 
 def test_prox_objective_zero_penalty_at_anchor():
     rng = np.random.default_rng(9)
     w = rng.normal(0, 0.5, LOG10.param_count)
     batch = random_data(LOG10, 4, rng)
-    anchors = [ProxAnchor(w.copy(), 0.25), ProxAnchor(w.copy(), 1.0)]
-    assert prox_objective(LOG10, w, batch, anchors, 3.7) == pytest.approx(
+    anchors = anchored((w.copy(), 0.25), (w.copy(), 1.0))
+    assert prox_objective1(LOG10, w, batch, anchors, 3.7) == pytest.approx(
         loss(LOG10, w, batch), abs=1e-15
     )
 
@@ -206,31 +232,32 @@ def test_prox_objective_analytic_penalty():
     w = anchor.copy()
     w[0] += 1.0
     batch = random_data(LOG10, 4, rng)
-    got = prox_objective(LOG10, w, batch, [ProxAnchor(anchor, 0.5)], 2.0)
+    got = prox_objective1(LOG10, w, batch, anchored((anchor, 0.5)), 2.0)
     assert got - loss(LOG10, w, batch) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_prox_objective_rejects_negative_mu():
     w = np.zeros(LOG10.param_count)
     with pytest.raises(ValueError):
-        prox_objective(LOG10, w, data(LOG10, np.zeros((1, 4)), [0]), [], -0.1)
+        prox_objective1(LOG10, w, data(LOG10, np.zeros((1, 4)), [0]), [], -0.1)
 
 
 def test_prox_anchor_coeff_range():
-    with pytest.raises(ValueError):
-        ProxAnchor(np.zeros(4), 0.0)
-    with pytest.raises(ValueError):
-        ProxAnchor(np.zeros(4), 1.5)
+    for coeff in (0.0, 1.5):
+        with pytest.raises(ValueError, match="coeff must lie"):
+            anchored((np.zeros(4), coeff))
+    with pytest.raises(ValueError, match="out of range"):
+        AnchorLevel(np.zeros((2, 4)), np.array([0, 2]), np.array([0.5, 0.5]))
 
 
 def test_prox_grad_mu_zero_is_plain_grad():
     rng = np.random.default_rng(11)
     w = rng.normal(0, 0.5, LOG10.param_count)
     batch = random_data(LOG10, 4, rng)
-    anchors = [ProxAnchor(rng.normal(0, 1, LOG10.param_count), 0.5)]
+    anchors = anchored((rng.normal(0, 1, LOG10.param_count), 0.5))
     x, y = batch.features, batch.labels
-    g0 = prox_grad(LOG10, w, x, y, anchors, 0.0)
-    assert g0.tobytes() == grad(LOG10, w, x, y).tobytes()
+    g0 = prox_grad1(LOG10, w, x, y, anchors, 0.0)
+    assert g0.tobytes() == grad1(LOG10, w, x, y).tobytes()
 
 
 def test_prox_grad_penalty_only_direction():
@@ -238,7 +265,7 @@ def test_prox_grad_penalty_only_direction():
     spec = ModelSpec(LOGISTIC, 1, 2)
     w = np.array([80.0, -80.0, 0.0, 0.0])
     anchor = w - np.array([1.0, 0.0, -2.0, 0.0])
-    g = prox_grad(spec, w, np.array([[1.0]]), np.array([0]), [ProxAnchor(anchor, 0.5)], 0.2)
+    g = prox_grad1(spec, w, np.array([[1.0]]), np.array([0]), anchored((anchor, 0.5)), 0.2)
     assert np.allclose(g, 0.2 * 0.5 * (w - anchor), atol=1e-12)
 
 
@@ -246,12 +273,12 @@ def test_prox_grad_matches_finite_differences():
     rng = np.random.default_rng(12)
     w = rng.normal(0, 0.5, LOG10.param_count)
     batch = random_data(LOG10, 4, rng)
-    anchors = [
-        ProxAnchor(rng.normal(0, 1, LOG10.param_count), 0.5),
-        ProxAnchor(rng.normal(0, 1, LOG10.param_count), 0.125),
-    ]
-    g = prox_grad(LOG10, w, batch.features, batch.labels, anchors, 0.1)
-    fd = central_diff(lambda v: prox_objective(LOG10, v, batch, anchors, 0.1), w)
+    anchors = anchored(
+        (rng.normal(0, 1, LOG10.param_count), 0.5),
+        (rng.normal(0, 1, LOG10.param_count), 0.125),
+    )
+    g = prox_grad1(LOG10, w, batch.features, batch.labels, anchors, 0.1)
+    fd = central_diff(lambda v: prox_objective1(LOG10, v, batch, anchors, 0.1), w)
     assert np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4)) < 1e-5
 
 
@@ -259,7 +286,7 @@ def test_local_solve_lr_zero_returns_init():
     rng = np.random.default_rng(13)
     w = rng.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 8, rng)
-    out = local_solve(LOG10, w, train, [], 0.0, 3, 4, 0.0, rng)
+    out = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.0, rng)
     assert np.array_equal(out, w)
 
 
@@ -267,9 +294,9 @@ def test_local_solve_descends_on_full_batches():
     rng = np.random.default_rng(14)
     w = init_params(LOG10, rng)
     train = random_data(LOG10, 16, rng)
-    before = prox_objective(LOG10, w, train, [], 0.0)
-    out = local_solve(LOG10, w, train, [], 0.0, 20, 16, 0.05, rng)
-    after = prox_objective(LOG10, out, train, [], 0.0)
+    before = prox_objective1(LOG10, w, train, [], 0.0)
+    out = solve1(LOG10, w, train, [], 0.0, 20, 16, 0.05, rng)
+    after = prox_objective1(LOG10, out, train, [], 0.0)
     assert after <= before
 
 
@@ -277,11 +304,11 @@ def test_local_solve_one_full_batch_step_matches_manual():
     rng = np.random.default_rng(15)
     w = rng.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 6, rng)
-    anchors = [ProxAnchor(rng.normal(0, 1, LOG10.param_count), 0.5)]
-    out = local_solve(LOG10, w, train, anchors, 0.3, 1, 6, 0.1, 99)
+    anchors = anchored((rng.normal(0, 1, LOG10.param_count), 0.5))
+    out = solve1(LOG10, w, train, anchors, 0.3, 1, 6, 0.1, 99)
     # one epoch at batch_size == n is a single step on the permuted batch
     perm = np.random.default_rng(99).permutation(6)
-    manual = w - 0.1 * prox_grad(
+    manual = w - 0.1 * prox_grad1(
         LOG10, w, train.features[perm], train.labels[perm], anchors, 0.3
     )
     assert np.array_equal(out, manual)
@@ -302,8 +329,8 @@ def test_local_solve_deterministic_given_seed():
     rng_data = np.random.default_rng(16)
     w = rng_data.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 10, rng_data)
-    a = local_solve(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
-    b = local_solve(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
+    a = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
+    b = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
     assert a.tobytes() == b.tobytes()
 
 
@@ -311,14 +338,14 @@ def test_local_solve_rejects_empty_training_set():
     w = np.zeros(LOG10.param_count)
     empty = data(LOG10, np.zeros((0, 4)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        local_solve(LOG10, w, empty, [], 0.0, 1, 4, 0.1, 0)
+        solve1(LOG10, w, empty, [], 0.0, 1, 4, 0.1, 0)
 
 
 def test_local_solve_result_is_finite():
     rng = np.random.default_rng(17)
     w = init_params(MLP_SPEC, rng)
     train = random_data(MLP_SPEC, 12, rng)
-    out = local_solve(MLP_SPEC, w, train, [], 0.0, 5, 4, 0.1, rng)
+    out = solve1(MLP_SPEC, w, train, [], 0.0, 5, 4, 0.1, rng)
     assert np.all(np.isfinite(out))
 
 
@@ -327,19 +354,19 @@ def test_local_solve_rejects_bad_inputs_at_entry():
     w = np.zeros(LOG10.param_count)
     train = random_data(LOG10, 6, rng)
     x, y = train.features, train.labels
-    anchor = [ProxAnchor(np.zeros(LOG10.param_count), 0.5)]
+    anchor = anchored((np.zeros(LOG10.param_count), 0.5))
 
     def solve(w=w, train=train, anchors=anchor, mu=0.1):
-        return local_solve(LOG10, w, train, anchors, mu, 2, 4, 0.1, 0)
+        return solve1(LOG10, w, train, anchors, mu, 2, 4, 0.1, 0)
 
     solve()  # the unaltered inputs are accepted
     bad_inputs = [
-        ("parameter vector", dict(w=np.zeros(LOG10.param_count + 1))),
+        ("model block", dict(w=np.zeros(LOG10.param_count + 1))),
         ("feature matrix", dict(train=data(LOG10, np.zeros((6, 5)), y))),
         ("label vector", dict(train=data(LOG10, x, y[:5]))),
         ("labels must lie", dict(train=data(LOG10, x, np.r_[y[:5], 10]))),
         ("labels must lie", dict(train=data(LOG10, x, np.r_[y[:5], -1]))),
-        ("anchor has shape", dict(anchors=[ProxAnchor(np.zeros(LOG10.param_count - 1), 0.5)])),
+        ("anchor models have shape", dict(anchors=anchored((np.zeros(LOG10.param_count - 1), 0.5)))),
         ("mu must be", dict(mu=-0.1)),
     ]
     for message, kwargs in bad_inputs:
@@ -360,11 +387,110 @@ def test_local_solve_checks_inputs_once_whatever_the_epochs(monkeypatch):
     rng = np.random.default_rng(19)
     w = rng.normal(0, 0.5, MLP_SPEC.param_count)
     train = random_data(MLP_SPEC, 12, rng)
-    anchors = [ProxAnchor(rng.normal(0, 1, MLP_SPEC.param_count), 0.5)]
+    anchors = anchored((rng.normal(0, 1, MLP_SPEC.param_count), 0.5))
     counts = []
     for epochs in (1, 7):
         calls.clear()
-        local_solve(MLP_SPEC, w, train, anchors, 0.1, epochs, 4, 0.1, 0)
+        solve1(MLP_SPEC, w, train, anchors, 0.1, epochs, 4, 0.1, 0)
         counts.append(sorted(calls))
     assert counts[0], "no check helper ran"
     assert counts[0] == counts[1]
+
+
+def test_local_solve_rejects_unequal_training_sets():
+    rng = np.random.default_rng(20)
+    w = np.zeros((3, LOG10.param_count))
+    trains = [random_data(LOG10, 6, rng), random_data(LOG10, 6, rng), random_data(LOG10, 5, rng)]
+    with pytest.raises(ValueError, match="client 2 has 5 training samples but client 0 has 6"):
+        local_solve(LOG10, w, trains, [], 0.0, 1, 4, 0.1, [0, 1, 2])
+    assert not w.any()  # rejected before any step
+
+
+def test_local_solve_rejects_mismatched_stacks():
+    rng = np.random.default_rng(21)
+    trains = [random_data(LOG10, 6, rng) for _ in range(2)]
+    w = np.zeros((2, LOG10.param_count))
+    one_client_level = anchored((np.zeros(LOG10.param_count), 0.5))
+    bad_calls = [
+        ("training sets and rngs", dict(trains=trains[:1])),
+        ("training sets and rngs", dict(rngs=[0])),
+        ("anchor level covers 1 clients, expected 2", dict(levels=one_client_level)),
+        ("model block", dict(w=np.zeros((2, LOG10.param_count), dtype=np.float32))),
+        ("model block", dict(w=np.zeros((LOG10.param_count, 2)).T)),
+    ]
+    for message, kwargs in bad_calls:
+        args = dict(w=w, trains=trains, levels=[], rngs=[0, 1])
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=message):
+            local_solve(LOG10, args["w"], args["trains"], args["levels"], 0.1, 1, 4, 0.1, args["rngs"])
+
+
+@st.composite
+def lockstep_problems(draw):
+    """A stack of C clients with equal-size training sets and 1-4 anchor
+    levels, as (spec, models, trains, levels, mu, epochs, batch_size, lr, seed)."""
+    kind = draw(st.sampled_from([LOGISTIC, MLP]))
+    spec = ModelSpec(
+        kind,
+        draw(st.integers(1, 4)),
+        draw(st.integers(2, 4)),
+        draw(st.integers(1, 4)) if kind == MLP else 0,
+    )
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    batches = {
+        "divides": [b for b in range(1, n + 1) if n % b == 0],
+        "partial": [b for b in range(2, n) if n % b],
+        "exceeds": [n + 1, n + 5],
+    }
+    mode = draw(st.sampled_from(sorted(batches)))
+    batch_size = draw(st.sampled_from(batches[mode] or [n]))  # n < 3 has no partial
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.5, (c, spec.param_count))
+    trains = [random_data(spec, n, rng) for _ in range(c)]
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.integers(1, c))
+        levels.append(
+            AnchorLevel(
+                rng.normal(0.0, 1.0, (g, spec.param_count)),
+                rng.integers(0, g, c),
+                rng.uniform(0.01, 1.0, c),
+            )
+        )
+    mu = draw(st.sampled_from([0.0, 0.05, 0.7]))
+    epochs = draw(st.integers(1, 3))
+    lr = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return spec, w, trains, levels, mu, epochs, batch_size, lr, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(lockstep_problems())
+def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
+    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    block = w.copy()
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
+    local_solve(spec, block, trains, levels, mu, epochs, batch_size, lr, rngs)
+    for i in range(len(w)):
+        alone = scalar_local_solve(
+            spec, w[i], trains[i], client_anchors(levels, i), mu, epochs, batch_size, lr,
+            np.random.default_rng([seed, i]),
+        )
+        assert block[i].tobytes() == alone.tobytes(), f"client {i}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_problems(), st.data())
+def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
+    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    order = np.array(drawn.draw(st.permutations(range(len(w)))))
+
+    def solve(rows):
+        block = w[rows].copy()
+        permuted = [AnchorLevel(lv.models, lv.group[rows], lv.coeff[rows]) for lv in levels]
+        rngs = [np.random.default_rng([seed, i]) for i in rows]
+        local_solve(spec, block, [trains[i] for i in rows], permuted, mu, epochs, batch_size, lr, rngs)
+        return block
+
+    assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()

@@ -219,6 +219,32 @@ def test_flat_run_keeps_one_group_and_records_no_structures():
 # ------------------------------------------------------------ demlearn loop
 
 
+@pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])
+def test_divergent_round_fails_naming_client_round_lr_mu(algorithm):
+    # lr * mu = 100: the proximal step overshoots a hundredfold every step
+    cfg = tiny_cfg(algorithm=algorithm, mu=1000.0, lr=0.1, epochs=40)
+    with pytest.raises(FloatingPointError, match=r"client 0 diverged in round \d.*lr=0.1, mu=1000.0"):
+        run(cfg)
+
+
+def test_divergence_check_names_the_first_bad_client():
+    # beta = 0 and lr = 0 keep each client's own model through the round
+    cfg = tiny_cfg(beta0=0.0, lr=0.0, rounds=1)
+    state = initial_state(cfg)
+    state.model_block[3:] = 1e200  # finite entries whose squared norm overflows
+    with pytest.raises(FloatingPointError, match="client 3 diverged in round 0"):
+        run_round(state, cfg)
+
+
+def test_client_models_are_row_views_of_the_model_block():
+    cfg = tiny_cfg(rounds=1)
+    state = initial_state(cfg)
+    run_round(state, cfg)
+    for i, c in enumerate(state.clients):
+        assert np.shares_memory(c.w0, state.model_block[i])
+        assert np.shares_memory(c.last_delta, state.delta_block[i])
+
+
 def test_run_round_fixed_point_when_nothing_moves():
     cfg = tiny_cfg(lr=0.0, beta0=0.0, rounds=1)
     state = initial_state(cfg)
