@@ -1,7 +1,9 @@
 """Agent similarity, average-linkage agglomeration, and level truncation.
 
 Clients are compared either by Euclidean distance between their flat model
-vectors or by 1 - cosine similarity between their last update directions.
+vectors or by 1 - cosine similarity between their last update directions,
+one stacked matmul per matrix row.  Average linkage runs as a Lance-Williams
+update on the (n, n) matrix, ties going to the smallest pair of cluster ids.
 The merge history (dendrogram) is cut K-1 generations below the root to
 yield one nested partition of the clients per level.
 """
@@ -72,22 +74,11 @@ class LevelAssignment:
         return sorted(self.group_of[self.K])
 
 
-def weight_distance(w_a: np.ndarray, w_b: np.ndarray) -> float:
-    """Euclidean distance between two flat parameter vectors."""
-    if w_a.shape != w_b.shape:
-        raise ValueError(f"length mismatch: {w_a.shape} vs {w_b.shape}")
-    return float(np.linalg.norm(w_a - w_b))
-
-
-def gradient_similarity(g_a: np.ndarray, g_b: np.ndarray) -> float:
-    """Cosine of the angle between two update directions."""
-    if g_a.shape != g_b.shape:
-        raise ValueError(f"length mismatch: {g_a.shape} vs {g_b.shape}")
-    na = float(np.linalg.norm(g_a))
-    nb = float(np.linalg.norm(g_b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero-norm vector")
-    return float(g_a @ g_b) / (na * nb)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of `a` with the same row of `b` (or with 1-D `b`) as a
+    stacked matmul, which equals the 1-D `a[k] @ b[k]` bit for bit; `einsum`
+    and `(a * b).sum(1)` can differ in the last ulp and move merge heights."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 def build_distance_matrix(clients: Sequence, metric: str = WEIGHT_METRIC) -> np.ndarray:
@@ -95,32 +86,35 @@ def build_distance_matrix(clients: Sequence, metric: str = WEIGHT_METRIC) -> np.
 
     `weights` uses Euclidean distance between personalized models; `gradients`
     uses 1 - cosine between recorded update deltas (requires every client to
-    have one).
+    have one, of nonzero norm).
     """
     if len(clients) < 2:
         raise ValueError("need at least 2 clients to build a distance matrix")
     if metric == WEIGHT_METRIC:
-        vectors = [c.w0 for c in clients]
+        x = np.stack([c.w0 for c in clients])
     elif metric == GRADIENT_METRIC:
-        vectors = []
         for c in clients:
             if c.last_delta is None:
                 raise ValueError(
                     f"client {c.id} has no recorded update delta for gradient clustering"
                 )
-            vectors.append(c.last_delta)
+        x = np.stack([c.last_delta for c in clients])
+        norms = np.sqrt(_dots(x, x))
+        if np.any(norms == 0.0):
+            cid = clients[int(np.argmax(norms == 0.0))].id
+            raise ValueError(f"client {cid} has a zero-norm update delta; cosine is undefined")
     else:
         raise ValueError(f"unknown clustering metric {metric!r}")
 
-    n = len(vectors)
+    n = len(x)
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if metric == WEIGHT_METRIC:
-                val = weight_distance(vectors[i], vectors[j])
-            else:
-                val = 1.0 - gradient_similarity(vectors[i], vectors[j])
-            d[i, j] = d[j, i] = val
+    for i in range(n - 1):
+        if metric == WEIGHT_METRIC:
+            diff = x[i + 1 :] - x[i]
+            row = np.sqrt(_dots(diff, diff))
+        else:
+            row = 1.0 - _dots(x[i + 1 :], x[i]) / (norms[i] * norms[i + 1 :])
+        d[i, i + 1 :] = d[i + 1 :, i] = row
     return d
 
 
@@ -130,7 +124,7 @@ def _check_distance_matrix(dm: np.ndarray) -> np.ndarray:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix contains non-finite entries")
-    if not np.allclose(d, d.T, atol=0.0):
+    if not np.array_equal(d, d.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
@@ -140,50 +134,38 @@ def _check_distance_matrix(dm: np.ndarray) -> np.ndarray:
 def agglomerate(dm: np.ndarray) -> Dendrogram:
     """Average-linkage (UPGMA) dendrogram via the Lance-Williams update.
 
-    At each step the minimum-distance active pair merges; ties go to the
-    lexicographically smallest (min_id, max_id).  Cluster-cluster distance is
-    the unweighted mean of cross-pair leaf distances, maintained exactly by
-    d(ab,c) = (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b).
+    Row p of an (n, n) matrix holds the distances of the cluster at position
+    p; the diagonal and merged-away rows and columns hold inf.  Each step
+    merges at the minimum h; among all pairs at exactly h, the smallest
+    (min_id, max_id) of cluster ids, not row positions, wins.  The survivor's
+    row and column become d(ab,c) = (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b),
+    the exact unweighted mean of cross-pair leaf distances.
     """
-    d = _check_distance_matrix(dm)
+    d = _check_distance_matrix(dm).copy()
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points to agglomerate")
-
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(d[i, j])
-    sizes = {i: 1 for i in range(n)}
-    active = list(range(n))
+    np.fill_diagonal(d, np.inf)
+    ids = np.arange(n)
+    sizes = [1] * n
     merges: list[Merge] = []
-    next_id = n
-
-    while len(active) > 1:
-        best: tuple[float, int, int] | None = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                key = (min(i, j), max(i, j))
-                cand = (dist[key], key[0], key[1])
-                if best is None or cand < best:
-                    best = cand
-        h, i, j = best
-        size = sizes[i] + sizes[j]
-        merges.append(Merge(i, j, h, next_id, size))
-        for c in active:
-            if c in (i, j):
-                continue
-            dic = dist[(min(i, c), max(i, c))]
-            djc = dist[(min(j, c), max(j, c))]
-            dist[(min(next_id, c), max(next_id, c))] = (
-                sizes[i] * dic + sizes[j] * djc
-            ) / size
-        active = [c for c in active if c not in (i, j)]
-        active.append(next_id)
-        sizes[next_id] = size
-        next_id += 1
-
+    for new_id in range(n, 2 * n - 1):
+        h = d.min()
+        rows, cols = np.divmod(np.flatnonzero(d == h), n)  # 2-D nonzero is slower
+        a, b = ids[rows], ids[cols]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        k = np.lexsort((hi, lo))[0]
+        p, q = (rows[k], cols[k]) if a[k] == lo[k] else (cols[k], rows[k])
+        n_p, n_q = sizes[p], sizes[q]
+        size = n_p + n_q
+        merges.append(Merge(int(lo[k]), int(hi[k]), float(h), new_id, size))
+        row = (n_p * d[p] + n_q * d[q]) / size  # inf at p and q
+        d[p] = row
+        d[:, p] = row
+        d[q] = np.inf
+        d[:, q] = np.inf
+        ids[p] = new_id
+        sizes[p] = size
     return Dendrogram(n, merges)
 
 

@@ -244,6 +244,11 @@ def partition_shards(
             n_test = min(n_test, draw - 1)  # keep at least one training sample
             test_idx.append(picks[:n_test])
             train_idx.append(picks[n_test:])
+        if not sum(map(len, test_idx)):
+            raise ConfigurationError(
+                f"client {cid} gets no test samples: per-label draws of {draws} "
+                f"at test_frac={test_frac} each round to 0 test samples"
+            )
         train = _take(ds, np.concatenate(train_idx))
         test = _take(ds, np.concatenate(test_idx))
         labels = {int(shard_labels[s]) for s in shard_ids}

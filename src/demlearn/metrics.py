@@ -43,7 +43,10 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
 
 
 def accuracy(spec: ModelSpec, w: np.ndarray, test: Dataset) -> float:
-    return evaluate(spec, w, test)[0]
+    """`evaluate`'s accuracy without its cross-entropy.  The argmax stays on
+    the softmax, not the logits: rounding can tie two probabilities whose
+    logits differ, and the tie goes to the lowest class index."""
+    return float(np.mean(np.argmax(forward(spec, w, test), axis=1) == test.labels))
 
 
 def c_spe(spec: ModelSpec, clients: Sequence) -> float:

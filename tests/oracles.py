@@ -4,6 +4,8 @@ These deliberately avoid the library's code paths: plain loops, brute-force
 recomputation, and finite differences.  `scalar_local_solve` is the
 per-client SGD loop on 2-D arrays that the library's lockstep solver must
 match row for row, bit for bit; the flat FedAvg loop runs on it.
+`pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
+server side that the vectorised distances and matrix UPGMA must equal.
 """
 
 from __future__ import annotations
@@ -205,3 +207,79 @@ def scalar_local_solve(spec, w_init, train, anchors, mu, epochs, batch_size, lr,
 def client_anchors(levels, i):
     """Client i's (model, coeff) anchors from a list of `AnchorLevel`s."""
     return [(level.models[level.group[i]], float(level.coeff[i])) for level in levels]
+
+
+# ------------------------------------------------ server-side clustering
+# The pair loop and the dict-of-pairs UPGMA that the library's vectorised
+# distances and matrix UPGMA must equal bit for bit.
+
+
+def weight_distance(w_a, w_b) -> float:
+    """Euclidean distance between two flat parameter vectors."""
+    if w_a.shape != w_b.shape:
+        raise ValueError(f"length mismatch: {w_a.shape} vs {w_b.shape}")
+    return float(np.linalg.norm(w_a - w_b))
+
+
+def gradient_similarity(g_a, g_b) -> float:
+    """Cosine of the angle between two update directions."""
+    if g_a.shape != g_b.shape:
+        raise ValueError(f"length mismatch: {g_a.shape} vs {g_b.shape}")
+    na = float(np.linalg.norm(g_a))
+    nb = float(np.linalg.norm(g_b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero-norm vector")
+    return float(g_a @ g_b) / (na * nb)
+
+
+def pairwise_distance_matrix(clients, metric) -> np.ndarray:
+    """Distance matrix filled one pair at a time: Euclidean between `w0`s
+    for "weights", 1 - cosine between `last_delta`s for "gradients"."""
+    n = len(clients)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if metric == "weights":
+                val = weight_distance(clients[i].w0, clients[j].w0)
+            else:
+                val = 1.0 - gradient_similarity(clients[i].last_delta, clients[j].last_delta)
+            d[i, j] = d[j, i] = val
+    return d
+
+
+def dict_upgma(d):
+    """UPGMA by the Lance-Williams update over a dict of id pairs.
+
+    Reads only the upper triangle.  Each step scans every active pair for the
+    smallest (distance, min_id, max_id) and merges it.  Returns a list of
+    (left, right, height, new_id, size) tuples.
+    """
+    n = d.shape[0]
+    dist = {(i, j): float(d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    sizes = {i: 1 for i in range(n)}
+    active = list(range(n))
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        best = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                i, j = active[ai], active[aj]
+                key = (min(i, j), max(i, j))
+                cand = (dist[key], key[0], key[1])
+                if best is None or cand < best:
+                    best = cand
+        h, i, j = best
+        size = sizes[i] + sizes[j]
+        merges.append((i, j, h, next_id, size))
+        for c in active:
+            if c in (i, j):
+                continue
+            dic = dist[(min(i, c), max(i, c))]
+            djc = dist[(min(j, c), max(j, c))]
+            dist[(min(next_id, c), max(next_id, c))] = (sizes[i] * dic + sizes[j] * djc) / size
+        active = [c for c in active if c not in (i, j)]
+        active.append(next_id)
+        sizes[next_id] = size
+        next_id += 1
+    return merges

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlearn.clustering import (
     Dendrogram,
@@ -9,12 +11,18 @@ from demlearn.clustering import (
     agglomerate,
     build_distance_matrix,
     format_dendrogram,
-    gradient_similarity,
     truncate,
+)
+from demlearn.hierarchy import build_tree
+
+from oracles import (
+    brute_force_upgma,
+    dict_upgma,
+    gradient_similarity,
+    naive_euclidean,
+    pairwise_distance_matrix,
     weight_distance,
 )
-
-from oracles import brute_force_upgma, naive_euclidean
 
 
 class FakeClient:
@@ -34,6 +42,7 @@ def random_distance_matrix(n, rng):
 
 
 # ---------------------------------------------------------------- distances
+# weight_distance and gradient_similarity are the oracles' pair kernels.
 
 
 def test_weight_distance_identical_is_zero():
@@ -106,6 +115,33 @@ def test_distance_matrix_requires_deltas_for_gradient_metric():
     clients = [FakeClient(0, np.ones(2)), FakeClient(1, np.zeros(2))]
     with pytest.raises(ValueError):
         build_distance_matrix(clients, "gradients")
+
+
+def test_distance_matrix_names_the_first_zero_norm_client():
+    deltas = [np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3)]
+    clients = [FakeClient(cid, np.ones(3), g) for cid, g in zip((7, 4, 9, 2), deltas)]
+    with pytest.raises(ValueError, match="client 4 has a zero-norm update delta"):
+        build_distance_matrix(clients, "gradients")
+
+
+@st.composite
+def client_sets(draw):
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 60))
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.normal(0.0, scale, (n, m))
+    g = rng.normal(0.0, scale, (n, m))
+    if draw(st.booleans()):  # repeated rows give exact zero distances
+        w[n // 2] = w[0]
+    return [FakeClient(i, w[i], g[i]) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(client_sets(), st.sampled_from(["weights", "gradients"]))
+def test_distance_matrix_equals_the_pair_loop_bit_for_bit(clients, metric):
+    got = build_distance_matrix(clients, metric)
+    assert got.tobytes() == pairwise_distance_matrix(clients, metric).tobytes()
 
 
 # ---------------------------------------------------------------- UPGMA
@@ -209,6 +245,40 @@ def test_agglomerate_relabel_equivariance():
         )
 
 
+def merge_keys(merges):
+    """Merges as tuples with the height spelled exactly."""
+    return [(m[0], m[1], float(m[2]).hex(), m[3], m[4]) for m in merges]
+
+
+def symmetric(upper):
+    d = np.triu(upper, 1)
+    return d + d.T
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "ties", "zero"]))
+    if kind == "float":
+        return symmetric(rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 1e6])), (n, n)))
+    if kind == "ties":
+        return symmetric(rng.integers(0, 4, (n, n)).astype(np.float64))
+    return np.zeros((n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(distance_matrices())
+def test_agglomerate_equals_the_dict_upgma_exactly(d):
+    assert merge_keys(agglomerate(d).merges) == merge_keys(dict_upgma(d))
+
+
+def test_agglomerate_rejects_a_matrix_off_symmetric_in_the_sixth_digit():
+    d = np.array([[0.0, 1.0], [1.000009, 0.0]])
+    with pytest.raises(ValueError, match="must be symmetric"):
+        agglomerate(d)
+
+
 def test_agglomerate_rejects_bad_matrices():
     with pytest.raises(ValueError):
         agglomerate(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
@@ -269,6 +339,38 @@ def test_truncate_partitions_and_nesting():
                 assert len(parents) == 1
         assert len(assign.groups[k]) == 1
         assert len(assign.groups[1]) <= 2 ** (k - 1)
+
+
+@st.composite
+def dendrograms(draw):
+    """Any merge history over n leaves: each step joins two active nodes."""
+    n = draw(st.integers(1, 24))
+    active = list(range(n))
+    merges = []
+    for new_id in range(n, 2 * n - 1):
+        i = active.pop(draw(st.integers(0, len(active) - 1)))
+        j = active.pop(draw(st.integers(0, len(active) - 1)))
+        size = (1 if i < n else merges[i - n].size) + (1 if j < n else merges[j - n].size)
+        merges.append(Merge(i, j, float(new_id), new_id, size))
+        active.append(new_id)
+    return Dendrogram(n, merges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms(), st.integers(1, 6))
+def test_truncate_gives_nested_partitions_that_build_tree_accepts(dend, k):
+    assign = truncate(dend, k)
+    n = dend.n_leaves
+    assert len(assign.groups[k]) == 1
+    for level in range(1, k + 1):
+        members = sorted(c for g in assign.groups[level] for c in g)
+        assert members == list(range(n))
+    for level in range(1, k):
+        for g in assign.groups[level]:
+            assert len({assign.group_of[level + 1][c] for c in g}) == 1
+    tree = build_tree(assign, {c: np.full(2, float(c)) for c in range(n)})
+    for level in range(1, k + 1):
+        assert [node.clients for node in tree.levels[level]] == assign.groups[level]
 
 
 def test_format_dendrogram_mentions_all_leaves():

@@ -266,6 +266,21 @@ def test_cli_gradients_metric_with_zero_lr_exits_before_any_round(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--samples-per-client", "2"],
+        ["--samples-per-client", "1", "--labels-per-client", "1", "--test-frac", "0.5"],
+    ],
+)
+def test_cli_tiny_shards_exit_1_before_any_round(tmp_path, capsys, extra):
+    # a one-sample draw per label rounds to no test sample at all
+    assert main(["run", "--name", "tiny", *cli_args(tmp_path, extra)]) == 1
+    captured = capsys.readouterr()
+    assert "client 0 gets no test samples" in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 # 160 steps a round: FedProx's entries overflow inside the first solve
 @pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
