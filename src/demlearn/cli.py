@@ -118,10 +118,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 sys.stdout.write(text)
             return 0
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

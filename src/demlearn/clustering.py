@@ -11,7 +11,7 @@ yield one nested partition of the clients per level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,29 +81,21 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def build_distance_matrix(clients: Sequence, metric: str = WEIGHT_METRIC) -> np.ndarray:
-    """Symmetric pairwise dissimilarity over client states.
+def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC) -> np.ndarray:
+    """Symmetric pairwise dissimilarity between the rows of a (C, M) block.
 
-    `weights` uses Euclidean distance between personalized models; `gradients`
-    uses 1 - cosine between recorded update deltas (requires every client to
-    have one, of nonzero norm).
+    `weights` takes the model block and uses Euclidean distance; `gradients`
+    takes the update-delta block and uses 1 - cosine (every row must have a
+    nonzero norm).  Row i is client i.
     """
-    if len(clients) < 2:
+    if len(x) < 2:
         raise ValueError("need at least 2 clients to build a distance matrix")
-    if metric == WEIGHT_METRIC:
-        x = np.stack([c.w0 for c in clients])
-    elif metric == GRADIENT_METRIC:
-        for c in clients:
-            if c.last_delta is None:
-                raise ValueError(
-                    f"client {c.id} has no recorded update delta for gradient clustering"
-                )
-        x = np.stack([c.last_delta for c in clients])
+    if metric == GRADIENT_METRIC:
         norms = np.sqrt(_dots(x, x))
         if np.any(norms == 0.0):
-            cid = clients[int(np.argmax(norms == 0.0))].id
+            cid = int(np.argmax(norms == 0.0))
             raise ValueError(f"client {cid} has a zero-norm update delta; cosine is undefined")
-    else:
+    elif metric != WEIGHT_METRIC:
         raise ValueError(f"unknown clustering metric {metric!r}")
 
     n = len(x)

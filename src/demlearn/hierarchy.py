@@ -1,15 +1,18 @@
-"""The K-level group tree: construction, bottom-up averaging, anchor queries.
+"""The K-level group tree over the rows of a (C, M) model block.
 
-Group models are count-weighted means of their children, where counts are
-numbers of member agents (leaves count one).  Summation order is fixed --
-children in ascending group index, leaves in ascending client id -- so runs
-are bit-reproducible.
+Client i is row i of the block, and tree level k is one `AnchorLevel`: its
+(G, M) group models, each client's group row, and each client's weight
+1 / (its group's member count) -- the arrays the lockstep solver takes as
+they are.  Group models are count-weighted means of their children, where
+counts are numbers of member agents (leaves count one).  Summation order is
+fixed -- children in ascending group index, leaves in ascending client id --
+so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,36 +21,24 @@ from .models import AnchorLevel
 
 
 @dataclass(eq=False)
-class GroupNode:
-    """One group at one level; children are GroupNodes, or client ids at level 1."""
-
-    level: int
-    member_count: int
-    clients: list[int]
-    children: list
-    model: np.ndarray | None = None
-
-
-@dataclass(eq=False)
 class HierarchyTree:
-    root: GroupNode
-    K: int
-    levels: dict[int, list[GroupNode]]
-    paths: dict[int, list[GroupNode]] = field(init=False)
+    """`levels[k - 1]` is level k; `members[k - 1][g]` lists level-k group g's
+    clients ascending, and `children[k - 2][g]` the level-(k - 1) groups under
+    level-k group g, ascending.  `propagate_up` rewrites the group models in
+    place."""
 
-    def __post_init__(self) -> None:
-        self.paths = {}
-        for level in range(1, self.K + 1):
-            for node in self.levels[level]:
-                for cid in node.clients:
-                    self.paths.setdefault(cid, [None] * self.K)[level - 1] = node
+    levels: list[AnchorLevel]
+    members: list[list[np.ndarray]]
+    children: list[list[list[int]]]
 
-    def path_for(self, client_id: int) -> list[GroupNode]:
-        """Ancestor nodes for levels 1..K, ascending."""
-        try:
-            return self.paths[client_id]
-        except KeyError:
-            raise ValueError(f"unknown client id {client_id}") from None
+    @property
+    def K(self) -> int:
+        return len(self.levels)
+
+    @property
+    def root(self) -> np.ndarray:
+        """The root model, a row view of the single level-K group."""
+        return self.levels[-1].models[0]
 
 
 def group_average(
@@ -72,118 +63,92 @@ def group_average(
     return acc
 
 
-def build_tree(
-    assign: LevelAssignment, client_models: Mapping[int, np.ndarray]
-) -> HierarchyTree:
-    """Materialize the level assignment as a tree and populate group models."""
+def build_tree(assign: LevelAssignment, block: np.ndarray) -> HierarchyTree:
+    """Materialize the level assignment over the rows of `block` as a tree
+    and populate its group models."""
     K = assign.K
     if len(assign.groups.get(K, [])) != 1:
         raise ValueError("level K must contain exactly one group")
+    n = len(block)
     for cid in assign.client_ids:
-        if cid not in client_models:
+        if not 0 <= cid < n:
             raise ValueError(f"missing model for client {cid}")
+    for level, groups in assign.groups.items():
+        if sorted(c for g in groups for c in g) != list(range(n)):
+            raise ValueError(f"level {level} does not partition the model block's {n} rows")
 
-    levels: dict[int, list[GroupNode]] = {
-        1: [
-            GroupNode(1, len(members), sorted(members), sorted(members))
-            for members in assign.groups[1]
-        ]
-    }
-    claimed: dict[int, list[int]] = {}
+    # every level partitions the rows, so it remains to check that each group
+    # is the union of the groups below it that it touches
+    children: list[list[list[int]]] = []
     for level in range(2, K + 1):
-        claimed[level - 1] = [0] * len(levels[level - 1])
-        nodes: list[GroupNode] = []
+        below, kids_of = assign.groups[level - 1], []
         for members in assign.groups[level]:
-            child_idx = sorted({assign.group_of[level - 1][c] for c in members})
-            child_nodes = [levels[level - 1][gi] for gi in child_idx]
-            for gi in child_idx:
-                claimed[level - 1][gi] += 1
-            covered = sorted(c for nd in child_nodes for c in nd.clients)
-            if covered != sorted(members):
+            kids = sorted({assign.group_of[level - 1][c] for c in members})
+            if sorted(c for gi in kids for c in below[gi]) != sorted(members):
                 raise ValueError(
                     f"assignment is not laminar at level {level}: group {sorted(members)} "
                     f"does not split cleanly into level-{level - 1} groups"
                 )
-            nodes.append(GroupNode(level, len(members), sorted(members), child_nodes))
-        levels[level] = nodes
-    for level, counts in claimed.items():
-        if any(c != 1 for c in counts):
-            raise ValueError(
-                f"assignment is not laminar between levels {level} and {level + 1}"
-            )
+            kids_of.append(kids)
+        children.append(kids_of)
 
-    tree = HierarchyTree(levels[K][0], K, levels)
-    propagate_up(tree, client_models)
+    levels, members = [], []
+    for level in range(1, K + 1):
+        groups = assign.groups[level]
+        group = np.array([assign.group_of[level][c] for c in range(n)], dtype=np.intp)
+        sizes = np.array([len(g) for g in groups], dtype=np.float64)
+        levels.append(AnchorLevel(np.empty((len(groups), block.shape[1])), group, 1.0 / sizes[group]))
+        members.append([np.array(sorted(g), dtype=np.intp) for g in groups])
+    return propagate_up(HierarchyTree(levels, members, children), block)
+
+
+def one_group_tree(block: np.ndarray, k_levels: int) -> HierarchyTree:
+    """A tree whose every level 1..k_levels is one group of all clients."""
+    ids = list(range(len(block)))
+    return build_tree(LevelAssignment(k_levels, {k: [ids] for k in range(1, k_levels + 1)}), block)
+
+
+def propagate_up(tree: HierarchyTree, block: np.ndarray) -> HierarchyTree:
+    """Recompute every group model bottom-up from the client models in `block`."""
+    n = len(tree.levels[0].group)
+    if len(block) != n:
+        raise ValueError(f"the tree has {n} clients but the model block has {len(block)} rows")
+    models = tree.levels[0].models
+    for g, members in enumerate(tree.members[0]):
+        models[g] = group_average(block[members], [1] * len(members))
+    for k in range(1, tree.K):
+        below, models = models, tree.levels[k].models
+        sizes = [len(m) for m in tree.members[k - 1]]
+        for g, kids in enumerate(tree.children[k - 1]):
+            models[g] = group_average(below[kids], [sizes[gi] for gi in kids])
     return tree
 
 
-def propagate_up(
-    tree: HierarchyTree, client_models: Mapping[int, np.ndarray]
-) -> HierarchyTree:
-    """Recompute every group model bottom-up from the current client models."""
-    for node in tree.levels[1]:
-        models = []
-        for cid in node.children:
-            if cid not in client_models:
-                raise ValueError(f"missing model for client {cid}")
-            models.append(client_models[cid])
-        node.model = group_average(models, [1] * len(models))
-    for level in range(2, tree.K + 1):
-        for node in tree.levels[level]:
-            node.model = group_average(
-                [child.model for child in node.children],
-                [child.member_count for child in node.children],
-            )
-    return tree
-
-
-def anchor_levels(tree: HierarchyTree, client_ids: Sequence[int]) -> list[AnchorLevel]:
-    """The proximal targets of a stack of clients, one `AnchorLevel` per level 1..K.
-
-    At each level a client is anchored to its ancestor group's model with
-    weight 1 / that group's member count.
-    """
-    paths = [tree.path_for(cid) for cid in client_ids]
-    levels = []
-    for level in range(1, tree.K + 1):
-        nodes = tree.levels[level]
-        row = {id(node): gi for gi, node in enumerate(nodes)}
-        ancestors = [path[level - 1] for path in paths]
-        levels.append(
-            AnchorLevel(
-                np.stack([node.model for node in nodes]),
-                np.array([row[id(node)] for node in ancestors], dtype=np.intp),
-                1.0 / np.array([node.member_count for node in ancestors], dtype=np.float64),
-            )
-        )
-    return levels
-
-
-def generalized_blend(tree: HierarchyTree, client_id: int) -> tuple[np.ndarray, float]:
-    """Normalized mix of a client's ancestor models.
+def generalized_blend(tree: HierarchyTree) -> np.ndarray:
+    """Every client's normalized mix of its ancestor models, as a (C, M) block.
 
     Each level contributes weight 1/N_group; the total B = sum of those
     weights normalizes the mix so it stays in the range of the inputs.
     """
-    path = tree.path_for(client_id)
-    coeffs = np.array([1.0 / node.member_count for node in path])
-    b = float(coeffs.sum())
-    weights = coeffs / b
-    blend = path[0].model * weights[0]
-    for node, w in zip(path[1:], weights[1:]):
-        blend += node.model * w
-    return blend, b
+    coeff = np.stack([level.coeff for level in tree.levels], axis=1)
+    # each row's sum of a contiguous 1-D run, so pairwise from K = 8 on
+    weights = coeff / coeff.sum(axis=1)[:, None]
+    first = tree.levels[0]
+    blend = first.models[first.group] * weights[:, :1]
+    for k, level in enumerate(tree.levels[1:], start=1):
+        blend += level.models[level.group] * weights[:, k : k + 1]
+    return blend
 
 
 def format_tree(tree: HierarchyTree) -> str:
     """One-line-per-group snapshot: sizes, members, model norms."""
-    lines = [f"tree K={tree.K} clients={tree.root.member_count}"]
-    for level in range(tree.K, 0, -1):
-        for gi, node in enumerate(tree.levels[level]):
-            norm = float(np.linalg.norm(node.model)) if node.model is not None else float("nan")
-            members = ",".join(str(c) for c in node.clients)
+    lines = [f"tree K={tree.K} clients={len(tree.levels[0].group)}"]
+    for k in range(tree.K, 0, -1):
+        models = tree.levels[k - 1].models
+        for gi, members in enumerate(tree.members[k - 1]):
+            norm = float(np.linalg.norm(models[gi]))
             lines.append(
-                f"level={level} group={gi} size={node.member_count} "
-                f"norm={norm:.6f} members=[{members}]"
+                f"level={k} group={gi} size={len(members)} "
+                f"norm={norm:.6f} members=[{','.join(str(c) for c in members)}]"
             )
     return "\n".join(lines) + "\n"

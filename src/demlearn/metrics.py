@@ -49,14 +49,14 @@ def accuracy(spec: ModelSpec, w: np.ndarray, test: Dataset) -> float:
     return float(np.mean(np.argmax(forward(spec, w, test), axis=1) == test.labels))
 
 
-def c_spe(spec: ModelSpec, clients: Sequence) -> float:
-    """Mean over clients of their model's accuracy on their own test shard."""
-    return float(np.mean([accuracy(spec, c.w0, c.shard.test) for c in clients]))
+def c_spe(spec: ModelSpec, block: np.ndarray, shards: Sequence[ClientShard]) -> float:
+    """Mean over clients of their model (row of `block`) on their own test shard."""
+    return float(np.mean([accuracy(spec, w, s.test) for w, s in zip(block, shards, strict=True)]))
 
 
-def c_gen(spec: ModelSpec, clients: Sequence, global_test: Dataset) -> float:
-    """Mean over clients of their model's accuracy on the collective test set."""
-    return float(np.mean([accuracy(spec, c.w0, global_test) for c in clients]))
+def c_gen(spec: ModelSpec, block: np.ndarray, global_test: Dataset) -> float:
+    """Mean over clients of their model (row of `block`) on the collective test set."""
+    return float(np.mean([accuracy(spec, w, global_test) for w in block]))
 
 
 def g_metrics(
@@ -69,14 +69,13 @@ def g_metrics(
 
     Returns (g_spe, g_gen), each indexed by level-1.
     """
-    by_id = {s.client_id: s for s in shards}
     spe, gen = [], []
-    for level in range(1, tree.K):
+    for level, members in zip(tree.levels[:-1], tree.members):
         spe_accs, gen_accs = [], []
-        for node in tree.levels[level]:
-            member_test = concat_datasets([by_id[c].test for c in node.clients])
-            spe_accs.append(accuracy(spec, node.model, member_test))
-            gen_accs.append(accuracy(spec, node.model, global_test))
+        for model, clients in zip(level.models, members):
+            member_test = concat_datasets([shards[c].test for c in clients])
+            spe_accs.append(accuracy(spec, model, member_test))
+            gen_accs.append(accuracy(spec, model, global_test))
         spe.append(float(np.mean(spe_accs)))
         gen.append(float(np.mean(gen_accs)))
     return tuple(spe), tuple(gen)
@@ -85,23 +84,23 @@ def g_metrics(
 def round_metrics(
     spec: ModelSpec,
     t: int,
-    clients: Sequence,
+    block: np.ndarray,
+    shards: Sequence[ClientShard],
     global_test: Dataset,
     tree: HierarchyTree,
 ) -> RoundMetrics:
-    """Assemble the full metric record for one round.
+    """Assemble the full metric record for one round; client i is row i of
+    `block` with shard `shards[i]`.
 
     Group metrics cover levels 1..K-1 (none when K = 1) and the global score
     comes from the root.
     """
-    cs = c_spe(spec, clients)
-    cg = c_gen(spec, clients, global_test)
-    g_spe, g_gen = g_metrics(spec, tree, [c.shard for c in clients], global_test)
-    global_acc, global_loss = evaluate(spec, tree.root.model, global_test)
+    g_spe, g_gen = g_metrics(spec, tree, shards, global_test)
+    global_acc, global_loss = evaluate(spec, tree.root, global_test)
     return RoundMetrics(
         t=t,
-        c_spe=cs,
-        c_gen=cg,
+        c_spe=c_spe(spec, block, shards),
+        c_gen=c_gen(spec, block, global_test),
         g_spe=g_spe,
         g_gen=g_gen,
         global_acc=global_acc,

@@ -1,6 +1,6 @@
 """The round loop shared by all four algorithms, and run orchestration.
 
-One round: every client re-initializes from a decaying blend of its ancestor
+One round: every client restarts from a decaying blend of its ancestor
 group models, runs a few epochs of proximal SGD against those ancestors,
 then (every tau rounds) the server re-clusters the clients and finally
 re-averages every group model bottom-up.  FedAvg and FedProx are the same
@@ -8,14 +8,15 @@ loop over a fixed one-group tree of all clients: each round restarts every
 client from the root model (beta = 1), anchors it to the root with weight 1
 (FedProx's mu/2 ||w - w_global||^2), and never re-clusters.
 
-The client models and their last update deltas live in two (C, M) blocks,
-allocated once per run and updated in place; each `ClientState.w0` and
-`last_delta` is a row view into them.  One call of the lockstep solver
-`models.local_solve` trains every client of a round, so every client's
-shard must hold the same number of training samples (the shard partition
-deals them so).  A round whose solve leaves a model with a non-finite
-squared norm (a non-finite entry, or entries so large that distances
-overflow) fails at once, naming the client, the round, lr and mu.
+Client i is shard i and row i of two (C, M) blocks, its model and its last
+update delta, allocated once per run and updated in place; tree level k is
+one `AnchorLevel` over those rows, which the solver takes as it is.  One
+call of the lockstep solver `models.local_solve` trains every client of a
+round, so every client's shard must hold the same number of training
+samples (the shard partition deals them so).  A round whose solve leaves a
+model with a non-finite squared norm (a non-finite entry, or entries so
+large that distances overflow) fails at once, naming the client, the round,
+lr and mu.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import clustering, hierarchy
-from .clustering import Dendrogram, LevelAssignment
+from .clustering import Dendrogram
 from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
-from .hierarchy import HierarchyTree, anchor_levels, build_tree, generalized_blend, propagate_up
+from .hierarchy import HierarchyTree, build_tree, generalized_blend, one_group_tree, propagate_up
 from .metrics import RoundMetrics, round_metrics
 from .models import LOGISTIC, MLP, AnchorLevel, ModelSpec, init_params, local_solve
 
@@ -119,6 +120,17 @@ class RunConfig:
             raise ConfigurationError(f"unknown model kind {self.model_kind!r}")
         if self.data_source not in ("synthetic", "idx"):
             raise ConfigurationError(f"unknown data source {self.data_source!r}")
+        # the proximal step alone scales w - anchor by 1 - lr * mu * sum(coeff),
+        # and sum(coeff) <= K; past 2 it overshoots further every step
+        if self.algorithm == "fedprox" and self.lr * self.mu >= 2.0:
+            raise ConfigurationError(
+                f"fedprox needs lr * mu < 2 for a stable proximal step, got lr={self.lr}, mu={self.mu}"
+            )
+        if self.algorithm == "demlearn-p" and self.lr * self.mu * self.k_levels >= 2.0:
+            raise ConfigurationError(
+                "demlearn-p needs lr * mu * k_levels < 2 for a stable proximal step, "
+                f"got lr={self.lr}, mu={self.mu}, k_levels={self.k_levels}"
+            )
         if (
             self.algorithm in HIERARCHICAL
             and self.metric == clustering.GRADIENT_METRIC
@@ -131,29 +143,14 @@ class RunConfig:
 
 
 @dataclass
-class ClientState:
-    """One agent: its data shard, personalized model, and last update delta.
-
-    In a run, `w0` and (after the first round) `last_delta` are row views of
-    `RoundState.model_block` / `delta_block`, so each round changes them in
-    place; copy one to keep it.
-    """
-
-    id: int
-    shard: ClientShard
-    w0: np.ndarray
-    last_delta: Optional[np.ndarray] = None
-
-
-@dataclass
 class RoundState:
     """Mutable loop state; `dendrogram` is set only in a round that re-clustered.
 
-    Row i of `model_block` / `delta_block` belongs to `clients[i]`.
+    Client i owns `shards[i]` and row i of `model_block` / `delta_block`.
     """
 
     t: int
-    clients: list[ClientState]
+    shards: list[ClientShard]
     spec: ModelSpec
     union_test: Dataset
     tree: HierarchyTree
@@ -172,7 +169,11 @@ class RunResult:
 
 
 def beta_schedule(t: int, cfg: RunConfig) -> float:
-    """Geometric decay with a floor: max(beta_min, beta0 * beta_decay^t)."""
+    """Geometric decay with a floor: max(beta_min, beta0 * beta_decay^t).
+
+    With beta_min > beta0 the floor wins from round 0 on, so beta is constant
+    at beta_min.  beta0 = 0 turns the restart blend off whatever beta_min is.
+    """
     if t < 0:
         raise ValueError("round index must be non-negative")
     if cfg.beta0 == 0.0:
@@ -180,87 +181,67 @@ def beta_schedule(t: int, cfg: RunConfig) -> float:
     return max(cfg.beta_min, cfg.beta0 * cfg.beta_decay**t)
 
 
-def local_init(client: ClientState, tree: HierarchyTree, beta_t: float) -> np.ndarray:
-    """Blend the client's prior model with its ancestors' generalized mix."""
-    if beta_t == 0.0:
-        return client.w0.copy()
-    blend, _ = generalized_blend(tree, client.id)
-    if beta_t == 1.0:
-        return blend
-    return (1.0 - beta_t) * client.w0 + beta_t * blend
-
-
 def _client_rng(cfg: RunConfig, client_id: int, t: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, _CLIENT_STREAM, client_id, t])
 
 
-def _client_models(clients: list[ClientState]) -> dict[int, np.ndarray]:
-    return {c.id: c.w0 for c in clients}
-
-
-def _one_group_tree(clients: list[ClientState], k_levels: int) -> HierarchyTree:
-    """A tree whose every level 1..k_levels is one group of all clients."""
-    ids = [c.id for c in clients]
-    assign = LevelAssignment(k_levels, {level: [ids] for level in range(1, k_levels + 1)})
-    return build_tree(assign, _client_models(clients))
-
-
 def _rebuild_structure(
-    clients: list[ClientState], cfg: RunConfig, metric: Optional[str] = None
+    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, metric: Optional[str] = None
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
-    """Cluster clients and cut the dendrogram into a K-level tree.
+    """Cluster the clients by their models or their update deltas, and cut
+    the dendrogram into a K-level tree.
 
     With K = 1 or a lone client there is nothing to cluster: the tree is one
     group of all clients at every level, and no dendrogram is built.
     """
-    if cfg.k_levels == 1 or len(clients) == 1:
-        return _one_group_tree(clients, cfg.k_levels), None
+    if cfg.k_levels == 1 or len(models) == 1:
+        return one_group_tree(models, cfg.k_levels), None
     metric = metric or cfg.metric
-    dm = clustering.build_distance_matrix(clients, metric)
-    dend = clustering.agglomerate(dm)
-    assign = clustering.truncate(dend, cfg.k_levels)
-    return build_tree(assign, _client_models(clients)), dend
+    x = models if metric == clustering.WEIGHT_METRIC else deltas
+    dend = clustering.agglomerate(clustering.build_distance_matrix(x, metric))
+    return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
 
 def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
     """One global round of any algorithm.
 
-    Order: client re-init and local proximal solve, delta recording, periodic
+    Order: client restart and local proximal solve, delta recording, periodic
     restructuring, bottom-up model propagation, metrics.
     """
-    spec = state.spec
-    clients = state.clients
+    n = len(state.shards)
     hierarchical = cfg.algorithm in HIERARCHICAL
     beta_t = beta_schedule(state.t, cfg) if hierarchical else 1.0
     w, start = state.model_block, state.delta_block
-    for i, client in enumerate(clients):
-        start[i] = local_init(client, state.tree, beta_t)
-    np.copyto(w, start)
+    # restart from (1 - beta) w + beta * blend; beta = 0 keeps w unblended
+    if beta_t != 0.0:
+        blend = generalized_blend(state.tree)
+        if beta_t != 1.0:
+            blend = (1.0 - beta_t) * w + beta_t * blend
+        np.copyto(w, blend)
+    np.copyto(start, w)
     if hierarchical:
-        levels = anchor_levels(state.tree, [c.id for c in clients])
+        levels = state.tree.levels
     else:
         # a flat algorithm anchors every client to the root, its global model
-        n = len(clients)
-        levels = [AnchorLevel(state.tree.root.model[None], np.zeros(n, np.intp), np.ones(n))]
+        levels = [AnchorLevel(state.tree.levels[0].models, np.zeros(n, np.intp), np.ones(n))]
     local_solve(
-        spec,
+        state.spec,
         w,
-        [c.shard.train for c in clients],
+        [s.train for s in state.shards],
         levels,
         cfg.mu,
         cfg.epochs,
         cfg.batch_size,
         cfg.lr,
-        [_client_rng(cfg, c.id, state.t) for c in clients],
+        [_client_rng(cfg, i, state.t) for i in range(n)],
     )
     # a model whose squared norm overflows has diverged even if every entry is
     # finite: its distances and averages are no longer meaningful numbers
     finite = np.isfinite(np.einsum("ij,ij->i", w, w))
     if not finite.all():
-        bad = clients[np.flatnonzero(~finite)[0]].id
         raise FloatingPointError(
-            f"client {bad} diverged in round {state.t}: the squared norm of its "
-            f"model is not finite after local training (lr={cfg.lr}, mu={cfg.mu})"
+            f"client {np.flatnonzero(~finite)[0]} diverged in round {state.t}: the squared "
+            f"norm of its model is not finite after local training (lr={cfg.lr}, mu={cfg.mu})"
         )
     # the delta block held the start models; it now takes the updates
     if cfg.lr > 0:
@@ -268,17 +249,15 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         start /= cfg.lr
     else:
         start.fill(0.0)
-    for client, delta in zip(clients, start):
-        client.last_delta = delta
 
     # fixed mode keeps the structure that exists at t=0 (built from the
     # initial models) so group membership is constant across all rounds
     state.dendrogram = None
     if hierarchical and not cfg.fixed_structure and state.t % cfg.tau == 0:
-        state.tree, state.dendrogram = _rebuild_structure(state.clients, cfg)
-    propagate_up(state.tree, _client_models(state.clients))
+        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg)
+    propagate_up(state.tree, w)
 
-    state.metrics = round_metrics(spec, state.t, state.clients, state.union_test, state.tree)
+    state.metrics = round_metrics(state.spec, state.t, w, state.shards, state.union_test, state.tree)
     state.t += 1
     return state
 
@@ -330,17 +309,17 @@ def initial_state(cfg: RunConfig) -> RoundState:
     )
     w_init = init_params(spec, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     model_block = np.tile(w_init, (len(shards), 1))
-    clients = [ClientState(s.client_id, s, w) for s, w in zip(shards, model_block)]
+    delta_block = np.zeros_like(model_block)
     union_test = concat_datasets([s.test for s in shards])
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
         # distance is zero so the cut is the deterministic lowest-index one
-        tree, _ = _rebuild_structure(clients, cfg, metric=clustering.WEIGHT_METRIC)
+        tree, _ = _rebuild_structure(model_block, delta_block, cfg, metric=clustering.WEIGHT_METRIC)
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as shards are equal
-        tree = _one_group_tree(clients, 1)
-    return RoundState(0, clients, spec, union_test, tree, model_block, np.zeros_like(model_block))
+        tree = one_group_tree(model_block, 1)
+    return RoundState(0, shards, spec, union_test, tree, model_block, delta_block)
 
 
 def run(cfg: RunConfig) -> RunResult:

@@ -6,12 +6,15 @@ per-client SGD loop on 2-D arrays that the library's lockstep solver must
 match row for row, bit for bit; the flat FedAvg loop runs on it.
 `pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
 server side that the vectorised distances and matrix UPGMA must equal.
+`node_tree` and its queries are the group tree as a graph of nodes, one
+client at a time, that the library's per-level arrays must equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from demlearn.hierarchy import group_average
 from demlearn.models import LOGISTIC
 
 
@@ -75,12 +78,6 @@ def brute_force_upgma(dm: np.ndarray):
         active.append(next_id)
         next_id += 1
     return merges
-
-
-def leaf_weighted_mean(node, client_models) -> np.ndarray:
-    """Direct mean over a group node's leaf descendants (each leaf counts once)."""
-    models = [client_models[c] for c in node.clients]
-    return naive_weighted_mean(models, [1] * len(models))
 
 
 def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, client_rng):
@@ -232,17 +229,17 @@ def gradient_similarity(g_a, g_b) -> float:
     return float(g_a @ g_b) / (na * nb)
 
 
-def pairwise_distance_matrix(clients, metric) -> np.ndarray:
-    """Distance matrix filled one pair at a time: Euclidean between `w0`s
-    for "weights", 1 - cosine between `last_delta`s for "gradients"."""
-    n = len(clients)
+def pairwise_distance_matrix(x, metric) -> np.ndarray:
+    """Distance matrix between the rows of `x`, filled one pair at a time:
+    Euclidean for "weights", 1 - cosine for "gradients"."""
+    n = len(x)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if metric == "weights":
-                val = weight_distance(clients[i].w0, clients[j].w0)
+                val = weight_distance(x[i], x[j])
             else:
-                val = 1.0 - gradient_similarity(clients[i].last_delta, clients[j].last_delta)
+                val = 1.0 - gradient_similarity(x[i], x[j])
             d[i, j] = d[j, i] = val
     return d
 
@@ -283,3 +280,102 @@ def dict_upgma(d):
         sizes[next_id] = size
         next_id += 1
     return merges
+
+
+# ------------------------------------------------ the group tree as nodes
+# The tree as the library built it before its levels became `AnchorLevel`s:
+# a graph of group nodes and each client's path of ancestors, with client
+# models keyed by id.
+
+
+class GroupNode:
+    """One group at one level; children are GroupNodes, or client ids at level 1."""
+
+    def __init__(self, level, clients, children):
+        self.level = level
+        self.member_count = len(clients)
+        self.clients = clients
+        self.children = children
+        self.model = None
+
+
+class NodeTree:
+    def __init__(self, K, levels):
+        self.K = K
+        self.levels = levels  # level -> [GroupNode]
+        self.root = levels[K][0]
+        self.paths = {}  # client id -> ancestor nodes for levels 1..K
+        for level in range(1, K + 1):
+            for node in levels[level]:
+                for cid in node.clients:
+                    self.paths.setdefault(cid, [None] * K)[level - 1] = node
+
+
+def node_tree(assign, client_models) -> NodeTree:
+    """Build the node graph of a laminar `LevelAssignment` and average it up."""
+    K = assign.K
+    levels = {1: [GroupNode(1, sorted(m), sorted(m)) for m in assign.groups[1]]}
+    for level in range(2, K + 1):
+        levels[level] = []
+        for members in assign.groups[level]:
+            kids = sorted({assign.group_of[level - 1][c] for c in members})
+            levels[level].append(
+                GroupNode(level, sorted(members), [levels[level - 1][gi] for gi in kids])
+            )
+    tree = NodeTree(K, levels)
+    node_propagate_up(tree, client_models)
+    return tree
+
+
+def node_propagate_up(tree, client_models) -> None:
+    for node in tree.levels[1]:
+        models = [client_models[cid] for cid in node.children]
+        node.model = group_average(models, [1] * len(models))
+    for level in range(2, tree.K + 1):
+        for node in tree.levels[level]:
+            node.model = group_average(
+                [child.model for child in node.children],
+                [child.member_count for child in node.children],
+            )
+
+
+def node_anchor_levels(tree, client_ids):
+    """Per level 1..K: (stacked group models, each client's group row, and
+    1 / that group's member count)."""
+    out = []
+    for level in range(1, tree.K + 1):
+        nodes = tree.levels[level]
+        ancestors = [tree.paths[cid][level - 1] for cid in client_ids]
+        out.append(
+            (
+                np.stack([node.model for node in nodes]),
+                np.array([nodes.index(node) for node in ancestors], dtype=np.intp),
+                1.0 / np.array([node.member_count for node in ancestors], dtype=np.float64),
+            )
+        )
+    return out
+
+
+def node_generalized_blend(tree, client_id):
+    """One client's ancestor models mixed with weights 1/N normalized by
+    their sum B; returns (blend, B)."""
+    path = tree.paths[client_id]
+    coeffs = np.array([1.0 / node.member_count for node in path])
+    b = float(coeffs.sum())
+    weights = coeffs / b
+    blend = path[0].model * weights[0]
+    for node, w in zip(path[1:], weights[1:]):
+        blend += node.model * w
+    return blend, b
+
+
+def node_format_tree(tree) -> str:
+    lines = [f"tree K={tree.K} clients={tree.root.member_count}"]
+    for level in range(tree.K, 0, -1):
+        for gi, node in enumerate(tree.levels[level]):
+            members = ",".join(str(c) for c in node.clients)
+            lines.append(
+                f"level={level} group={gi} size={node.member_count} "
+                f"norm={float(np.linalg.norm(node.model)):.6f} members=[{members}]"
+            )
+    return "\n".join(lines) + "\n"

@@ -178,16 +178,14 @@ def test_criterion_3_hierarchy_identity():
     for _ in range(100):
         n = int(rng.integers(2, 21))
         k = int(rng.integers(1, 5))
-        models = {i: rng.normal(0, 1, 6) for i in range(n)}
+        models = np.stack([rng.normal(0, 1, 6) for i in range(n)])
         tree = build_tree(random_assignment(n, k, rng), models)
-        mean = np.mean([models[i] for i in range(n)], axis=0)
-        worst_root = max(worst_root, float(np.max(np.abs(tree.root.model - mean))))
-        for level in range(1, k + 1):
-            for node in tree.levels[level]:
-                leaf_mean = np.mean([models[c] for c in node.clients], axis=0)
-                worst_node = max(
-                    worst_node, float(np.max(np.abs(node.model - leaf_mean)))
-                )
+        mean = np.mean(models, axis=0)
+        worst_root = max(worst_root, float(np.max(np.abs(tree.root - mean))))
+        for level, members in zip(tree.levels, tree.members):
+            for model, clients in zip(level.models, members):
+                leaf_mean = np.mean(models[clients], axis=0)
+                worst_node = max(worst_node, float(np.max(np.abs(model - leaf_mean))))
     ok = worst_root < 1e-9 and worst_node < 1e-9
     assert report(
         3, ok, f"100 trees, worst root dev {worst_root:.2e}, worst node dev {worst_node:.2e}"
@@ -219,9 +217,8 @@ def test_criterion_4_fedavg_reduction():
     )
     dem = run(RunConfig(algorithm="demlearn", **common))
     fed = run(RunConfig(algorithm="fedavg", **common))
-    same = dem.state.tree.root.model.tobytes() == fed.state.tree.root.model.tobytes()
-    for cd, cf in zip(dem.state.clients, fed.state.clients):
-        same = same and cd.w0.tobytes() == cf.w0.tobytes()
+    same = dem.state.tree.root.tobytes() == fed.state.tree.root.tobytes()
+    same = same and dem.state.model_block.tobytes() == fed.state.model_block.tobytes()
     assert report(4, same, "5 rounds, client and global trajectories bitwise equal")
 
 

@@ -25,13 +25,6 @@ from oracles import (
 )
 
 
-class FakeClient:
-    def __init__(self, cid, w, delta=None):
-        self.id = cid
-        self.w0 = w
-        self.last_delta = delta
-
-
 def random_distance_matrix(n, rng):
     pts = rng.normal(0, 1, (n, 3))
     d = np.zeros((n, n))
@@ -79,69 +72,58 @@ def test_gradient_similarity_zero_vector():
 
 def test_distance_matrix_identical_clients():
     w = np.array([0.5, -0.5])
-    clients = [FakeClient(i, w.copy()) for i in range(4)]
-    d = build_distance_matrix(clients, "weights")
+    d = build_distance_matrix(np.tile(w, (4, 1)), "weights")
     assert np.array_equal(d, np.zeros((4, 4)))
 
 
 def test_distance_matrix_two_clients_matches_pairwise():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-    d = build_distance_matrix([FakeClient(0, a), FakeClient(1, b)], "weights")
+    d = build_distance_matrix(np.stack([a, b]), "weights")
     assert d[0, 1] == weight_distance(a, b)
     assert d[1, 0] == d[0, 1] and d[0, 0] == 0.0
 
 
 def test_distance_matrix_matches_pairwise_ops():
     rng = np.random.default_rng(1)
-    clients = [
-        FakeClient(i, rng.normal(0, 1, 6), rng.normal(0, 1, 6)) for i in range(5)
-    ]
-    dw = build_distance_matrix(clients, "weights")
-    dg = build_distance_matrix(clients, "gradients")
+    w, g = rng.normal(0, 1, (5, 6)), rng.normal(0, 1, (5, 6))
+    dw = build_distance_matrix(w, "weights")
+    dg = build_distance_matrix(g, "gradients")
     for i in range(5):
         for j in range(5):
             if i == j:
                 continue
             assert dw[i, j] == pytest.approx(
-                weight_distance(clients[i].w0, clients[j].w0), abs=1e-15
+                weight_distance(w[i], w[j]), abs=1e-15
             )
             assert dg[i, j] == pytest.approx(
-                1.0 - gradient_similarity(clients[i].last_delta, clients[j].last_delta),
+                1.0 - gradient_similarity(g[i], g[j]),
                 abs=1e-15,
             )
 
 
-def test_distance_matrix_requires_deltas_for_gradient_metric():
-    clients = [FakeClient(0, np.ones(2)), FakeClient(1, np.zeros(2))]
-    with pytest.raises(ValueError):
-        build_distance_matrix(clients, "gradients")
-
-
 def test_distance_matrix_names_the_first_zero_norm_client():
-    deltas = [np.ones(3), np.zeros(3), np.array([1.0, 0.0, 0.0]), np.zeros(3)]
-    clients = [FakeClient(cid, np.ones(3), g) for cid, g in zip((7, 4, 9, 2), deltas)]
-    with pytest.raises(ValueError, match="client 4 has a zero-norm update delta"):
-        build_distance_matrix(clients, "gradients")
+    deltas = np.array([np.ones(3), np.ones(3), np.zeros(3), [1.0, 0.0, 0.0], np.zeros(3)])
+    with pytest.raises(ValueError, match="client 2 has a zero-norm update delta"):
+        build_distance_matrix(deltas, "gradients")
 
 
 @st.composite
-def client_sets(draw):
+def blocks(draw):
     n = draw(st.integers(2, 30))
     m = draw(st.integers(1, 60))
     scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.normal(0.0, scale, (n, m))
-    g = rng.normal(0.0, scale, (n, m))
     if draw(st.booleans()):  # repeated rows give exact zero distances
         w[n // 2] = w[0]
-    return [FakeClient(i, w[i], g[i]) for i in range(n)]
+    return w
 
 
 @settings(max_examples=60, deadline=None)
-@given(client_sets(), st.sampled_from(["weights", "gradients"]))
-def test_distance_matrix_equals_the_pair_loop_bit_for_bit(clients, metric):
-    got = build_distance_matrix(clients, metric)
-    assert got.tobytes() == pairwise_distance_matrix(clients, metric).tobytes()
+@given(blocks(), st.sampled_from(["weights", "gradients"]))
+def test_distance_matrix_equals_the_pair_loop_bit_for_bit(x, metric):
+    got = build_distance_matrix(x, metric)
+    assert got.tobytes() == pairwise_distance_matrix(x, metric).tobytes()
 
 
 # ---------------------------------------------------------------- UPGMA
@@ -368,9 +350,9 @@ def test_truncate_gives_nested_partitions_that_build_tree_accepts(dend, k):
     for level in range(1, k):
         for g in assign.groups[level]:
             assert len({assign.group_of[level + 1][c] for c in g}) == 1
-    tree = build_tree(assign, {c: np.full(2, float(c)) for c in range(n)})
+    tree = build_tree(assign, np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1))
     for level in range(1, k + 1):
-        assert [node.clients for node in tree.levels[level]] == assign.groups[level]
+        assert [m.tolist() for m in tree.members[level - 1]] == assign.groups[level]
 
 
 def test_format_dendrogram_mentions_all_leaves():

@@ -281,19 +281,23 @@ def test_cli_tiny_shards_exit_1_before_any_round(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
-# 160 steps a round: FedProx's entries overflow inside the first solve
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
 @pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])
 def test_cli_divergent_run_exits_2_and_writes_no_csv(tmp_path, capsys, algorithm):
-    # lr * mu = 100: the proximal step overshoots a hundredfold every step
-    extra = ["--algorithm", algorithm, "--mu", "1000", "--lr", "0.1", "--epochs", "40",
-             "--batch-size", "4"]
+    # a stable proximal step (lr * mu = 1e-10) whose models still overflow
+    extra = ["--algorithm", algorithm, "--mu", "1e-170", "--lr", "1e160"]
     assert main(["run", "--name", "div", *cli_args(tmp_path, extra)]) == 2
-    assert "diverged in round" in capsys.readouterr().out
+    assert "client 0 diverged in round 0" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []  # no CSV, no summary
+
+
+@pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])
+def test_cli_unstable_proximal_step_exits_1_before_any_round(tmp_path, capsys, algorithm):
+    # lr * mu = 100: the proximal step would overshoot a hundredfold every step
+    extra = ["--algorithm", algorithm, "--mu", "1000", "--lr", "0.1"]
+    assert main(["run", "--name", "div", *cli_args(tmp_path, extra)]) == 1
+    captured = capsys.readouterr()
+    assert "for a stable proximal step" in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_fixed_structure_echo(tmp_path):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlearn.clustering import LevelAssignment
 from demlearn.hierarchy import (
-    anchor_levels,
     build_tree,
     format_tree,
     generalized_blend,
@@ -13,7 +14,13 @@ from demlearn.hierarchy import (
     propagate_up,
 )
 
-from oracles import leaf_weighted_mean, naive_weighted_mean
+from oracles import (
+    naive_weighted_mean,
+    node_anchor_levels,
+    node_format_tree,
+    node_generalized_blend,
+    node_tree,
+)
 
 
 def assign_k1(client_ids):
@@ -24,9 +31,14 @@ def assign_pairs_k2():
     return LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
 
 
-def models_for(ids, dim=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return {i: rng.normal(0, 1, dim) for i in ids}
+def assign_k3_six():
+    return LevelAssignment(
+        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
+    )
+
+
+def models_for(n, dim=3, seed=0):
+    return np.random.default_rng(seed).normal(0, 1, (n, dim))
 
 
 def random_assignment(n, k, rng):
@@ -76,40 +88,46 @@ def test_group_average_empty_children():
 
 
 def test_build_tree_k1_root_holds_everyone():
-    models = models_for(range(5))
-    tree = build_tree(assign_k1(range(5)), models)
+    tree = build_tree(assign_k1(range(5)), models_for(5))
     assert tree.K == 1
-    assert tree.root.member_count == 5
-    assert tree.root.clients == [0, 1, 2, 3, 4]
+    assert [m.tolist() for m in tree.members[0]] == [[0, 1, 2, 3, 4]]
+    assert tree.root.tobytes() == tree.levels[0].models[0].tobytes()
 
 
 def test_build_tree_two_pairs():
-    models = models_for(range(4))
-    tree = build_tree(assign_pairs_k2(), models)
-    assert tree.root.member_count == 4
-    assert [c.member_count for c in tree.root.children] == [2, 2]
-    assert [c.clients for c in tree.root.children] == [[0, 1], [2, 3]]
+    tree = build_tree(assign_pairs_k2(), models_for(4))
+    assert len(tree.members[1][0]) == 4
+    kids = tree.children[0][0]
+    assert [len(tree.members[0][g]) for g in kids] == [2, 2]
+    assert [tree.members[0][g].tolist() for g in kids] == [[0, 1], [2, 3]]
 
 
 def test_build_tree_rebuild_is_idempotent():
-    models = models_for(range(4))
+    models = models_for(4)
     t1 = build_tree(assign_pairs_k2(), models)
     t2 = build_tree(assign_pairs_k2(), models)
-    for level in (1, 2):
-        for a, b in zip(t1.levels[level], t2.levels[level]):
-            assert a.clients == b.clients
-            assert np.array_equal(a.model, b.model)
+    for k in range(2):
+        assert [m.tolist() for m in t1.members[k]] == [m.tolist() for m in t2.members[k]]
+        assert np.array_equal(t1.levels[k].models, t2.levels[k].models)
 
 
 def test_build_tree_rejects_non_laminar():
     bad = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [1, 2, 3]]})
     with pytest.raises(ValueError):
-        build_tree(bad, models_for(range(4)))
+        build_tree(bad, models_for(4))
+
+
+def test_build_tree_rejects_a_level_that_misses_a_row():
+    skips_2 = LevelAssignment(2, {2: [[0, 1, 2]], 1: [[0, 1]]})
+    with pytest.raises(ValueError, match="level 1 does not partition the model block's 3 rows"):
+        build_tree(skips_2, models_for(3))
+    with pytest.raises(ValueError, match="level 1 does not partition"):
+        build_tree(assign_k1([0, 1]), models_for(3))
 
 
 def test_build_tree_rejects_missing_model():
-    with pytest.raises(ValueError):
-        build_tree(assign_pairs_k2(), models_for(range(3)))
+    with pytest.raises(ValueError, match="missing model for client 3"):
+        build_tree(assign_pairs_k2(), models_for(3))
 
 
 # ------------------------------------------------------------ propagate_up
@@ -117,12 +135,11 @@ def test_build_tree_rejects_missing_model():
 
 def test_propagate_identical_models():
     w = np.array([0.25, -1.0, 2.0])
-    models = {i: w.copy() for i in range(6)}
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3, 4, 5]], 1: [[0, 1, 2], [3, 4, 5]]})
-    tree = build_tree(assign, models)
-    for level in (1, 2):
-        for node in tree.levels[level]:
-            assert np.allclose(node.model, w, atol=1e-15)
+    tree = build_tree(assign, np.tile(w, (6, 1)))
+    for level in tree.levels:
+        for model in level.models:
+            assert np.allclose(model, w, atol=1e-15)
 
 
 def test_root_equals_unweighted_client_mean():
@@ -130,126 +147,106 @@ def test_root_equals_unweighted_client_mean():
     for trial in range(25):
         n = int(rng.integers(2, 21))
         k = int(rng.integers(1, 5))
-        models = {i: rng.normal(0, 1, 5) for i in range(n)}
+        models = rng.normal(0, 1, (n, 5))
         tree = build_tree(random_assignment(n, k, rng), models)
-        mean = np.mean([models[i] for i in range(n)], axis=0)
-        assert np.max(np.abs(tree.root.model - mean)) < 1e-9
+        mean = np.mean(models, axis=0)
+        assert np.max(np.abs(tree.root - mean)) < 1e-9
 
 
 def test_every_node_is_leaf_descendant_mean():
     rng = np.random.default_rng(3)
-    models = {i: rng.normal(0, 1, 4) for i in range(6)}
-    assign = LevelAssignment(
-        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
-    )
-    tree = build_tree(assign, models)
-    for level in (1, 2, 3):
-        for node in tree.levels[level]:
-            assert np.allclose(node.model, leaf_weighted_mean(node, models), atol=1e-12)
+    models = rng.normal(0, 1, (6, 4))
+    tree = build_tree(assign_k3_six(), models)
+    for level, members in zip(tree.levels, tree.members):
+        for model, clients in zip(level.models, members):
+            leaf_mean = naive_weighted_mean(list(models[clients]), [1] * len(clients))
+            assert np.allclose(model, leaf_mean, atol=1e-12)
 
 
 def test_duplicating_clients_leaves_ancestors_unchanged():
     # count-weighting means doubling every group's membership (same models)
     # changes no group model anywhere in the tree
     rng = np.random.default_rng(4)
-    models = {i: rng.normal(0, 1, 3) for i in range(4)}
-    assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = build_tree(assign, models)
-    dup_models = dict(models)
-    for i in range(4):
-        dup_models[4 + i] = models[i].copy()
+    models = rng.normal(0, 1, (4, 3))
+    tree = build_tree(assign_pairs_k2(), models)
     dup_assign = LevelAssignment(
         2, {2: [[0, 1, 2, 3, 4, 5, 6, 7]], 1: [[0, 1, 4, 5], [2, 3, 6, 7]]}
     )
-    dup_tree = build_tree(dup_assign, dup_models)
-    for level in (1, 2):
-        for orig, dup in zip(tree.levels[level], dup_tree.levels[level]):
-            assert dup.member_count == 2 * orig.member_count
-            assert np.allclose(dup.model, orig.model, atol=1e-12)
+    dup_tree = build_tree(dup_assign, np.vstack([models, models]))
+    for k in range(2):
+        for orig, dup in zip(tree.members[k], dup_tree.members[k]):
+            assert len(dup) == 2 * len(orig)
+        assert np.allclose(dup_tree.levels[k].models, tree.levels[k].models, atol=1e-12)
 
 
 def test_propagate_missing_client_model():
-    tree = build_tree(assign_pairs_k2(), models_for(range(4)))
+    tree = build_tree(assign_pairs_k2(), models_for(4))
     with pytest.raises(ValueError):
-        propagate_up(tree, models_for(range(3)))
+        propagate_up(tree, models_for(3))
 
 
 # ------------------------------------------------------------ anchors & blend
 
 
 def test_anchors_k1():
-    models = models_for(range(8))
-    tree = build_tree(assign_k1(range(8)), models)
-    levels = anchor_levels(tree, [3])
-    assert len(levels) == 1
-    assert levels[0].coeff[0] == pytest.approx(1.0 / 8.0)
-    assert np.array_equal(levels[0].models[levels[0].group[0]], tree.root.model)
+    tree = build_tree(assign_k1(range(8)), models_for(8))
+    assert len(tree.levels) == 1
+    level = tree.levels[0]
+    assert level.coeff[3] == pytest.approx(1.0 / 8.0)
+    assert np.array_equal(level.models[level.group[3]], tree.root)
 
 
 def test_anchor_coeff_one_for_singleton_group():
     assign = LevelAssignment(2, {2: [[0, 1, 2]], 1: [[0], [1, 2]]})
-    tree = build_tree(assign, models_for(range(3)))
-    levels = anchor_levels(tree, [0])
-    assert levels[0].coeff[0] == 1.0
-    assert levels[1].coeff[0] == pytest.approx(1.0 / 3.0)
+    tree = build_tree(assign, models_for(3))
+    assert tree.levels[0].coeff[0] == 1.0
+    assert tree.levels[1].coeff[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_anchor_coeffs_match_subtree_sizes():
     rng = np.random.default_rng(5)
-    models = {i: rng.normal(0, 1, 4) for i in range(6)}
-    assign = LevelAssignment(
-        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
-    )
-    tree = build_tree(assign, models)
-    levels = anchor_levels(tree, [4])
-    assert [lv.coeff[0] for lv in levels] == [pytest.approx(1 / 2), pytest.approx(1 / 3), pytest.approx(1 / 6)]
-    with pytest.raises(ValueError):
-        anchor_levels(tree, [99])
+    tree = build_tree(assign_k3_six(), rng.normal(0, 1, (6, 4)))
+    assert [lv.coeff[4] for lv in tree.levels] == [pytest.approx(1 / 2), pytest.approx(1 / 3), pytest.approx(1 / 6)]
+    # a client id the model block has no row for
+    with pytest.raises(ValueError, match="missing model for client 99"):
+        build_tree(LevelAssignment(1, {1: [[0, 1, 2, 3, 4, 99]]}), rng.normal(0, 1, (6, 4)))
 
 
 def test_anchor_levels_gather_each_clients_ancestors():
     rng = np.random.default_rng(6)
-    models = {i: rng.normal(0, 1, 4) for i in range(6)}
-    assign = LevelAssignment(
-        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
-    )
-    tree = build_tree(assign, models)
-    ids = [5, 0, 3, 2]  # any order, any subset
-    levels = anchor_levels(tree, ids)
-    assert [len(lv.models) for lv in levels] == [4, 2, 1]
-    for i, cid in enumerate(ids):
-        for lv, node in zip(levels, tree.path_for(cid)):
-            assert lv.models[lv.group[i]].tobytes() == node.model.tobytes()
-            assert lv.coeff[i] == 1.0 / node.member_count
+    models = rng.normal(0, 1, (6, 4))
+    tree = build_tree(assign_k3_six(), models)
+    nodes = node_tree(assign_k3_six(), dict(enumerate(models)))
+    assert [len(lv.models) for lv in tree.levels] == [4, 2, 1]
+    for cid in [5, 0, 3, 2]:
+        for lv, node in zip(tree.levels, nodes.paths[cid]):
+            assert lv.models[lv.group[cid]].tobytes() == node.model.tobytes()
+            assert lv.coeff[cid] == 1.0 / node.member_count
 
 
 def test_blend_all_ancestors_equal():
     w = np.array([1.5, -0.5])
-    models = {i: w.copy() for i in range(4)}
-    tree = build_tree(assign_pairs_k2(), models)
-    blend, b = generalized_blend(tree, 2)
-    assert np.allclose(blend, w, atol=1e-15)
+    tree = build_tree(assign_pairs_k2(), np.tile(w, (4, 1)))
+    assert np.allclose(generalized_blend(tree)[2], w, atol=1e-15)
 
 
 def test_blend_k1_is_root():
-    models = models_for(range(5))
-    tree = build_tree(assign_k1(range(5)), models)
-    blend, b = generalized_blend(tree, 0)
-    assert np.array_equal(blend, tree.root.model)
-    assert b == pytest.approx(1.0 / 5.0)
+    tree = build_tree(assign_k1(range(5)), models_for(5))
+    blend = generalized_blend(tree)
+    assert blend.shape == (5, 3)
+    for row in blend:
+        assert np.array_equal(row, tree.root)
+    assert sum(lv.coeff[0] for lv in tree.levels) == pytest.approx(1.0 / 5.0)
 
 
 def test_blend_scalar_example():
     # level-1 model 2 (group of 2), level-2 model 8 (group of 4):
     # B = 1/2 + 1/4 = 3/4, blend = ((1/2)*2 + (1/4)*8) / (3/4) = 4
-    assign = assign_pairs_k2()
-    models = {i: np.zeros(1) for i in range(4)}
-    tree = build_tree(assign, models)
-    tree.levels[1][0].model = np.array([2.0])
-    tree.levels[2][0].model = np.array([8.0])
-    blend, b = generalized_blend(tree, 0)
-    assert b == pytest.approx(0.75, abs=1e-15)
-    assert blend[0] == pytest.approx(4.0, abs=1e-12)
+    tree = build_tree(assign_pairs_k2(), np.zeros((4, 1)))
+    tree.levels[0].models[0] = 2.0
+    tree.levels[1].models[0] = 8.0
+    assert sum(lv.coeff[0] for lv in tree.levels) == pytest.approx(0.75, abs=1e-15)
+    assert generalized_blend(tree)[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_blend_inside_ancestor_envelope():
@@ -257,19 +254,56 @@ def test_blend_inside_ancestor_envelope():
     for trial in range(20):
         n = int(rng.integers(2, 12))
         k = int(rng.integers(1, 5))
-        models = {i: rng.normal(0, 1, 6) for i in range(n)}
-        tree = build_tree(random_assignment(n, k, rng), models)
-        cid = int(rng.integers(0, n))
-        blend, _ = generalized_blend(tree, cid)
-        path = tree.path_for(cid)
-        stack = np.stack([node.model for node in path])
-        assert np.all(blend >= stack.min(axis=0) - 1e-12)
-        assert np.all(blend <= stack.max(axis=0) + 1e-12)
+        tree = build_tree(random_assignment(n, k, rng), rng.normal(0, 1, (n, 6)))
+        blend = generalized_blend(tree)
+        for cid in range(n):
+            stack = np.stack([lv.models[lv.group[cid]] for lv in tree.levels])
+            assert np.all(blend[cid] >= stack.min(axis=0) - 1e-12)
+            assert np.all(blend[cid] <= stack.max(axis=0) + 1e-12)
 
 
 def test_format_tree_lists_every_level():
-    models = models_for(range(4))
-    tree = build_tree(assign_pairs_k2(), models)
+    tree = build_tree(assign_pairs_k2(), models_for(4))
     text = format_tree(tree)
     assert "level=2" in text and "level=1" in text
     assert "members=[0,1]" in text
+
+
+# ------------------------------------------------------------ node-graph oracle
+
+
+@st.composite
+def laminar_assignments(draw):
+    """Any laminar family over clients 0..n-1: each level splits every group
+    of the level above into random parts of random members, and lists the
+    groups in random order."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = {k: [rng.permutation(n).tolist()]}
+    for level in range(k - 1, 0, -1):
+        parts = []
+        for g in groups[level + 1]:
+            n_cuts = min(len(g) - 1, int(rng.integers(0, 3)))
+            cuts = np.sort(rng.choice(np.arange(1, len(g)), size=n_cuts, replace=False))
+            parts.extend(np.split(rng.permutation(g), cuts))
+        groups[level] = [parts[i].tolist() for i in rng.permutation(len(parts))]
+    m = draw(st.integers(1, 20))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e8]))
+    return LevelAssignment(k, groups), rng.normal(0.0, scale, (n, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laminar_assignments())
+def test_tree_levels_blend_and_text_equal_the_node_graph_bit_for_bit(case):
+    assign, block = case
+    tree = build_tree(assign, block)
+    nodes = node_tree(assign, dict(enumerate(block)))
+    n = len(block)
+    for level, (models, group, coeff) in zip(tree.levels, node_anchor_levels(nodes, range(n))):
+        assert level.models.tobytes() == models.tobytes()
+        assert level.group.tobytes() == group.tobytes()
+        assert level.coeff.tobytes() == coeff.tobytes()
+    expected = np.stack([node_generalized_blend(nodes, cid)[0] for cid in range(n)])
+    assert generalized_blend(tree).tobytes() == expected.tobytes()
+    assert format_tree(tree) == node_format_tree(nodes)

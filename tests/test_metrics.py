@@ -22,16 +22,13 @@ SPEC = ModelSpec(LOGISTIC, 2, 3)
 
 
 class FakeShard:
-    def __init__(self, client_id, test):
-        self.client_id = client_id
+    def __init__(self, test):
         self.test = test
 
 
-class FakeClient:
-    def __init__(self, cid, w, test):
-        self.id = cid
-        self.w0 = w
-        self.shard = FakeShard(cid, test)
+def clients(*pairs):
+    """(model, test set) pairs as a (C, M) model block and C shards."""
+    return np.stack([w for w, _ in pairs]), [FakeShard(test) for _, test in pairs]
 
 
 def logits_model(rows, bias):
@@ -79,27 +76,24 @@ def test_evaluate_loss_matches_uniform():
 
 def test_c_spe_single_and_perfect():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
-    client = FakeClient(0, w, ds([[1.0, 0.0]], [0]))
-    acc = c_spe(SPEC, [client])
+    acc = c_spe(SPEC, *clients((w, ds([[1.0, 0.0]], [0]))))
     assert acc == 1.0
-    clients = [client, FakeClient(1, w.copy(), ds([[-1.0, 0.0]], [2]))]
-    acc2 = c_spe(SPEC, clients)
+    acc2 = c_spe(SPEC, *clients((w, ds([[1.0, 0.0]], [0])), (w.copy(), ds([[-1.0, 0.0]], [2]))))
     assert acc2 == 1.0
 
 
 def test_c_spe_is_mean_over_clients():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
-    right = FakeClient(0, w, ds([[1.0, 0.0]], [0]))
-    wrong = FakeClient(1, w.copy(), ds([[1.0, 0.0]], [1]))
-    acc = c_spe(SPEC, [right, wrong])
+    right = (w, ds([[1.0, 0.0]], [0]))
+    wrong = (w.copy(), ds([[1.0, 0.0]], [1]))
+    acc = c_spe(SPEC, *clients(right, wrong))
     assert acc == pytest.approx(0.5)
 
 
 def test_c_gen_shared_model_equals_union_accuracy():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     union = ds([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]], [0, 2, 1])
-    clients = [FakeClient(i, w.copy(), union) for i in range(3)]
-    acc = c_gen(SPEC, clients, union)
+    acc = c_gen(SPEC, np.stack([w] * 3), union)
     assert acc == pytest.approx(accuracy(SPEC, w, union))
 
 
@@ -107,35 +101,30 @@ def test_c_gen_two_client_hand_count():
     w_good = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     w_zero = np.zeros(SPEC.param_count)
     union = ds([[1.0, 0.0], [-1.0, 0.0]], [0, 2])
-    clients = [
-        FakeClient(0, w_good, union),  # 2/2 correct
-        FakeClient(1, w_zero, union),  # ties -> class 0: 1/2 correct
-    ]
-    acc = c_gen(SPEC, clients, union)
+    block = np.stack([w_good, w_zero])  # 2/2 correct; ties -> class 0: 1/2 correct
+    acc = c_gen(SPEC, block, union)
     assert acc == pytest.approx((1.0 + 0.5) / 2)
 
 
-def tree_for(clients, assign):
-    return build_tree(assign, {c.id: c.w0 for c in clients})
 
 
 def test_g_metrics_k1_empty():
     w = np.zeros(SPEC.param_count)
     union = ds([[1.0, 0.0]], [0])
-    clients = [FakeClient(i, w.copy(), union) for i in range(2)]
-    tree = tree_for(clients, LevelAssignment(1, {1: [[0, 1]]}))
-    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
+    block, shards = clients(*[(w, union)] * 2)
+    tree = build_tree(LevelAssignment(1, {1: [[0, 1]]}), block)
+    gs, gg = g_metrics(SPEC, tree, shards, union)
     assert gs == () and gg == ()
 
 
 def test_g_metrics_identical_models_match_global():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     union = ds([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0]], [0, 2, 0])
-    clients = [FakeClient(i, w.copy(), union) for i in range(4)]
+    block, shards = clients(*[(w, union)] * 4)
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = tree_for(clients, assign)
-    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
-    ga, _ = evaluate(SPEC, tree.root.model, union)
+    tree = build_tree(assign, block)
+    gs, gg = g_metrics(SPEC, tree, shards, union)
+    ga, _ = evaluate(SPEC, tree.root, union)
     assert all(v == pytest.approx(ga) for v in gg)
     assert ga == pytest.approx(accuracy(SPEC, w, union))
 
@@ -146,15 +135,10 @@ def test_g_metrics_two_group_hand_count():
     t_pos = ds([[1.0, 0.0]], [0])
     t_neg = ds([[1.0, 0.0]], [2])
     union = ds([[1.0, 0.0], [1.0, 0.0]], [0, 2])
-    clients = [
-        FakeClient(0, w_good, t_pos),
-        FakeClient(1, w_good.copy(), t_pos),
-        FakeClient(2, w_anti, t_neg),
-        FakeClient(3, w_anti.copy(), t_neg),
-    ]
+    block, shards = clients((w_good, t_pos), (w_good, t_pos), (w_anti, t_neg), (w_anti, t_neg))
     assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = tree_for(clients, assign)
-    gs, gg = g_metrics(SPEC, tree, [c.shard for c in clients], union)
+    tree = build_tree(assign, block)
+    gs, gg = g_metrics(SPEC, tree, shards, union)
     # each group model is its members' (identical) model: fits own shard,
     # scores 1/2 on the union
     assert gs[0] == pytest.approx(1.0)
@@ -164,13 +148,13 @@ def test_g_metrics_two_group_hand_count():
 def test_round_metrics_invariant_under_client_reordering():
     rng = np.random.default_rng(0)
     union = ds(rng.normal(0, 1, (6, 2)), rng.integers(0, 3, 6))
-    clients = [
-        FakeClient(i, rng.normal(0, 0.5, SPEC.param_count), union) for i in range(4)
-    ]
-    assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = tree_for(clients, assign)
-    m1 = round_metrics(SPEC, 0, clients, union, tree=tree)
-    m2 = round_metrics(SPEC, 0, list(reversed(clients)), union, tree=tree)
+    tests = [ds(rng.normal(0, 1, (3, 2)), rng.integers(0, 3, 3)) for _ in range(4)]
+    block, shards = clients(*[(rng.normal(0, 0.5, SPEC.param_count), t) for t in tests])
+    tree = build_tree(LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
+    m1 = round_metrics(SPEC, 0, block, shards, union, tree=tree)
+    # client i becomes client 3 - i: reversed rows and shards, groups relabelled
+    rev_tree = build_tree(LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[2, 3], [0, 1]]}), block[::-1])
+    m2 = round_metrics(SPEC, 0, block[::-1], shards[::-1], union, tree=rev_tree)
     assert m1.c_spe == m2.c_spe and m1.c_gen == m2.c_gen
     assert m1.g_spe == m2.g_spe and m1.global_acc == m2.global_acc
 
@@ -179,11 +163,11 @@ def test_round_metrics_baseline_path():
     # FedAvg / FedProx keep a one-level tree: no group series, root is global
     rng = np.random.default_rng(1)
     union = ds(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5))
-    clients = [FakeClient(i, np.zeros(SPEC.param_count), union) for i in range(2)]
-    tree = tree_for(clients, LevelAssignment(1, {1: [[0, 1]]}))
-    m = round_metrics(SPEC, 3, clients, union, tree)
+    block, shards = clients(*[(np.zeros(SPEC.param_count), union)] * 2)
+    tree = build_tree(LevelAssignment(1, {1: [[0, 1]]}), block)
+    m = round_metrics(SPEC, 3, block, shards, union, tree)
     assert m.t == 3
     assert m.g_spe == () and m.g_gen == ()
     assert m.global_acc == pytest.approx(accuracy(SPEC, np.zeros(SPEC.param_count), union))
     with pytest.raises(TypeError):
-        round_metrics(SPEC, 0, clients, union)
+        round_metrics(SPEC, 0, block, shards, union)

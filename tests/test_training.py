@@ -12,7 +12,6 @@ from demlearn.training import (
     RunConfig,
     beta_schedule,
     initial_state,
-    local_init,
     run,
     run_round,
 )
@@ -63,6 +62,13 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match="gradients needs lr > 0"):
             tiny_cfg(algorithm=algorithm, mu=mu, metric="gradients", lr=0.0).validate()
     tiny_cfg(algorithm="fedavg", metric="gradients", lr=0.0).validate()  # never clusters
+    # the proximal step is stable only below lr * mu = 2, or lr * mu * K for K levels
+    with pytest.raises(ConfigurationError, match="lr \\* mu < 2"):
+        tiny_cfg(algorithm="fedprox", mu=20.0, lr=0.1).validate()
+    tiny_cfg(algorithm="fedprox", mu=19.99, lr=0.1).validate()
+    with pytest.raises(ConfigurationError, match="lr \\* mu \\* k_levels < 2"):
+        tiny_cfg(algorithm="demlearn-p", mu=10.0, lr=0.1, k_levels=2).validate()
+    tiny_cfg(algorithm="demlearn-p", mu=9.99, lr=0.1, k_levels=2).validate()
     tiny_cfg(metric="gradients").validate()
     tiny_cfg().validate()
 
@@ -96,30 +102,34 @@ def test_beta_schedule_non_increasing():
 
 
 def test_local_init_beta_zero_keeps_model():
-    state = initial_state(tiny_cfg())
-    client = state.clients[0]
-    client.w0 = client.w0 + 0.5
-    out = local_init(client, state.tree, 0.0)
-    assert np.array_equal(out, client.w0)
-    assert out is not client.w0
+    # beta = 0 restarts every client from its own model, unblended, and lr = 0
+    # keeps it there through the round
+    cfg = tiny_cfg(beta0=0.0, lr=0.0, rounds=1)
+    state = initial_state(cfg)
+    state.model_block += np.arange(5.0)[:, None]
+    before = state.model_block.copy()
+    run_round(state, cfg)
+    assert np.array_equal(state.model_block, before)
 
 
 def test_local_init_beta_one_is_blend():
-    state = initial_state(tiny_cfg(k_levels=1))
-    client = state.clients[2]
-    client.w0 = client.w0 + 1.0
-    out = local_init(client, state.tree, 1.0)
-    # K=1: the blend is exactly the root model
-    assert np.array_equal(out, state.tree.root.model)
+    cfg = tiny_cfg(k_levels=1, beta0=1.0, beta_decay=1.0, lr=0.0, rounds=1)
+    state = initial_state(cfg)
+    state.model_block += np.arange(5.0)[:, None]
+    root = state.tree.root.copy()
+    run_round(state, cfg)
+    # K=1: the blend is exactly the root model, for every client
+    for row in state.model_block:
+        assert np.array_equal(row, root)
 
 
 def test_local_init_scalar_blend_arithmetic():
-    state = initial_state(tiny_cfg(k_levels=1))
-    client = state.clients[0]
-    client.w0 = np.zeros_like(client.w0)
-    state.tree.root.model = np.full_like(client.w0, 4.0)
-    out = local_init(client, state.tree, 0.5)
-    assert np.allclose(out, 2.0, atol=1e-15)
+    cfg = tiny_cfg(k_levels=1, beta0=0.5, beta_decay=1.0, beta_min=0.0, lr=0.0, rounds=1)
+    state = initial_state(cfg)
+    state.model_block[:] = 0.0
+    state.tree.root[:] = 4.0
+    run_round(state, cfg)
+    assert np.allclose(state.model_block, 2.0, atol=1e-15)
 
 
 # ------------------------------------------------------------ baselines
@@ -129,24 +139,23 @@ def test_fedavg_single_client_global_is_client_model():
     cfg = tiny_cfg(algorithm="fedavg", n_clients=1, rounds=1)
     state = initial_state(cfg)
     run_round(state, cfg)
-    assert np.array_equal(state.tree.root.model, state.clients[0].w0)
+    assert np.array_equal(state.tree.root, state.model_block[0])
 
 
 def test_fedavg_identical_clients_symmetry(monkeypatch):
     cfg = tiny_cfg(algorithm="fedavg", rounds=1)
     state = initial_state(cfg)
     # give every client the same shard so local solves coincide up to rng
-    shard = state.clients[0].shard
-    for c in state.clients:
-        c.shard = dataclasses.replace(shard, client_id=c.id)
+    shard = state.shards[0]
+    state.shards = [dataclasses.replace(shard, client_id=i) for i in range(len(state.shards))]
     # same rng per client requires same (seed, id, t); force the stream of id 0
     client_rng = training._client_rng
     monkeypatch.setattr(training, "_client_rng", lambda cfg, cid, t: client_rng(cfg, 0, t))
     run_round(state, cfg)
-    first = state.clients[0].w0
-    for c in state.clients[1:]:
-        assert np.array_equal(c.w0, first)
-    assert np.allclose(state.tree.root.model, first, atol=1e-12)
+    first = state.model_block[0]
+    for row in state.model_block[1:]:
+        assert np.array_equal(row, first)
+    assert np.allclose(state.tree.root, first, atol=1e-12)
 
 
 def test_weighted_mean_example():
@@ -161,9 +170,8 @@ def test_fedprox_mu_zero_matches_fedavg():
     cfg_p = tiny_cfg(algorithm="fedprox", mu=0.0, rounds=3)
     ra = run(cfg_a)
     rp = run(cfg_p)
-    assert ra.state.tree.root.model.tobytes() == rp.state.tree.root.model.tobytes()
-    for ca, cp in zip(ra.state.clients, rp.state.clients):
-        assert ca.w0.tobytes() == cp.w0.tobytes()
+    assert ra.state.tree.root.tobytes() == rp.state.tree.root.tobytes()
+    assert ra.state.model_block.tobytes() == rp.state.model_block.tobytes()
 
 
 def test_fedprox_pins_clients_toward_global():
@@ -171,11 +179,11 @@ def test_fedprox_pins_clients_toward_global():
     cfg_free = tiny_cfg(algorithm="fedavg", rounds=1, lr=0.01)
     s_prox = initial_state(cfg)
     s_free = initial_state(cfg_free)
-    g = s_prox.tree.root.model.copy()
+    g = s_prox.tree.root.copy()
     run_round(s_prox, cfg)
     run_round(s_free, cfg_free)
-    for cp, cf in zip(s_prox.clients, s_free.clients):
-        assert np.linalg.norm(cp.w0 - g) < np.linalg.norm(cf.w0 - g)
+    for wp, wf in zip(s_prox.model_block, s_free.model_block):
+        assert np.linalg.norm(wp - g) < np.linalg.norm(wf - g)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +199,8 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
     start = initial_state(cfg)
     w_global, models = plain_fedavg(
         start.spec,
-        [c.w0 for c in start.clients],
-        [c.shard for c in start.clients],
+        list(start.model_block),
+        start.shards,
         cfg.rounds,
         cfg.mu,
         cfg.epochs,
@@ -201,9 +209,9 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         lambda cid, t: training._client_rng(cfg, cid, t),
     )
     result = run(cfg)
-    assert result.state.tree.root.model.tobytes() == w_global.tobytes()
-    for client, model in zip(result.state.clients, models):
-        assert client.w0.tobytes() == model.tobytes()
+    assert result.state.tree.root.tobytes() == w_global.tobytes()
+    for row, model in zip(result.state.model_block, models):
+        assert row.tobytes() == model.tobytes()
 
 
 def test_flat_run_keeps_one_group_and_records_no_structures():
@@ -211,7 +219,7 @@ def test_flat_run_keeps_one_group_and_records_no_structures():
     result = run(cfg)
     tree = result.state.tree
     assert tree.K == 1
-    assert [n.clients for n in tree.levels[1]] == [[0, 1, 2, 3, 4]]
+    assert [m.tolist() for m in tree.members[0]] == [[0, 1, 2, 3, 4]]
     assert result.dendrograms == [] and result.tree_snapshots == []
     assert all(m.g_spe == () and m.g_gen == () for m in result.metrics)
 
@@ -221,9 +229,10 @@ def test_flat_run_keeps_one_group_and_records_no_structures():
 
 @pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])
 def test_divergent_round_fails_naming_client_round_lr_mu(algorithm):
-    # lr * mu = 100: the proximal step overshoots a hundredfold every step
-    cfg = tiny_cfg(algorithm=algorithm, mu=1000.0, lr=0.1, epochs=40)
-    with pytest.raises(FloatingPointError, match=r"client 0 diverged in round \d.*lr=0.1, mu=1000.0"):
+    # a stable proximal step (lr * mu = 1e-10), but a step so long that the
+    # models' squared norms overflow in the first round
+    cfg = tiny_cfg(algorithm=algorithm, mu=1e-170, lr=1e160)
+    with pytest.raises(FloatingPointError, match=r"client 0 diverged in round 0.*lr=1e\+160, mu=1e-170"):
         run(cfg)
 
 
@@ -236,22 +245,12 @@ def test_divergence_check_names_the_first_bad_client():
         run_round(state, cfg)
 
 
-def test_client_models_are_row_views_of_the_model_block():
-    cfg = tiny_cfg(rounds=1)
-    state = initial_state(cfg)
-    run_round(state, cfg)
-    for i, c in enumerate(state.clients):
-        assert np.shares_memory(c.w0, state.model_block[i])
-        assert np.shares_memory(c.last_delta, state.delta_block[i])
-
-
 def test_run_round_fixed_point_when_nothing_moves():
     cfg = tiny_cfg(lr=0.0, beta0=0.0, rounds=1)
     state = initial_state(cfg)
-    before = [c.w0.copy() for c in state.clients]
+    before = state.model_block.copy()
     run_round(state, cfg)
-    for b, c in zip(before, state.clients):
-        assert np.array_equal(b, c.w0)
+    assert np.array_equal(before, state.model_block)
 
 
 def test_run_is_deterministic():
@@ -260,16 +259,15 @@ def test_run_is_deterministic():
     r2 = run(cfg)
     for m1, m2 in zip(r1.metrics, r2.metrics):
         assert m1 == m2
-    for c1, c2 in zip(r1.state.clients, r2.state.clients):
-        assert c1.w0.tobytes() == c2.w0.tobytes()
+    assert r1.state.model_block.tobytes() == r2.state.model_block.tobytes()
 
 
 def test_run_zero_rounds():
     result = run(tiny_cfg(rounds=0))
     assert result.metrics == []
-    first = result.state.clients[0].w0
-    for c in result.state.clients[1:]:
-        assert np.array_equal(c.w0, first)
+    first = result.state.model_block[0]
+    for row in result.state.model_block[1:]:
+        assert np.array_equal(row, first)
 
 
 def test_run_one_round_equals_manual_round():
@@ -278,8 +276,7 @@ def test_run_one_round_equals_manual_round():
     run_round(manual, cfg)
     result = run(cfg)
     assert result.metrics == [manual.metrics]
-    for ca, cb in zip(result.state.clients, manual.clients):
-        assert ca.w0.tobytes() == cb.w0.tobytes()
+    assert result.state.model_block.tobytes() == manual.model_block.tobytes()
 
 
 def test_structure_constant_between_rebuilds():
@@ -289,7 +286,7 @@ def test_structure_constant_between_rebuilds():
     for _ in range(4):
         run_round(state, cfg)
         memberships.append(
-            tuple(tuple(n.clients) for n in state.tree.levels[1])
+            tuple(tuple(m.tolist()) for m in state.tree.members[0])
         )
     # rounds 0-1 share the structure built in round 0; rounds 2-3 the next one
     assert memberships[0] == memberships[1]
@@ -299,10 +296,10 @@ def test_structure_constant_between_rebuilds():
 def test_fixed_structure_never_changes_membership():
     cfg = tiny_cfg(rounds=5, fixed_structure=True, n_clients=6, k_levels=2)
     state = initial_state(cfg)
-    initial = tuple(tuple(n.clients) for n in state.tree.levels[1])
+    initial = tuple(tuple(m.tolist()) for m in state.tree.members[0])
     for _ in range(5):
         run_round(state, cfg)
-        assert tuple(tuple(n.clients) for n in state.tree.levels[1]) == initial
+        assert tuple(tuple(m.tolist()) for m in state.tree.members[0]) == initial
 
 
 def test_fedavg_reduction_bitwise():
@@ -324,9 +321,8 @@ def test_fedavg_reduction_bitwise():
     for _ in range(5):
         run_round(dem_state, dem_cfg)
         run_round(fed_state, fed_cfg)
-        for cd, cf in zip(dem_state.clients, fed_state.clients):
-            assert cd.w0.tobytes() == cf.w0.tobytes()
-        assert dem_state.tree.root.model.tobytes() == fed_state.tree.root.model.tobytes()
+        assert dem_state.model_block.tobytes() == fed_state.model_block.tobytes()
+        assert dem_state.tree.root.tobytes() == fed_state.tree.root.tobytes()
 
 
 def test_single_client_hierarchical_run():
@@ -335,9 +331,9 @@ def test_single_client_hierarchical_run():
     result = run(cfg)
     assert len(result.metrics) == 2
     tree = result.state.tree
-    for level in (1, 2, 3):
-        assert [n.clients for n in tree.levels[level]] == [[0]]
-    assert np.array_equal(tree.root.model, result.state.clients[0].w0)
+    for members in tree.members:
+        assert [m.tolist() for m in members] == [[0]]
+    assert np.array_equal(tree.root, result.state.model_block[0])
 
 
 def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
@@ -350,13 +346,12 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
         m.setattr(clustering, "agglomerate", no_clustering)
         skipped = run(cfg)
     assert skipped.dendrograms == []
-    assert [n.clients for n in skipped.state.tree.levels[1]] == [[0, 1, 2, 3, 4]]
+    assert [m.tolist() for m in skipped.state.tree.members[0]] == [[0, 1, 2, 3, 4]]
 
-    def clustered(clients, cfg, metric=None):
+    def clustered(models, deltas, cfg, metric=None):
         dend = clustering.agglomerate(
-            clustering.build_distance_matrix(clients, metric or cfg.metric)
+            clustering.build_distance_matrix(models, metric or cfg.metric)
         )
-        models = {c.id: c.w0 for c in clients}
         return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
     monkeypatch.setattr(training, "_rebuild_structure", clustered)
@@ -364,9 +359,8 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert [t for t, _ in forced.dendrograms] == [0, 1, 2]
     assert skipped.tree_snapshots == forced.tree_snapshots
     assert skipped.metrics == forced.metrics
-    assert skipped.state.tree.root.model.tobytes() == forced.state.tree.root.model.tobytes()
-    for a, b in zip(skipped.state.clients, forced.state.clients):
-        assert a.w0.tobytes() == b.w0.tobytes()
+    assert skipped.state.tree.root.tobytes() == forced.state.tree.root.tobytes()
+    assert skipped.state.model_block.tobytes() == forced.state.model_block.tobytes()
 
 
 def test_gradient_metric_clustering_runs():
@@ -390,10 +384,10 @@ def test_training_loss_non_increasing_after_warmup():
     from demlearn.models import loss
 
     state = initial_state(cfg)
-    union_train = concat_datasets([c.shard.train for c in state.clients])
+    union_train = concat_datasets([s.train for s in state.shards])
     losses = []
     for _ in range(cfg.rounds):
         run_round(state, cfg)
-        losses.append(loss(state.spec, state.tree.root.model, union_train))
+        losses.append(loss(state.spec, state.tree.root, union_train))
     for a, b in zip(losses[3:], losses[4:]):
         assert b <= a + 1e-9
