@@ -6,6 +6,15 @@ accuracy on the collective test data of all clients.  The root model's score
 on the collective set is reported separately as the global metric.  Every
 algorithm has a tree; FedAvg and FedProx have one level, so their group
 series are empty and the root is their global model.
+
+Every accuracy takes its labels from `models.predict`, which equals the
+argmax of the softmax bit for bit (ties to the lowest class index) but
+finishes the softmax only on rows where a second class lies within
+`models._TIE_MARGIN` of the max logit.  It cannot be a plain argmax of the
+logits: the softmax rounds logits [0.15755812732057958, -0.5968275940478756,
+0.1575581273205796] to a tie that class 0 wins, where the logits pick
+class 2.  Each metric checks a data set once, however many models it
+scores; `evaluate` alone keeps the full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from .data import ClientShard, Dataset, concat_datasets
 from .hierarchy import HierarchyTree
-from .models import ModelSpec, cross_entropy, forward
+from .models import ModelSpec, cross_entropy, forward, predict, predict_block
 
 
 @dataclass
@@ -43,20 +52,26 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
 
 
 def accuracy(spec: ModelSpec, w: np.ndarray, test: Dataset) -> float:
-    """`evaluate`'s accuracy without its cross-entropy.  The argmax stays on
-    the softmax, not the logits: rounding can tie two probabilities whose
-    logits differ, and the tie goes to the lowest class index."""
-    return float(np.mean(np.argmax(forward(spec, w, test), axis=1) == test.labels))
+    """Share of `test` that `predict` labels right: `evaluate`'s accuracy
+    without the softmax on the rows where one class clearly leads."""
+    return float(np.mean(predict(spec, w, test) == test.labels))
+
+
+def _accuracies(spec: ModelSpec, block: np.ndarray, tests: Sequence[Dataset]) -> list[float]:
+    """`accuracy` of row i of `block` on `tests[i]`; each distinct test set is
+    checked once, not once per row."""
+    preds = predict_block(spec, block, tests)
+    return [float(np.mean(p == test.labels)) for p, test in zip(preds, tests)]
 
 
 def c_spe(spec: ModelSpec, block: np.ndarray, shards: Sequence[ClientShard]) -> float:
     """Mean over clients of their model (row of `block`) on their own test shard."""
-    return float(np.mean([accuracy(spec, w, s.test) for w, s in zip(block, shards, strict=True)]))
+    return float(np.mean(_accuracies(spec, block, [s.test for s in shards])))
 
 
 def c_gen(spec: ModelSpec, block: np.ndarray, global_test: Dataset) -> float:
     """Mean over clients of their model (row of `block`) on the collective test set."""
-    return float(np.mean([accuracy(spec, w, global_test) for w in block]))
+    return float(np.mean(_accuracies(spec, block, [global_test] * len(block))))
 
 
 def g_metrics(
@@ -71,13 +86,9 @@ def g_metrics(
     """
     spe, gen = [], []
     for level, members in zip(tree.levels[:-1], tree.members):
-        spe_accs, gen_accs = [], []
-        for model, clients in zip(level.models, members):
-            member_test = concat_datasets([shards[c].test for c in clients])
-            spe_accs.append(accuracy(spec, model, member_test))
-            gen_accs.append(accuracy(spec, model, global_test))
-        spe.append(float(np.mean(spe_accs)))
-        gen.append(float(np.mean(gen_accs)))
+        member_tests = [concat_datasets([shards[c].test for c in clients]) for clients in members]
+        spe.append(float(np.mean(_accuracies(spec, level.models, member_tests))))
+        gen.append(float(np.mean(_accuracies(spec, level.models, [global_test] * len(members)))))
     return tuple(spe), tuple(gen)
 
 

@@ -19,9 +19,17 @@ Gradients are analytic (softmax cross-entropy backprop by hand);
 an optional sum of proximal penalties pulling each client toward its anchor
 models, given one `AnchorLevel` per tree level.
 
-Inputs are validated once, where they enter: `forward`, `loss`,
-`prox_objective` and `local_solve` check the parameter length, the feature
-width, the labels, non-empty sets, the anchor shapes and mu >= 0.
+`predict` gives one model's labels, bit for bit the argmax of `forward`'s
+softmax rows, but finishes the softmax only on rows where a second class
+lies within `_TIE_MARGIN` of the max logit; `predict_block` runs it for
+each row of a block, one model at a time.  `forward`, the solver and
+`predict` share one logits kernel.
+
+Inputs are validated once, where they enter: `forward`, `loss`, `predict`,
+`predict_block`, `prox_objective` and `local_solve` check the parameter
+length, the feature width, the labels, non-empty sets, the anchor shapes and
+mu >= 0.  One call checks the labels of all its data sets in one reduction,
+and each distinct set once.
 `local_solve` also requires every client's training set to have the same
 length, because a lockstep batch has one shape, and it updates its model
 block in place.  `grad` and `prox_grad` are the SGD step kernels; they trust
@@ -42,6 +50,11 @@ MLP = "mlp-1hidden"
 
 INIT_VARIANCE = 0.01  # parameters start from N(0, 0.01), i.e. std 0.1
 _LOG_FLOOR = 1e-12
+# Within this of its row's max, a logit may round to the max's probability.
+# A row with one class this near is that class in the softmax argmax too:
+# every other class has d = z - max < -2**-40, so exp(d) <= 1 - 2**-41 and,
+# divided by the same row sum s, rounds strictly below fl(1 / s).
+_TIE_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -130,22 +143,28 @@ def _check_block(spec: ModelSpec, w: np.ndarray) -> None:
         )
 
 
-def _check_data(spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"feature matrix has shape {x.shape}, expected (B, {spec.input_dim})"
-        )
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"label vector has shape {y.shape}, expected ({x.shape[0]},)"
-        )
-    if x.shape[0] < 1:
-        raise ValueError("data set must contain at least one sample")
-    if y.min() < 0 or y.max() >= spec.num_classes:
+def _check_data(spec: ModelSpec, sets: Sequence[Dataset]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Check each data set's shapes, then every label with one reduction over
+    all the sets; returns each set's (features, labels) arrays."""
+    checked = []
+    for data in sets:
+        x = np.asarray(data.features, dtype=np.float64)
+        y = np.asarray(data.labels)
+        if x.ndim != 2 or x.shape[1] != spec.input_dim:
+            raise ValueError(
+                f"feature matrix has shape {x.shape}, expected (B, {spec.input_dim})"
+            )
+        if y.ndim != 1 or y.shape[0] != x.shape[0]:
+            raise ValueError(
+                f"label vector has shape {y.shape}, expected ({x.shape[0]},)"
+            )
+        if x.shape[0] < 1:
+            raise ValueError("data set must contain at least one sample")
+        checked.append((x, y))
+    labels = np.concatenate([y for _, y in checked])
+    if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
-    return x, y
+    return checked
 
 
 def _check_anchors(
@@ -207,27 +226,64 @@ class _Workspace:
 def _softmax(z: np.ndarray) -> None:
     """Softmax over the last axis, in place."""
     z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    _exp_normalize(z)
 
 
-def _forward_cached(
-    spec: ModelSpec, w: np.ndarray, x: np.ndarray, probs: np.ndarray, hidden: np.ndarray
+def _exp_normalize(d: np.ndarray) -> None:
+    """The rest of `_softmax`, on rows from which their max is subtracted."""
+    np.exp(d, out=d)
+    d /= d.sum(axis=-1, keepdims=True)
+
+
+def _logits(
+    spec: ModelSpec, w: np.ndarray, x: np.ndarray, out: np.ndarray, hidden: np.ndarray
 ) -> None:
-    """Fill `probs` (C, B, classes) and, for the MLP, the hidden activations
-    `hidden` (C, B, hidden_dim) that backprop needs."""
+    """Fill `out` (C, B, classes) with the logits and, for the MLP, the hidden
+    activations `hidden` (C, B, hidden_dim) that backprop needs."""
     if spec.kind == LOGISTIC:
         wt, b = _views(spec, w)
-        np.matmul(x, wt, out=probs)
-        probs += b[:, None, :]
+        np.matmul(x, wt, out=out)
+        out += b[:, None, :]
     else:
         w1, b1, w2, b2 = _views(spec, w)
         np.matmul(x, w1, out=hidden)
         hidden += b1[:, None, :]
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w2, out=probs)
-        probs += b2[:, None, :]
-    _softmax(probs)
+        np.matmul(hidden, w2, out=out)
+        out += b2[:, None, :]
+
+
+class _PredictWork:
+    """Scratch arrays for `_predict` on up to n samples, reused model after
+    model; a smaller set works in leading views of the same arrays."""
+
+    def __init__(self, spec: ModelSpec, n: int) -> None:
+        k = spec.num_classes
+        self.logits = np.empty((1, n, k))
+        self.hidden = np.empty((1, n, spec.hidden_dim))
+        self.by_class = np.empty((k, n))
+        # rows of ones and of class indices: `tally @ near` counts each
+        # sample's near classes and sums their indices in one product
+        self.tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
+
+
+def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) -> np.ndarray:
+    """`predict` on checked inputs: one model (M,), features (n, input_dim)."""
+    n = x.shape[0]
+    z = work.logits[:, :n]
+    _logits(spec, w[None], x[None], z, work.hidden[:, :n])
+    d = work.by_class[:, :n]  # (classes, n): each reduction over classes runs along n
+    np.copyto(d, z[0].T)
+    d -= d.max(axis=0)  # the subtraction `_softmax` makes, element for element
+    near = d >= -_TIE_MARGIN  # never true of NaN
+    count, index_sum = work.tally @ near
+    labels = index_sum.astype(np.intp)  # the near class, where it is the only one
+    rest = np.flatnonzero(count != 1.0)
+    if rest.size:
+        probs = d[:, rest].T.copy()
+        _exp_normalize(probs)
+        labels[rest] = np.argmax(probs, axis=1)
+    return labels
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -239,16 +295,42 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Class probabilities of one model, one softmax row per sample."""
     w = _check_params(spec, w)
-    x, _ = _check_data(spec, data)
+    [(x, _)] = _check_data(spec, [data])
     n = x.shape[0]
     probs = np.empty((1, n, spec.num_classes))
-    _forward_cached(spec, w[None], x[None], probs, np.empty((1, n, spec.hidden_dim)))
+    _logits(spec, w[None], x[None], probs, np.empty((1, n, spec.hidden_dim)))
+    _softmax(probs)
     return probs[0]
 
 
 def loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
     """Mean cross-entropy over the data set."""
     return cross_entropy(forward(spec, w, data), data.labels)
+
+
+def predict(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
+    """Class labels of one model, bit for bit `np.argmax(forward(...), axis=1)`.
+
+    A row where only the max logit's class lies within `_TIE_MARGIN` of the
+    max takes that class; the softmax is finished only on the other rows.
+    """
+    return predict_block(spec, [w], [data])[0]
+
+
+def predict_block(spec: ModelSpec, block: np.ndarray, sets: Sequence[Dataset]) -> list[np.ndarray]:
+    """`predict` of row i of the (C, M) models on `sets[i]`, for every row.
+
+    Each distinct set object is checked once, however many rows share it.
+    """
+    if len(sets) != len(block):
+        raise ValueError(f"{len(block)} models need {len(block)} data sets, got {len(sets)}")
+    distinct = list({id(data): data for data in sets}.values())
+    features = {id(data): x for data, (x, _) in zip(distinct, _check_data(spec, distinct))}
+    work = _PredictWork(spec, max(x.shape[0] for x in features.values()))
+    return [
+        _predict(spec, _check_params(spec, w), features[id(data)], work)
+        for w, data in zip(block, sets)
+    ]
 
 
 def grad(
@@ -270,7 +352,8 @@ def grad(
         work = _Workspace(spec, c, b)
     dlogits = work.probs[:, :b]
     hidden = work.hidden[:, :b]
-    _forward_cached(spec, w, x, dlogits, hidden)
+    _logits(spec, w, x, dlogits, hidden)
+    _softmax(dlogits)
     dlogits[work.client, work.sample[:b], y] -= 1.0
     dlogits /= b
 
@@ -378,7 +461,7 @@ def local_solve(
         raise ValueError(
             f"{c} models need {c} training sets and rngs, got {len(trains)} and {len(rngs)}"
         )
-    data = [_check_data(spec, train) for train in trains]  # rejects empty sets
+    data = _check_data(spec, trains)  # rejects empty sets
     # labels as intp, the dtype of the label buffer `np.take` fills
     data = [(x, y.astype(np.intp, copy=False)) for x, y in data]
     n = len(data[0][1])

@@ -8,14 +8,55 @@ match row for row, bit for bit; the flat FedAvg loop runs on it.
 server side that the vectorised distances and matrix UPGMA must equal.
 `node_tree` and its queries are the group tree as a graph of nodes, one
 client at a time, that the library's per-level arrays must equal.
+`softmax_predict` is the argmax of the full softmax, which `predict` must
+equal without computing it on most rows; `softmax_round_metrics` builds a
+round's metrics on it, one model and one data set at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from demlearn.data import Dataset
 from demlearn.hierarchy import group_average
-from demlearn.models import LOGISTIC
+from demlearn.metrics import RoundMetrics
+from demlearn.models import LOGISTIC, forward
+
+
+def softmax_predict(spec, w, data) -> np.ndarray:
+    """Each sample's class: the argmax of its softmax row, lowest index on ties."""
+    return np.argmax(forward(spec, w, data), axis=1)
+
+
+def softmax_round_metrics(spec, t, block, shards, global_test, tree) -> RoundMetrics:
+    """A round's metrics with every accuracy taken from `softmax_predict`."""
+
+    def acc(w, ds):
+        return float(np.mean(softmax_predict(spec, w, ds) == ds.labels))
+
+    g_spe, g_gen = [], []
+    for level, members in zip(tree.levels[:-1], tree.members):
+        tests = [
+            Dataset(
+                np.concatenate([shards[c].test.features for c in clients]),
+                np.concatenate([shards[c].test.labels for c in clients]),
+                spec.num_classes,
+            )
+            for clients in members
+        ]
+        g_spe.append(float(np.mean([acc(w, ds) for w, ds in zip(level.models, tests)])))
+        g_gen.append(float(np.mean([acc(w, global_test) for w in level.models])))
+    probs = forward(spec, tree.root, global_test)
+    picked = probs[np.arange(len(global_test)), global_test.labels]
+    return RoundMetrics(
+        t=t,
+        c_spe=float(np.mean([acc(w, s.test) for w, s in zip(block, shards)])),
+        c_gen=float(np.mean([acc(w, global_test) for w in block])),
+        g_spe=tuple(g_spe),
+        g_gen=tuple(g_gen),
+        global_acc=acc(tree.root, global_test),
+        global_loss=float(-np.mean(np.log(np.maximum(picked, 1e-12)))),
+    )
 
 
 def central_diff(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:

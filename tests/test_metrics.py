@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demlearn import models
 from demlearn.clustering import LevelAssignment
 from demlearn.data import Dataset
 from demlearn.hierarchy import build_tree
@@ -16,7 +19,10 @@ from demlearn.metrics import (
     g_metrics,
     round_metrics,
 )
-from demlearn.models import LOGISTIC, ModelSpec
+from demlearn.models import LOGISTIC, MLP, ModelSpec
+
+from oracles import softmax_round_metrics
+from test_hierarchy import laminar_assignments
 
 SPEC = ModelSpec(LOGISTIC, 2, 3)
 
@@ -171,3 +177,65 @@ def test_round_metrics_baseline_path():
     assert m.global_acc == pytest.approx(accuracy(SPEC, np.zeros(SPEC.param_count), union))
     with pytest.raises(TypeError):
         round_metrics(SPEC, 0, block, shards, union)
+
+
+def random_round(spec, assign, rng):
+    """A model block, shards and a global test set for the assignment's
+    clients.  Every test set has a power-of-two size, so each accuracy is a
+    dyadic fraction and a mean over clients is exact in any order."""
+    n = len(assign.client_ids)
+    block = rng.normal(0.0, 0.7, (n, spec.param_count))
+
+    def test_set(size):
+        labels = rng.integers(0, spec.num_classes, size)
+        return Dataset(rng.normal(0.0, 1.0, (size, spec.input_dim)), labels, spec.num_classes)
+
+    shards = [FakeShard(test_set(int(rng.choice([4, 8, 16])))) for _ in range(n)]
+    return block, shards, test_set(int(rng.choice([16, 32])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(laminar_assignments(), st.sampled_from([LOGISTIC, MLP]), st.data())
+def test_round_metrics_equal_the_softmax_oracle_in_any_client_order(case, kind, drawn):
+    assign, _ = case
+    spec = ModelSpec(kind, 3, 4, 5 if kind == MLP else 0)
+    rng = np.random.default_rng(drawn.draw(st.integers(0, 2**32 - 1)))
+    block, shards, union = random_round(spec, assign, rng)
+    tree = build_tree(assign, block)
+    m = round_metrics(spec, 7, block, shards, union, tree)
+    assert m == softmax_round_metrics(spec, 7, block, shards, union, tree)
+    # new client j is old client order[j]; the tree is relabelled to match
+    order = np.array(drawn.draw(st.permutations(range(len(block)))))
+    new_id = np.argsort(order)
+    moved = LevelAssignment(
+        assign.K,
+        {lv: [[int(new_id[c]) for c in g] for g in gs] for lv, gs in assign.groups.items()},
+    )
+    moved_shards = [shards[i] for i in order]
+    moved_tree = build_tree(moved, block[order])
+    m2 = round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
+    assert m2 == softmax_round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
+    assert (m2.c_spe, m2.c_gen) == (m.c_spe, m.c_gen)
+
+
+def test_round_metrics_checks_data_a_fixed_number_of_times_whatever_the_clients(monkeypatch):
+    calls = []
+    check = models._check_data
+
+    def counted(spec, sets):
+        calls.append(len(sets))
+        return check(spec, sets)
+
+    monkeypatch.setattr(models, "_check_data", counted)
+    counts = []
+    rng = np.random.default_rng(8)
+    for n in (2, 6, 24):
+        halves = [list(range(n // 2)), list(range(n // 2, n))]
+        singles = [[c] for c in range(n)]
+        assign = LevelAssignment(3, {3: [list(range(n))], 2: halves, 1: singles})
+        block, shards, union = random_round(SPEC, assign, rng)
+        calls.clear()
+        round_metrics(SPEC, 0, block, shards, union, build_tree(assign, block))
+        counts.append(len(calls))
+    # c_spe, c_gen, the root's evaluate and two per group level
+    assert counts == [1 + 1 + 1 + 2 * 2] * 3

@@ -1,6 +1,7 @@
-"""Model core: forward/loss/grad, proximal objective, and the lockstep solver."""
+"""Model core: forward/loss/grad, predict, proximal objective, and the lockstep solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from demlearn.models import (
     init_params,
     local_solve,
     loss,
+    predict,
+    predict_block,
     prox_grad,
     prox_objective,
 )
 
-from oracles import central_diff, client_anchors, scalar_local_solve
+from oracles import central_diff, client_anchors, scalar_local_solve, softmax_predict
 
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
@@ -494,3 +497,132 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
         return block
 
     assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()
+
+
+# ------------------------------------------------ predict: the softmax argmax
+
+
+def assert_same_labels(spec, w, ds):
+    got, expected = predict(spec, w, ds), softmax_predict(spec, w, ds)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def near_tie_bias(rng, k):
+    """Bias-only logistic logits: 2..k classes at random positions lie 0 to 4
+    ulps above a random base; the rest lie well below or among them."""
+    base = rng.normal(0.0, 1.0)
+    bias = base - rng.uniform(0.0, 2.0, k)
+    for c in rng.choice(k, size=rng.integers(2, k + 1), replace=False):
+        bias[c] = base
+        for _ in range(rng.integers(0, 5)):
+            bias[c] = np.nextafter(bias[c], np.inf)
+    return bias
+
+
+@st.composite
+def prediction_cases(draw):
+    """(spec, model, data): random models of both kinds, bias-only logistic
+    models with near-tied logits, and zero models, whose classes all tie."""
+    case = draw(st.sampled_from(["random", "near-tie", "zero"]))
+    kind = LOGISTIC if case == "near-tie" else draw(st.sampled_from([LOGISTIC, MLP]))
+    spec = ModelSpec(
+        kind,
+        draw(st.integers(1, 5)),
+        draw(st.integers(2, 12)),
+        draw(st.integers(1, 6)) if kind == MLP else 0,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = random_data(spec, draw(st.integers(1, 40)), rng, scale=draw(st.sampled_from([0.1, 1.0, 10.0])))
+    w = np.zeros(spec.param_count)
+    if case == "random":
+        w = rng.normal(0.0, draw(st.sampled_from([1e-3, 0.3, 3.0, 30.0])), spec.param_count)
+    elif case == "near-tie":
+        w[spec.input_dim * spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
+    return spec, w, ds
+
+
+@settings(max_examples=300, deadline=None)
+@given(prediction_cases())
+def test_predict_is_the_softmax_argmax_bit_for_bit(case):
+    assert_same_labels(*case)
+
+
+def test_predict_keeps_the_softmax_tie_that_a_logit_argmax_breaks():
+    # the softmax rounds classes 0 and 2 to one probability, so class 0 wins
+    # although class 2 has the larger logit
+    spec = ModelSpec(LOGISTIC, 1, 3)
+    w = np.zeros(spec.param_count)
+    w[3:] = [0.15755812732057958, -0.5968275940478756, 0.1575581273205796]
+    ds = data(spec, [[0.0], [2.0]], [0, 0])
+    assert np.argmax(w[3:]) == 2
+    assert softmax_predict(spec, w, ds).tolist() == [0, 0]
+    assert_same_labels(spec, w, ds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prediction_cases())
+def test_predict_fallback_alone_is_the_softmax_argmax(case):
+    # with an infinite margin every class is near, so every row is finished
+    # by the softmax fallback
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_TIE_MARGIN", np.inf)
+        assert_same_labels(*case)
+
+
+def labels_and_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = fn(*args)
+    return labels, {(w.category, str(w.message)) for w in caught}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([LOGISTIC, MLP]), st.integers(0, 2**32 - 1))
+def test_predict_on_non_finite_logits_is_the_oracle_and_warns_no_more(kind, seed):
+    # parameters mixing normal, huge, infinite and NaN entries drive logits
+    # to +-inf and NaN (inf - inf), in the matmuls and in the max subtraction
+    spec = ModelSpec(kind, 3, 5, 4 if kind == MLP else 0)
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.5, -2.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    w = rng.choice(pool, spec.param_count, p=[0.3, 0.3, 0.1, 0.1, 0.08, 0.08, 0.04])
+    ds = random_data(spec, 30, rng, scale=10.0)
+    expected, oracle_warnings = labels_and_warnings(softmax_predict, spec, w, ds)
+    got, new_warnings = labels_and_warnings(predict, spec, w, ds)
+    assert got.tobytes() == expected.tobytes()
+    assert new_warnings <= oracle_warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert predict(spec, w, ds).tobytes() == expected.tobytes()
+
+
+def test_predict_block_rows_equal_predict_and_check_each_set_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    block = rng.normal(0.0, 1.0, (5, MLP_SPEC.param_count))
+    shared = random_data(MLP_SPEC, 9, rng)
+    sets = [shared, random_data(MLP_SPEC, 3, rng), shared, random_data(MLP_SPEC, 14, rng), shared]
+    expected = [predict(MLP_SPEC, w, ds) for w, ds in zip(block, sets)]
+    checked = []
+    check = models._check_data
+
+    def counted(spec, sets):
+        checked.append(len(sets))
+        return check(spec, sets)
+
+    monkeypatch.setattr(models, "_check_data", counted)
+    got = predict_block(MLP_SPEC, block, sets)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    assert checked == [3]  # one call, each distinct set once
+
+
+def test_predict_rejects_bad_inputs():
+    w = np.zeros(LOG10.param_count)
+    good = data(LOG10, np.zeros((2, 4)), [0, 9])
+    with pytest.raises(ValueError, match="parameter vector"):
+        predict(LOG10, np.zeros(3), good)
+    with pytest.raises(ValueError, match="feature matrix"):
+        predict(LOG10, w, data(LOG10, np.zeros((2, 5)), [0, 0]))
+    with pytest.raises(ValueError, match="2 models need 2 data sets, got 1"):
+        predict_block(LOG10, np.stack([w, w]), [good])
+    # one reduction checks the labels of every set at once
+    with pytest.raises(ValueError, match="labels must lie"):
+        predict_block(LOG10, np.stack([w, w]), [good, data(LOG10, np.zeros((1, 4)), [10])])
