@@ -17,19 +17,21 @@ client.  `forward` and `loss` evaluate one model as a stack of one.
 Gradients are analytic (softmax cross-entropy backprop by hand);
 `local_solve` runs plain mini-batch SGD for all C clients in lockstep, with
 an optional sum of proximal penalties pulling each client toward its anchor
-models, given one `AnchorLevel` per tree level.
+models, given one `AnchorLevel` per tree level.  It stacks the C training
+sets into one, draws each client's orders for all epochs in one call of
+its rng, and cuts every step's C batches with one gather per array.
 
 `predict` gives one model's labels, bit for bit the argmax of `forward`'s
 softmax rows, but finishes the softmax only on rows where a second class
 lies within `_TIE_MARGIN` of the max logit; `predict_block` runs it for
-each row of a block, one model at a time.  `forward`, the solver and
-`predict` share one logits kernel.
+each row of a block, stacking the rows whose sets have equal length.
+`forward`, the solver and `predict` share one logits kernel.
 
 Inputs are validated once, where they enter: `forward`, `loss`, `predict`,
 `predict_block`, `prox_objective` and `local_solve` check the parameter
-length, the feature width, the labels, non-empty sets, the anchor shapes and
-mu >= 0.  One call checks the labels of all its data sets in one reduction,
-and each distinct set once.
+length, the feature width, the labels (an integer dtype, each in range),
+non-empty sets, the anchor shapes and mu >= 0.  One call checks the labels
+of all its data sets in one reduction, and each distinct set once.
 `local_solve` also requires every client's training set to have the same
 length, because a lockstep batch has one shape, and it updates its model
 block in place.  `grad` and `prox_grad` are the SGD step kernels; they trust
@@ -148,8 +150,11 @@ def _check_data(spec: ModelSpec, sets: Sequence[Dataset]) -> list[tuple[np.ndarr
     all the sets; returns each set's (features, labels) arrays."""
     checked = []
     for data in sets:
-        x = np.asarray(data.features, dtype=np.float64)
+        # contiguous, so a stack of sets runs the same gemm as each set alone
+        x = np.ascontiguousarray(data.features, dtype=np.float64)
         y = np.asarray(data.labels)
+        if y.dtype.kind not in "iu":  # signed or unsigned integers
+            raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
         if x.ndim != 2 or x.shape[1] != spec.input_dim:
             raise ValueError(
                 f"feature matrix has shape {x.shape}, expected (B, {spec.input_dim})"
@@ -254,13 +259,13 @@ def _logits(
 
 
 class _PredictWork:
-    """Scratch arrays for `_predict` on up to n samples, reused model after
-    model; a smaller set works in leading views of the same arrays."""
+    """Scratch arrays for `_predict` on a stack of up to n samples in all,
+    reused stack after stack; a smaller stack works in leading views."""
 
     def __init__(self, spec: ModelSpec, n: int) -> None:
         k = spec.num_classes
-        self.logits = np.empty((1, n, k))
-        self.hidden = np.empty((1, n, spec.hidden_dim))
+        self.logits = np.empty(n * k)
+        self.hidden = np.empty(n * spec.hidden_dim)
         self.by_class = np.empty((k, n))
         # rows of ones and of class indices: `tally @ near` counts each
         # sample's near classes and sums their indices in one product
@@ -268,12 +273,14 @@ class _PredictWork:
 
 
 def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) -> np.ndarray:
-    """`predict` on checked inputs: one model (M,), features (n, input_dim)."""
-    n = x.shape[0]
-    z = work.logits[:, :n]
-    _logits(spec, w[None], x[None], z, work.hidden[:, :n])
+    """`predict` on checked inputs for a stack: Q models (Q, M) on Q sets of
+    m samples each (Q, m, input_dim); returns (Q, m) labels."""
+    q, m = x.shape[:2]
+    n = q * m
+    z = work.logits[: n * spec.num_classes].reshape(q, m, spec.num_classes)
+    _logits(spec, w, x, z, work.hidden[: n * spec.hidden_dim].reshape(q, m, spec.hidden_dim))
     d = work.by_class[:, :n]  # (classes, n): each reduction over classes runs along n
-    np.copyto(d, z[0].T)
+    np.copyto(d, z.reshape(n, -1).T)
     d -= d.max(axis=0)  # the subtraction `_softmax` makes, element for element
     near = d >= -_TIE_MARGIN  # never true of NaN
     count, index_sum = work.tally @ near
@@ -283,7 +290,7 @@ def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) 
         probs = d[:, rest].T.copy()
         _exp_normalize(probs)
         labels[rest] = np.argmax(probs, axis=1)
-    return labels
+    return labels.reshape(q, m)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -321,16 +328,38 @@ def predict_block(spec: ModelSpec, block: np.ndarray, sets: Sequence[Dataset]) -
     """`predict` of row i of the (C, M) models on `sets[i]`, for every row.
 
     Each distinct set object is checked once, however many rows share it.
+    Rows whose sets have the same length run as one stack, Q rows at a
+    time, with Q such that a stack holds no more samples than the distinct
+    sets hold together: C clients on equal test splits make one stack,
+    while rows that share one set run one at a time.
     """
-    if len(sets) != len(block):
-        raise ValueError(f"{len(block)} models need {len(block)} data sets, got {len(sets)}")
+    w = np.asarray(block, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != spec.param_count:
+        raise ValueError(
+            f"parameter vectors have shape {w.shape[1:]}, expected ({spec.param_count},)"
+        )
+    if len(sets) != len(w):
+        raise ValueError(f"{len(w)} models need {len(w)} data sets, got {len(sets)}")
     distinct = list({id(data): data for data in sets}.values())
     features = {id(data): x for data, (x, _) in zip(distinct, _check_data(spec, distinct))}
-    work = _PredictWork(spec, max(x.shape[0] for x in features.values()))
-    return [
-        _predict(spec, _check_params(spec, w), features[id(data)], work)
-        for w, data in zip(block, sets)
-    ]
+    budget = sum(len(x) for x in features.values())
+    by_length: dict[int, list[int]] = {}
+    for i, data in enumerate(sets):
+        by_length.setdefault(len(features[id(data)]), []).append(i)
+    stack = {m: min(len(rows), budget // m) for m, rows in by_length.items()}
+    work = _PredictWork(spec, max(q * m for m, q in stack.items()))
+    out = [None] * len(w)
+    for m, rows in by_length.items():
+        q = stack[m]
+        for lo in range(0, len(rows), q):
+            chunk = rows[lo : lo + q]
+            if len(chunk) == 1:
+                x = features[id(sets[chunk[0]])][None]
+            else:
+                x = np.stack([features[id(sets[i])] for i in chunk])
+            for i, labels in zip(chunk, _predict(spec, w[chunk], x, work)):
+                out[i] = labels
+    return out
 
 
 def grad(
@@ -443,9 +472,10 @@ def local_solve(
 
     `w` is the C-contiguous (C, M) block of starting models and is updated
     in place; row i trains on `trains[i]`, shuffled by `rngs[i]`.  Each
-    client's index order is reshuffled once per epoch from its own rng, and
-    each step moves every client on its next batch; the trailing partial
-    batch is kept.  Every training set must have the same length.  Row i
+    client's index order is reshuffled once per epoch from its own rng (its
+    e-th successive `permutation(n)`, all epochs drawn in one `permuted`
+    call), and each step moves every client on its next batch; the trailing
+    partial batch is kept.  Every training set must have the same length.  Row i
     ends bitwise equal to the same solve of client i alone, deterministic
     given its rng seed.  lr == 0 walks the schedule without moving.
     """
@@ -462,8 +492,6 @@ def local_solve(
             f"{c} models need {c} training sets and rngs, got {len(trains)} and {len(rngs)}"
         )
     data = _check_data(spec, trains)  # rejects empty sets
-    # labels as intp, the dtype of the label buffer `np.take` fills
-    data = [(x, y.astype(np.intp, copy=False)) for x, y in data]
     n = len(data[0][1])
     for i, (_, labels) in enumerate(data):
         if len(labels) != n:
@@ -472,18 +500,31 @@ def local_solve(
                 "the lockstep solver needs equal-size training sets"
             )
     _check_anchors(spec, levels, mu, c)
-    rngs = [np.random.default_rng(rng) for rng in rngs]
 
-    x = np.empty((c, n, spec.input_dim))
-    y = np.empty((c, n), dtype=np.intp)
-    work = _Workspace(spec, c, min(batch_size, n))
-    for _ in range(epochs):
-        for i, ((features, labels), rng) in enumerate(zip(data, rngs)):
-            order = rng.permutation(n)
-            np.take(features, order, axis=0, out=x[i], mode="clip")
-            np.take(labels, order, out=y[i], mode="clip")
+    # client i's samples are rows i*n .. (i+1)*n - 1 of one stacked set
+    features = np.concatenate([x for x, _ in data])
+    labels = np.concatenate([y for _, y in data]).astype(np.intp, copy=False)
+    # orders[i, e] is client i's order in epoch e, as its rng's e-th
+    # successive permutation(n), shifted to its rows of the stacked set
+    orders = np.empty((c, epochs, n), dtype=np.int32)
+    every_epoch = np.broadcast_to(np.arange(n), (epochs, n))
+    for i, rng in enumerate(rngs):
+        orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
+    orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
+
+    b_max = min(batch_size, n)
+    x_buf = np.empty(c * b_max * spec.input_dim)
+    y_buf = np.empty(c * b_max, dtype=np.intp)
+    work = _Workspace(spec, c, b_max)
+    for e in range(epochs):
         for start in range(0, n, batch_size):
-            end = start + batch_size
-            g = prox_grad(spec, w, x[:, start:end], y[:, start:end], levels, mu, work)
+            rows = orders[:, e, start : start + batch_size]
+            b = rows.shape[1]
+            # leading views of the flat buffers are contiguous (C, b, .) batches
+            x = x_buf[: c * b * spec.input_dim].reshape(c, b, spec.input_dim)
+            y = y_buf[: c * b].reshape(c, b)
+            np.take(features, rows, axis=0, out=x, mode="clip")
+            np.take(labels, rows, out=y, mode="clip")
+            g = prox_grad(spec, w, x, y, levels, mu, work)
             g *= lr
             w -= g

@@ -84,6 +84,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        # a NaN passes every comparison below, and an inf lr or mu ruins the
+        # first step; either would only surface as a diverged client
+        if not np.isfinite(self.lr):
+            raise ConfigurationError(f"lr must be finite, got {self.lr}")
+        if not np.isfinite(self.mu):
+            raise ConfigurationError(f"mu must be finite, got {self.mu}")
         if self.algorithm == "demlearn" and self.mu != 0.0:
             raise ConfigurationError(
                 "demlearn requires mu = 0 (use algorithm=demlearn-p for mu > 0)"

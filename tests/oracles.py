@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: plain loops, brute-force
 recomputation, and finite differences.  `scalar_local_solve` is the
 per-client SGD loop on 2-D arrays that the library's lockstep solver must
-match row for row, bit for bit; the flat FedAvg loop runs on it.
+match row for row, bit for bit; the flat FedAvg loop runs on it, and a
+round-loop test runs whole runs with it in place of the solver.
 `pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
 server side that the vectorised distances and matrix UPGMA must equal.
 `node_tree` and its queries are the group tree as a graph of nodes, one

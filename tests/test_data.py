@@ -196,6 +196,9 @@ def test_partition_equal_train_sizes_and_ordered_ids(
         reject()
     assert [s.client_id for s in shards] == list(range(n_clients))
     assert len({len(s.train) for s in shards}) == 1
+    # equal test splits let C-SPE score every client in one stacked predict
+    assert len({len(s.test) for s in shards}) == 1
+    assert all(len(s.train) + len(s.test) == samples_per_client for s in shards)
 
 
 def test_partition_median_near_target():

@@ -300,6 +300,26 @@ def test_cli_unstable_proximal_step_exits_1_before_any_round(tmp_path, capsys, a
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--lr", "nan"], "lr must be finite, got nan"),
+        (["run", "--lr", "inf"], "lr must be finite, got inf"),
+        (["run", "--algorithm", "fedprox", "--lr", "0", "--mu", "inf"], "mu must be finite, got inf"),
+        (["run", "--algorithm", "demlearn-p", "--mu", "nan"], "mu must be finite, got nan"),
+        (["sweep-mu", "--mu-values", "nan"], "mu must be finite, got nan"),
+        (["sweep-mu", "--mu-values", "0.01,nan"], "mu must be finite, got nan"),
+    ],
+)
+def test_cli_non_finite_lr_or_mu_exits_1_before_any_round(tmp_path, capsys, argv, message):
+    # a NaN passes every range and stability check; it used to train a whole
+    # round and then exit 2 with a diverged client
+    assert main([*argv, *cli_args(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_fixed_structure_echo(tmp_path):
     assert (
         main(["run", "--name", "fx", "--fixed-structure", *cli_args(tmp_path)]) == 0

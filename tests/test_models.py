@@ -130,6 +130,18 @@ def test_forward_finite_for_large_features():
         assert np.all(np.isfinite(probs))
 
 
+def test_forward_does_not_depend_on_the_feature_layout():
+    # `predict_block` stacks sets into a C-ordered copy, so a set scored alone
+    # must give the same bits whatever its layout; a Fortran-ordered gemm
+    # rounds differently
+    rng = np.random.default_rng(22)
+    spec = ModelSpec(LOGISTIC, 16, 10)
+    x, y = rng.normal(0.0, 1.0, (50, 16)), rng.integers(0, 10, 50)
+    w = rng.normal(0.0, 1.0, spec.param_count)
+    c_order = forward(spec, w, data(spec, x, y))
+    assert forward(spec, w, data(spec, np.asfortranarray(x), y)).tobytes() == c_order.tobytes()
+
+
 def test_forward_dimension_mismatch():
     w = np.zeros(LOG10.param_count)
     with pytest.raises(ValueError):
@@ -377,6 +389,25 @@ def test_local_solve_rejects_bad_inputs_at_entry():
             solve(**kwargs)
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0]])
+def test_non_integer_labels_are_rejected_at_entry(labels):
+    # float labels used to be truncated to [0, 1, 2] by the solver, which
+    # trained on them, while `loss` died on them with a bare IndexError
+    spec = ModelSpec(LOGISTIC, 2, 3)
+    train = Dataset(np.zeros((3, 2)), np.asarray(labels), 3)
+    w = np.zeros(spec.param_count)
+    calls = [
+        lambda: solve1(spec, w, train, [], 0.0, 1, 2, 0.1, 0),
+        lambda: loss(spec, w, train),
+        lambda: forward(spec, w, train),
+        lambda: predict(spec, w, train),
+        lambda: prox_objective(spec, w[None], [train], [], 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="labels must have an integer dtype, got float64"):
+            call()
+
+
 def test_local_solve_checks_inputs_once_whatever_the_epochs(monkeypatch):
     calls = []
     for name, fn in list(vars(models).items()):
@@ -481,6 +512,16 @@ def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
             np.random.default_rng([seed, i]),
         )
         assert block[i].tobytes() == alone.tobytes(), f"client {i}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 70))
+def test_permuted_rows_are_successive_permutation_draws(seed, epochs, n):
+    # `local_solve` draws a client's orders for all its epochs in one
+    # `permuted` call; the scalar solver draws one `permutation` per epoch
+    drawn = np.random.default_rng(seed).permuted(np.broadcast_to(np.arange(n), (epochs, n)), axis=1)
+    rng = np.random.default_rng(seed)
+    assert drawn.tolist() == [rng.permutation(n).tolist() for _ in range(epochs)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -612,6 +653,74 @@ def test_predict_block_rows_equal_predict_and_check_each_set_once(monkeypatch):
     got = predict_block(MLP_SPEC, block, sets)
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
     assert checked == [3]  # one call, each distinct set once
+
+
+@st.composite
+def prediction_blocks(draw):
+    """(spec, block, sets): rows of every `prediction_cases` kind on one
+    spec, on sets of one to three lengths, some sets shared by several rows."""
+    kind = draw(st.sampled_from([LOGISTIC, MLP]))
+    spec = ModelSpec(
+        kind,
+        draw(st.integers(1, 5)),
+        draw(st.integers(2, 12)),
+        draw(st.integers(1, 6)) if kind == MLP else 0,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    own = [random_data(spec, int(rng.choice(lengths)), rng, scale) for _ in range(c)]
+    sets = [own[int(rng.integers(c))] if rng.random() < 0.3 else own[i] for i in range(c)]
+    block = np.zeros((c, spec.param_count))
+    for w in block:
+        case = draw(st.sampled_from(["random", "near-tie", "zero"]))
+        if case == "random":
+            w[:] = rng.normal(0.0, draw(st.sampled_from([1e-3, 0.3, 3.0, 30.0])), spec.param_count)
+        elif case == "near-tie":
+            # with the output weights zero, the last bias is the logits
+            w[-spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
+    return spec, block, sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(prediction_blocks())
+def test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit(case):
+    spec, block, sets = case
+    expected = [softmax_predict(spec, w, ds).tobytes() for w, ds in zip(block, sets)]
+    assert [p.tobytes() for p in predict_block(spec, block, sets)] == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_TIE_MARGIN", np.inf)  # every row takes the fallback
+        assert [p.tobytes() for p in predict_block(spec, block, sets)] == expected
+
+
+def test_predict_block_stacks_rows_whose_sets_have_equal_length(monkeypatch):
+    stacks = []
+    logits = models._logits
+
+    def counted(spec, w, x, out, hidden):
+        stacks.append(len(w))
+        return logits(spec, w, x, out, hidden)
+
+    monkeypatch.setattr(models, "_logits", counted)
+    rng = np.random.default_rng(5)
+    block = rng.normal(0.0, 1.0, (6, MLP_SPEC.param_count))
+    splits = [random_data(MLP_SPEC, 4, rng) for _ in range(6)]
+    union = random_data(MLP_SPEC, 24, rng)
+    runs = [
+        (splits, [6]),  # equal test splits: one stack
+        ([union] * 6, [1] * 6),  # one shared set, the largest: a row at a time
+        (splits[:5] + [union], [5, 1]),
+        # 4 + 4 samples in all: stacks of two rows on the 4-sample sets
+        ([splits[0], splits[1], splits[0], splits[1], splits[0], splits[1]], [2, 2, 2]),
+    ]
+    for sets, expected in runs:
+        stacks.clear()
+        got = predict_block(MLP_SPEC, block, sets)
+        assert stacks == expected
+        assert [g.tobytes() for g in got] == [
+            predict(MLP_SPEC, w, ds).tobytes() for w, ds in zip(block, sets)
+        ]
 
 
 def test_predict_rejects_bad_inputs():

@@ -7,6 +7,7 @@ import pytest
 
 from demlearn import clustering, training
 from demlearn.data import ConfigurationError
+from demlearn.harness import metrics_csv_lines
 from demlearn.hierarchy import build_tree, group_average
 from demlearn.training import (
     RunConfig,
@@ -16,7 +17,7 @@ from demlearn.training import (
     run_round,
 )
 
-from oracles import plain_fedavg
+from oracles import client_anchors, plain_fedavg, scalar_local_solve
 
 
 def tiny_cfg(**kw):
@@ -212,6 +213,33 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
     assert result.state.tree.root.tobytes() == w_global.tobytes()
     for row, model in zip(result.state.model_block, models):
         assert row.tobytes() == model.tobytes()
+
+
+def per_client_local_solve(spec, w, trains, levels, mu, epochs, batch_size, lr, rngs):
+    """`models.local_solve` as a loop of one-client solves, row by row."""
+    for i, (train, rng) in enumerate(zip(trains, rngs, strict=True)):
+        anchors = client_anchors(levels, i)
+        w[i] = scalar_local_solve(spec, w[i], train, anchors, mu, epochs, batch_size, lr, rng)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # 16 training samples in batches of 5: the trailing batch holds one
+        tiny_cfg(algorithm="demlearn-p", mu=0.1, k_levels=3, tau=1, batch_size=5,
+                 model_kind="mlp-1hidden", hidden_dim=5),
+        tiny_cfg(algorithm="fedavg"),
+    ],
+    ids=["demlearn-p", "fedavg"],
+)
+def test_round_loop_outputs_equal_the_per_client_solver_bytewise(monkeypatch, cfg):
+    # pins each client's rng stream and epoch order through `run_round`
+    result = run(cfg)
+    monkeypatch.setattr(training, "local_solve", per_client_local_solve)
+    oracle = run(cfg)
+    assert metrics_csv_lines("r", result) == metrics_csv_lines("r", oracle)
+    assert result.tree_snapshots == oracle.tree_snapshots
+    assert result.state.model_block.tobytes() == oracle.state.model_block.tobytes()
 
 
 def test_flat_run_keeps_one_group_and_records_no_structures():
