@@ -283,8 +283,8 @@ def synthetic_dataset(
         raise ValueError("input_dim must be at least 2")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be positive")
-    if class_separation <= 0.0:
-        raise ValueError("class_separation must be positive")
+    if not 0.0 < class_separation < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"class_separation must be positive and finite, got {class_separation}")
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     angles = 2.0 * np.pi * labels / num_classes

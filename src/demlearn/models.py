@@ -19,7 +19,9 @@ Gradients are analytic (softmax cross-entropy backprop by hand);
 an optional sum of proximal penalties pulling each client toward its anchor
 models, given one `AnchorLevel` per tree level.  It stacks the C training
 sets into one, draws each client's orders for all epochs in one call of
-its rng, and cuts every step's C batches with one gather per array.
+its rng, and cuts every step's C batches with one gather per array.  A large
+solve trains ranges of its rows in forked processes, one per CPU; a row
+depends only on its own data, orders and anchors, so no bit depends on that.
 
 `predict` gives one model's labels, bit for bit the argmax of `forward`'s
 softmax rows, but finishes the softmax only on rows where a second class
@@ -30,16 +32,18 @@ each row of a block, stacking the rows whose sets have equal length.
 Inputs are validated once, where they enter: `forward`, `loss`, `predict`,
 `predict_block`, `prox_objective` and `local_solve` check the parameter
 length, the feature width, the labels (an integer dtype, each in range),
-non-empty sets, the anchor shapes and mu >= 0.  One call checks the labels
-of all its data sets in one reduction, and each distinct set once.
-`local_solve` also requires every client's training set to have the same
-length, because a lockstep batch has one shape, and it updates its model
-block in place.  `grad` and `prox_grad` are the SGD step kernels; they trust
-their inputs and check nothing.
+non-empty sets, the anchor shapes and a finite mu >= 0.  One call checks
+the labels of all its data sets in one reduction, and each distinct set
+once.  `local_solve` also requires a finite lr >= 0 and every client's
+training set to have the same length, because a lockstep batch has one
+shape, and it updates its model block in place.  `grad` and `prox_grad`
+are the SGD step kernels; they trust their inputs and check nothing.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +61,10 @@ _LOG_FLOOR = 1e-12
 # every other class has d = z - max < -2**-40, so exp(d) <= 1 - 2**-41 and,
 # divided by the same row sum s, rounds strictly below fl(1 / s).
 _TIE_MARGIN = 2.0**-40
+# A solve is split over processes only with at least _MIN_ROWS clients per
+# process and _MIN_STEPS steps: a fork, exit and wait cost ~2.5 ms.
+_MIN_ROWS = 16
+_MIN_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,8 @@ def _check_data(spec: ModelSpec, sets: Sequence[Dataset]) -> list[tuple[np.ndarr
 def _check_anchors(
     spec: ModelSpec, levels: Sequence[AnchorLevel], mu: float, clients: int
 ) -> None:
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    if not (np.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     for level in levels:
         if level.models.shape[1] != spec.param_count:
             raise ValueError(
@@ -478,13 +486,18 @@ def local_solve(
     partial batch is kept.  Every training set must have the same length.  Row i
     ends bitwise equal to the same solve of client i alone, deterministic
     given its rng seed.  lr == 0 walks the schedule without moving.
+
+    With at least `_MIN_STEPS` steps, P - 1 forked children and the caller
+    train P contiguous ranges of rows (see `_processes` for P).  The rngs
+    are drawn before the fork, and no output bit depends on P.  A child's
+    failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if lr < 0.0:
-        raise ValueError("lr must be non-negative")
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and non-negative, got {lr}")
     _check_block(spec, w)
     c = w.shape[0]
     if len(trains) != c or len(rngs) != c:
@@ -512,6 +525,23 @@ def local_solve(
         orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
     orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
 
+    def train(lo: int, hi: int) -> None:
+        rows = levels
+        if hi - lo < c:  # the whole block keeps its levels, checked at entry
+            rows = [AnchorLevel(lv.models, lv.group[lo:hi], lv.coeff[lo:hi]) for lv in levels]
+        _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, mu, batch_size, lr)
+
+    parts = _processes(c, epochs * -(-n // batch_size))
+    if parts == 1:
+        train(0, c)
+    else:
+        _train_forked(w, [c * p // parts for p in range(parts + 1)], train)
+
+
+def _train_rows(spec, w, features, labels, orders, levels, mu, batch_size, lr) -> None:
+    """`local_solve`'s SGD steps for the clients of `w`, a range of rows of
+    its block, with their (rows, epochs, n) orders into the stacked set."""
+    c, epochs, n = orders.shape
     b_max = min(batch_size, n)
     x_buf = np.empty(c * b_max * spec.input_dim)
     y_buf = np.empty(c * b_max, dtype=np.intp)
@@ -528,3 +558,63 @@ def local_solve(
             g = prox_grad(spec, w, x, y, levels, mu, work)
             g *= lr
             w -= g
+
+
+def _processes(clients: int, steps: int) -> int:
+    """How many processes share a solve: one per CPU it may run on, each
+    with at least `_MIN_ROWS` clients; one for a short solve, where the
+    platform cannot fork, or while another thread is alive (a child could
+    inherit its locks)."""
+    if steps < _MIN_STEPS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), clients // _MIN_ROWS))
+
+
+def _train_forked(w: np.ndarray, edges: list[int], train) -> None:
+    """`train(lo, hi)` for each range edges[p]:edges[p + 1] of the block `w`:
+    forked children train all but the last, which this process trains, and
+    pass their rows back through an anonymous shared mapping."""
+    # imported here, so that a run that never splits does not load them (~60 KB)
+    import mmap
+    import signal
+
+    split = edges[-2]
+    out = np.frombuffer(mmap.mmap(-1, w[:split].nbytes)).reshape(split, -1)
+    read, write = os.pipe()  # the children's error messages
+    with open(read, "rb") as errors, open(write, "wb", buffering=0) as pipe:
+        children = []  # (pid, lo, hi) of every child not yet reaped
+        try:
+            for lo, hi in zip(edges, edges[1:-1]):
+                pid = os.fork()
+                if pid == 0:  # the child never returns
+                    try:
+                        train(lo, hi)
+                        out[lo:hi] = w[lo:hi]
+                        os._exit(0)
+                    except BaseException as exc:
+                        pipe.write(f"{type(exc).__name__}: {exc}\n".encode())
+                    finally:
+                        os._exit(1)
+                children.append((pid, lo, hi))
+            pipe.close()
+            train(split, len(w))
+            # read to EOF, which comes once every child has exited
+            message = "; ".join(errors.read().decode(errors="replace").splitlines())
+            failed = []
+            while children:
+                pid, lo, hi = children[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                if code:
+                    failed.append(f"{lo}-{hi - 1} (exit code {code})")
+            if failed:
+                rows = ", ".join(failed)
+                raise RuntimeError(f"the forked solve of client rows {rows} failed: {message or 'no message'}")
+        except BaseException:
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+    w[:split] = out

@@ -13,10 +13,12 @@ update delta, allocated once per run and updated in place; tree level k is
 one `AnchorLevel` over those rows, which the solver takes as it is.  One
 call of the lockstep solver `models.local_solve` trains every client of a
 round, so every client's shard must hold the same number of training
-samples (the shard partition deals them so).  A round whose solve leaves a
-model with a non-finite squared norm (a non-finite entry, or entries so
-large that distances overflow) fails at once, naming the client, the round,
-lr and mu.
+samples (the shard partition deals them so).  On a host with several CPUs
+a long solve of many clients trains ranges of them in forked processes (no
+split while another thread runs); no output byte depends on the CPU count.
+A round whose solve leaves a model with a non-finite squared norm (a
+non-finite entry, or entries so large that distances overflow) fails at
+once, naming the client, the round, lr and mu.
 """
 
 from __future__ import annotations
@@ -85,11 +87,14 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         # a NaN passes every comparison below, and an inf lr or mu ruins the
-        # first step; either would only surface as a diverged client
+        # first step; either would only surface as a diverged client, as would
+        # the NaN features of a non-finite separation
         if not np.isfinite(self.lr):
             raise ConfigurationError(f"lr must be finite, got {self.lr}")
         if not np.isfinite(self.mu):
             raise ConfigurationError(f"mu must be finite, got {self.mu}")
+        if not np.isfinite(self.class_separation):
+            raise ConfigurationError(f"synthetic.separation must be finite, got {self.class_separation}")
         if self.algorithm == "demlearn" and self.mu != 0.0:
             raise ConfigurationError(
                 "demlearn requires mu = 0 (use algorithm=demlearn-p for mu > 0)"

@@ -243,8 +243,9 @@ def test_synthetic_argument_validation():
         synthetic_dataset(3, 1, 10, 2.0, 0)
     with pytest.raises(ValueError):
         synthetic_dataset(3, 8, 0, 2.0, 0)
-    with pytest.raises(ValueError):
-        synthetic_dataset(3, 8, 10, 0.0, 0)
+    for separation in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="class_separation must be positive and finite"):
+            synthetic_dataset(3, 8, 10, separation, 0)
 
 
 def _mnist_paths():

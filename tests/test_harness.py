@@ -309,11 +309,13 @@ def test_cli_unstable_proximal_step_exits_1_before_any_round(tmp_path, capsys, a
         (["run", "--algorithm", "demlearn-p", "--mu", "nan"], "mu must be finite, got nan"),
         (["sweep-mu", "--mu-values", "nan"], "mu must be finite, got nan"),
         (["sweep-mu", "--mu-values", "0.01,nan"], "mu must be finite, got nan"),
+        (["run", "--separation", "nan"], "synthetic.separation must be finite, got nan"),
+        (["run", "--separation", "inf"], "synthetic.separation must be finite, got inf"),
     ],
 )
 def test_cli_non_finite_lr_or_mu_exits_1_before_any_round(tmp_path, capsys, argv, message):
     # a NaN passes every range and stability check; it used to train a whole
-    # round and then exit 2 with a diverged client
+    # round and then exit 2 with a diverged client, blaming lr and mu
     assert main([*argv, *cli_args(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert message in captured.out + captured.err

@@ -1,11 +1,16 @@
 """Model core: forward/loss/grad, predict, proximal objective, and the lockstep solver."""
 
+import contextlib
 import math
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from demlearn import models
@@ -253,8 +258,9 @@ def test_prox_objective_analytic_penalty():
 
 def test_prox_objective_rejects_negative_mu():
     w = np.zeros(LOG10.param_count)
-    with pytest.raises(ValueError):
-        prox_objective1(LOG10, w, data(LOG10, np.zeros((1, 4)), [0]), [], -0.1)
+    for mu in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be finite and non-negative"):
+            prox_objective1(LOG10, w, data(LOG10, np.zeros((1, 4)), [0]), [], mu)
 
 
 def test_prox_anchor_coeff_range():
@@ -371,8 +377,8 @@ def test_local_solve_rejects_bad_inputs_at_entry():
     x, y = train.features, train.labels
     anchor = anchored((np.zeros(LOG10.param_count), 0.5))
 
-    def solve(w=w, train=train, anchors=anchor, mu=0.1):
-        return solve1(LOG10, w, train, anchors, mu, 2, 4, 0.1, 0)
+    def solve(w=w, train=train, anchors=anchor, mu=0.1, lr=0.1):
+        return solve1(LOG10, w, train, anchors, mu, 2, 4, lr, 0)
 
     solve()  # the unaltered inputs are accepted
     bad_inputs = [
@@ -383,10 +389,19 @@ def test_local_solve_rejects_bad_inputs_at_entry():
         ("labels must lie", dict(train=data(LOG10, x, np.r_[y[:5], -1]))),
         ("anchor models have shape", dict(anchors=anchored((np.zeros(LOG10.param_count - 1), 0.5)))),
         ("mu must be", dict(mu=-0.1)),
+        # a NaN lr or mu used to return an all-NaN block, and an inf mu only
+        # warned; an inf lr ruins the first step
+        ("mu must be finite and non-negative, got nan", dict(mu=math.nan)),
+        ("mu must be finite and non-negative, got inf", dict(mu=math.inf)),
+        ("lr must be finite and non-negative, got nan", dict(lr=math.nan)),
+        ("lr must be finite and non-negative, got inf", dict(lr=math.inf)),
+        ("lr must be finite and non-negative, got -0.1", dict(lr=-0.1)),
     ]
     for message, kwargs in bad_inputs:
-        with pytest.raises(ValueError, match=message):
-            solve(**kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any step can warn
+            with pytest.raises(ValueError, match=message):
+                solve(**kwargs)
 
 
 @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0]])
@@ -460,7 +475,7 @@ def test_local_solve_rejects_mismatched_stacks():
 
 
 @st.composite
-def lockstep_problems(draw):
+def lockstep_problems(draw, clients=st.integers(1, 6)):
     """A stack of C clients with equal-size training sets and 1-4 anchor
     levels, as (spec, models, trains, levels, mu, epochs, batch_size, lr, seed)."""
     kind = draw(st.sampled_from([LOGISTIC, MLP]))
@@ -470,7 +485,7 @@ def lockstep_problems(draw):
         draw(st.integers(2, 4)),
         draw(st.integers(1, 4)) if kind == MLP else 0,
     )
-    c = draw(st.integers(1, 6))
+    c = draw(clients)
     n = draw(st.integers(1, 10))
     batches = {
         "divides": [b for b in range(1, n + 1) if n % b == 0],
@@ -538,6 +553,179 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
         return block
 
     assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()
+
+
+# ------------------------------------- the solve split over forked processes
+
+
+@contextlib.contextmanager
+def split_solves(cpus, min_rows=None, min_steps=None):
+    """Solves as if this process could run on `cpus` CPUs, optionally with
+    other cutoffs; yields the list of pids that called `os.fork`."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mp.setattr(os, "fork", counted_fork)
+        if min_rows is not None:
+            mp.setattr(models, "_MIN_ROWS", min_rows)
+        if min_steps is not None:
+            mp.setattr(models, "_MIN_STEPS", min_steps)
+        yield forks
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def solved(problem):
+    """The problem's block after `local_solve`, and its rngs' states."""
+    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    block = w.copy()
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
+    local_solve(spec, block, trains, levels, mu, epochs, batch_size, lr, rngs)
+    return block, [rng.bit_generator.state for rng in rngs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_problems(clients=st.integers(4, 9)), st.sampled_from([2, 3]))
+def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
+    # ranges of unequal length, e.g. rows 0-1, 2-4 and 5-7 of 8
+    assume(len(problem[1]) % parts)
+    with split_solves(1, min_rows=1, min_steps=1) as forks:
+        alone, alone_states = solved(problem)
+    assert forks == []
+    with split_solves(parts, min_rows=1, min_steps=1) as forks:
+        split, split_states = solved(problem)
+    assert forks == [os.getpid()] * (parts - 1)
+    assert split.tobytes() == alone.tobytes()
+    assert split_states == alone_states  # the orders are drawn before any fork
+
+
+def guard_problem(spec, clients, n, epochs, batch_size):
+    rng = np.random.default_rng(23)
+    w = rng.normal(0.0, 0.5, (clients, spec.param_count))
+    levels = [
+        AnchorLevel(rng.normal(0.0, 1.0, (2, spec.param_count)), rng.integers(0, 2, clients), np.full(clients, 0.5))
+    ]
+    trains = [random_data(spec, n, rng) for _ in range(clients)]
+    return spec, w, trains, levels, 0.1, epochs, batch_size, 0.1, 23
+
+
+ROWS, STEPS = models._MIN_ROWS, models._MIN_STEPS
+SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
+
+
+@pytest.mark.parametrize(
+    "cpus, spec, clients, n, epochs, batch_size, forks",
+    [
+        (2, SERVER_120, 120, 64, 1, 16, 0),  # server-120's solve: 4 steps
+        (2, SMALL, 2 * ROWS - 1, STEPS, 1, 1, 0),
+        (2, SMALL, 2 * ROWS, STEPS - 1, 1, 1, 0),
+        (1, SMALL, 3 * ROWS, STEPS, 1, 1, 0),
+        (2, SMALL, 2 * ROWS, STEPS, 1, 1, 1),
+        (2, SMALL, 5 * ROWS, STEPS, 1, 1, 1),
+        (3, SMALL, 3 * ROWS - 1, STEPS, 1, 1, 1),
+        (4, SMALL, 3 * ROWS, STEPS, 1, 1, 2),
+    ],
+)
+def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, forks):
+    problem = guard_problem(spec, clients, n, epochs, batch_size)
+    with split_solves(1):
+        alone = solved(problem)
+    with split_solves(cpus) as made:
+        assert solved(problem)[0].tobytes() == alone[0].tobytes()
+    assert len(made) == forks
+
+
+def test_a_solve_does_not_fork_while_another_thread_is_alive():
+    problem = guard_problem(SMALL, 2 * ROWS, STEPS, 1, 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with split_solves(2) as forks:
+            solved(problem)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    with split_solves(2) as forks:  # the same solve, once the thread is gone
+        solved(problem)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_a_solve_does_not_split_where_the_platform_cannot(missing):
+    problem = guard_problem(SMALL, 4 * ROWS, STEPS, 1, 1)
+    with split_solves(1):
+        alone = solved(problem)
+    with split_solves(2) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, missing)
+        assert solved(problem)[0].tobytes() == alone[0].tobytes()
+    assert forks == []
+
+
+def rows_of(orders):
+    """The first client row that a `_train_rows` call trains."""
+    return int(orders[0, 0].min()) // orders.shape[2]
+
+
+def raise_in_child():
+    raise ValueError("no good at rows 2-3")
+
+
+def kill_child():  # as the kernel's out-of-memory killer would
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (raise_in_child, r"rows 2-3 \(exit code 1\) failed: ValueError: no good at rows 2-3$"),
+        (kill_child, rf"rows 2-3 \(exit code -{signal.SIGKILL:d}\) failed: no message$"),
+    ],
+)
+def test_a_failing_child_is_named_and_quoted_in_the_error(fail, message):
+    problem = guard_problem(MLP_SPEC, 6, 5, 2, 2)
+    train_rows = models._train_rows
+
+    def failing(spec, w, features, labels, orders, *rest):
+        if rows_of(orders) == 2:
+            fail()
+        train_rows(spec, w, features, labels, orders, *rest)
+
+    with split_solves(3, min_rows=1, min_steps=1) as forks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_train_rows", failing)
+            with pytest.raises(RuntimeError, match=f"the forked solve of client {message}"):
+                solved(problem)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [ValueError("the parent's rows failed"), KeyboardInterrupt()])
+def test_a_failing_parent_kills_and_reaps_its_children(error):
+    problem = guard_problem(MLP_SPEC, 6, 5, 2, 2)
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise error
+        time.sleep(60)  # a child outlives the call unless it is killed
+
+    started = time.monotonic()
+    with split_solves(3, min_rows=1, min_steps=1) as forks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_train_rows", failing)
+            with pytest.raises(type(error)) as raised:
+                solved(problem)
+    assert raised.value is error
+    assert len(forks) == 2
+    assert time.monotonic() - started < 30
 
 
 # ------------------------------------------------ predict: the softmax argmax
