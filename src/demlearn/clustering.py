@@ -4,13 +4,13 @@ Clients are compared either by Euclidean distance between their flat model
 vectors or by 1 - cosine similarity between their last update directions,
 one stacked matmul per matrix row.  Average linkage runs as a Lance-Williams
 update on the (n, n) matrix, ties going to the smallest pair of cluster ids.
-The merge history (dendrogram) is cut K-1 generations below the root to
-yield one nested partition of the clients per level.
+The merge history (dendrogram) is cut K-1 generations below the root into
+a (K, C) label array, row k - 1 numbering each client's level-k group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,8 @@ class Merge(NamedTuple):
 
 @dataclass
 class Dendrogram:
-    """Full merge history: leaves are ids 0..n-1, merges mint n..2n-2."""
+    """Full merge history: leaves are ids 0..n-1, merges mint n..2n-2, and
+    `merges[i]` mints id n + i."""
 
     n_leaves: int
     merges: list[Merge]
@@ -38,40 +39,12 @@ class Dendrogram:
     def root_id(self) -> int:
         return 2 * self.n_leaves - 2
 
-    def children(self) -> dict[int, tuple[int, int]]:
-        return {m.new_id: (m.left, m.right) for m in self.merges}
-
-    def leaf_members(self, node_id: int) -> list[int]:
-        """Leaf ids under a node, ascending."""
-        kids = self.children()
-        out: list[int] = []
-        stack = [node_id]
-        while stack:
-            node = stack.pop()
-            if node < self.n_leaves:
-                out.append(node)
-            else:
-                stack.extend(kids[node])
-        return sorted(out)
-
-
-@dataclass
-class LevelAssignment:
-    """Nested client partitions for levels 1..K; level K is a single group."""
-
-    K: int
-    groups: dict[int, list[list[int]]]
-    group_of: dict[int, dict[int, int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.group_of = {
-            level: {c: gi for gi, members in enumerate(gs) for c in members}
-            for level, gs in self.groups.items()
-        }
-
-    @property
-    def client_ids(self) -> list[int]:
-        return sorted(self.group_of[self.K])
+    def leaf_lists(self) -> list[list[int]]:
+        """Each node id's leaf ids, ascending, from one pass over the merges."""
+        out = [[leaf] for leaf in range(self.n_leaves)]
+        for m in self.merges:
+            out.append(sorted(out[m.left] + out[m.right]))
+        return out
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,49 +134,44 @@ def agglomerate(dm: np.ndarray) -> Dendrogram:
     return Dendrogram(n, merges)
 
 
-def truncate(dend: Dendrogram, K: int) -> LevelAssignment:
-    """Keep the top K generations of the dendrogram as nested level groups.
+def truncate(dend: Dendrogram, K: int) -> np.ndarray:
+    """Keep the top K generations of the dendrogram as a (K, C) label array:
+    row k - 1 holds each client's level-k group.
 
-    The root is the single level-K group; each step down a level expands every
-    internal frontier node into its two merge children.  A leaf reached early
+    The root is the single level-K group 0; each step down a level expands
+    every internal frontier node into its (left, right) merge children, and a
+    group's number is its node's place in the frontier.  A leaf reached early
     stays its own group at every remaining lower level.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    kids = dend.children()
-    frontier: list[int] = [dend.root_id]
-    groups: dict[int, list[list[int]]] = {}
-    for depth in range(K):
-        level = K - depth
-        groups[level] = [dend.leaf_members(node) for node in frontier]
-        nxt: list[int] = []
-        for node in frontier:
-            if node < dend.n_leaves:
-                nxt.append(node)
-            else:
-                nxt.extend(kids[node])
-        frontier = nxt
-    return LevelAssignment(K, groups)
+    n, leaves = dend.n_leaves, dend.leaf_lists()
+    labels = np.empty((K, n), dtype=np.intp)
+    frontier = [dend.root_id]
+    for row in range(K - 1, -1, -1):
+        for g, node in enumerate(frontier):
+            labels[row, leaves[node]] = g
+        frontier = [
+            kid
+            for node in frontier
+            for kid in ((node,) if node < n else dend.merges[node - n][:2])  # (left, right)
+        ]
+    return labels
 
 
 def format_dendrogram(dend: Dendrogram) -> str:
     """Nested text rendering (ids, merge heights, member lists) for plotting."""
-    kids = dend.children()
-    lines = [f"dendrogram leaves={dend.n_leaves}"]
-    heights = {m.new_id: m.height for m in dend.merges}
-
-    def visit(node: int, indent: int) -> None:
-        pad = "  " * indent
-        if node < dend.n_leaves:
+    n, leaves = dend.n_leaves, dend.leaf_lists()
+    lines = [f"dendrogram leaves={n}"]
+    stack = [(dend.root_id, 0)]  # pre-order, left child first
+    while stack:
+        node, depth = stack.pop()
+        pad = "  " * depth
+        if node < n:
             lines.append(f"{pad}leaf id={node}")
-            return
-        members = ",".join(str(c) for c in dend.leaf_members(node))
-        lines.append(
-            f"{pad}node id={node} height={heights[node]!r} members=[{members}]"
-        )
-        left, right = kids[node]
-        visit(left, indent + 1)
-        visit(right, indent + 1)
-
-    visit(dend.root_id, 0)
+            continue
+        m = dend.merges[node - n]
+        members = ",".join(map(str, leaves[node]))
+        lines.append(f"{pad}node id={node} height={m.height!r} members=[{members}]")
+        stack += [(m.right, depth + 1), (m.left, depth + 1)]
     return "\n".join(lines) + "\n"

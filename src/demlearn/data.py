@@ -54,7 +54,6 @@ class ClientShard:
     client_id: int
     train: Dataset
     test: Dataset
-    label_set: set[int]
 
 
 def _read_bytes(path) -> bytes:
@@ -251,8 +250,7 @@ def partition_shards(
             )
         train = _take(ds, np.concatenate(train_idx))
         test = _take(ds, np.concatenate(test_idx))
-        labels = {int(shard_labels[s]) for s in shard_ids}
-        out.append(ClientShard(cid, train, test, labels))
+        out.append(ClientShard(cid, train, test))
     return out
 
 

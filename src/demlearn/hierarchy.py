@@ -1,12 +1,13 @@
 """The K-level group tree over the rows of a (C, M) model block.
 
-Client i is row i of the block, and tree level k is one `AnchorLevel`: its
-(G, M) group models, each client's group row, and each client's weight
-1 / (its group's member count) -- the arrays the lockstep solver takes as
-they are.  Group models are count-weighted means of their children, where
-counts are numbers of member agents (leaves count one).  Summation order is
-fixed -- children in ascending group index, leaves in ascending client id --
-so runs are bit-reproducible.
+The tree is built from a (K, C) label array whose row k - 1 numbers each
+client's level-k group.  Client i is row i of the block, and tree level k is
+one `AnchorLevel`: its (G, M) group models, each client's group row, and each
+client's weight 1 / (its group's member count) -- the arrays the lockstep
+solver takes as they are.  Group models are count-weighted means of their
+children, where counts are numbers of member agents (leaves count one).
+Summation order is fixed -- children in ascending group index, leaves in
+ascending client id -- so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import LevelAssignment
 from .models import AnchorLevel
 
 
@@ -63,49 +63,42 @@ def group_average(
     return acc
 
 
-def build_tree(assign: LevelAssignment, block: np.ndarray) -> HierarchyTree:
-    """Materialize the level assignment over the rows of `block` as a tree
-    and populate its group models."""
-    K = assign.K
-    if len(assign.groups.get(K, [])) != 1:
+def build_tree(labels: np.ndarray, block: np.ndarray) -> HierarchyTree:
+    """Materialize a (K, C) label array over the rows of `block` as a tree and
+    populate its group models.  Row k - 1 numbers each client's level-k group
+    0..G-1, none empty; the top row is all 0, and each lower group lies in one
+    upper group."""
+    if labels.ndim != 2 or labels.shape[1] != len(block):
+        raise ValueError(
+            f"labels of shape {labels.shape} do not fit a model block of {len(block)} rows"
+        )
+    if not len(labels) or np.any(labels[-1]):
         raise ValueError("level K must contain exactly one group")
-    n = len(block)
-    for cid in assign.client_ids:
-        if not 0 <= cid < n:
-            raise ValueError(f"missing model for client {cid}")
-    for level, groups in assign.groups.items():
-        if sorted(c for g in groups for c in g) != list(range(n)):
-            raise ValueError(f"level {level} does not partition the model block's {n} rows")
-
-    # every level partitions the rows, so it remains to check that each group
-    # is the union of the groups below it that it touches
-    children: list[list[list[int]]] = []
-    for level in range(2, K + 1):
-        below, kids_of = assign.groups[level - 1], []
-        for members in assign.groups[level]:
-            kids = sorted({assign.group_of[level - 1][c] for c in members})
-            if sorted(c for gi in kids for c in below[gi]) != sorted(members):
+    levels, members, children = [], [], []
+    for k, group in enumerate(labels):
+        sizes = np.bincount(group)
+        if not sizes.all():
+            raise ValueError(f"level {k + 1} has no member in group {int(np.argmin(sizes))}")
+        models = np.empty((len(sizes), block.shape[1]))
+        levels.append(AnchorLevel(models, group, 1.0 / sizes[group]))
+        members.append(np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1]))
+        if k:
+            below = labels[k - 1]
+            parent = np.empty(len(members[k - 1]), dtype=np.intp)
+            parent[below] = group
+            if not np.array_equal(parent[below], group):
                 raise ValueError(
-                    f"assignment is not laminar at level {level}: group {sorted(members)} "
-                    f"does not split cleanly into level-{level - 1} groups"
+                    f"labels are not laminar at level {k + 1}: "
+                    f"a level-{k} group spans two level-{k + 1} groups"
                 )
-            kids_of.append(kids)
-        children.append(kids_of)
-
-    levels, members = [], []
-    for level in range(1, K + 1):
-        groups = assign.groups[level]
-        group = np.array([assign.group_of[level][c] for c in range(n)], dtype=np.intp)
-        sizes = np.array([len(g) for g in groups], dtype=np.float64)
-        levels.append(AnchorLevel(np.empty((len(groups), block.shape[1])), group, 1.0 / sizes[group]))
-        members.append([np.array(sorted(g), dtype=np.intp) for g in groups])
+            kids = np.split(np.argsort(parent, kind="stable"), np.cumsum(np.bincount(parent))[:-1])
+            children.append([g.tolist() for g in kids])
     return propagate_up(HierarchyTree(levels, members, children), block)
 
 
 def one_group_tree(block: np.ndarray, k_levels: int) -> HierarchyTree:
     """A tree whose every level 1..k_levels is one group of all clients."""
-    ids = list(range(len(block)))
-    return build_tree(LevelAssignment(k_levels, {k: [ids] for k in range(1, k_levels + 1)}), block)
+    return build_tree(np.zeros((k_levels, len(block)), dtype=np.intp), block)
 
 
 def propagate_up(tree: HierarchyTree, block: np.ndarray) -> HierarchyTree:

@@ -7,6 +7,9 @@ match row for row, bit for bit; the flat FedAvg loop runs on it, and a
 round-loop test runs whole runs with it in place of the solver.
 `pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
 server side that the vectorised distances and matrix UPGMA must equal.
+`frontier_cut` and `recursive_format_dendrogram` walk the merge children
+node by node; the label-array cut and the one-pass text must equal them, and
+`labels_of` turns such group lists into the label array `build_tree` takes.
 `node_tree` and its queries are the group tree as a graph of nodes, one
 client at a time, that the library's per-level arrays must equal.
 `softmax_predict` is the argmax of the full softmax, which `predict` must
@@ -324,6 +327,79 @@ def dict_upgma(d):
     return merges
 
 
+# ------------------------------------------------ the dendrogram cut as lists
+# The cut as the library made it before it returned label arrays: a frontier
+# walk that lists each level's groups as member lists, with a fresh walk down
+# the merge children for every node's leaves.
+
+
+def _merge_children(dend):
+    return {m.new_id: (m.left, m.right) for m in dend.merges}
+
+
+def walk_leaves(dend, node):
+    """Leaf ids under a node, ascending."""
+    kids = _merge_children(dend)
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node < dend.n_leaves:
+            out.append(node)
+        else:
+            stack.extend(kids[node])
+    return sorted(out)
+
+
+def frontier_cut(dend, K):
+    """`{level: [members of each group]}` for levels 1..K.  The root is the
+    one level-K group; each level down expands every internal frontier node
+    into its two merge children, and a leaf stays a group of its own."""
+    kids = _merge_children(dend)
+    frontier, groups = [dend.root_id], {}
+    for level in range(K, 0, -1):
+        groups[level] = [walk_leaves(dend, node) for node in frontier]
+        nxt = []
+        for node in frontier:
+            nxt.extend([node] if node < dend.n_leaves else kids[node])
+        frontier = nxt
+    return groups
+
+
+def recursive_format_dendrogram(dend) -> str:
+    """The dendrogram text by recursion from the root, left child first."""
+    kids = _merge_children(dend)
+    heights = {m.new_id: m.height for m in dend.merges}
+    lines = [f"dendrogram leaves={dend.n_leaves}"]
+
+    def visit(node, indent):
+        pad = "  " * indent
+        if node < dend.n_leaves:
+            lines.append(f"{pad}leaf id={node}")
+            return
+        members = ",".join(str(c) for c in walk_leaves(dend, node))
+        lines.append(f"{pad}node id={node} height={heights[node]!r} members=[{members}]")
+        left, right = kids[node]
+        visit(left, indent + 1)
+        visit(right, indent + 1)
+
+    visit(dend.root_id, 0)
+    return "\n".join(lines) + "\n"
+
+
+def labels_of(groups):
+    """The (K, C) label array of `{level: [members of each group]}` for
+    levels 1..K, where every level lists each client 0..C-1 once: row k - 1
+    holds each client's place in the level-k list."""
+    K = max(groups)
+    n = sum(len(members) for members in groups[K])
+    labels = np.empty((K, n), dtype=np.intp)
+    for level, gs in groups.items():
+        assert sorted(c for members in gs for c in members) == list(range(n)), level
+        for g, members in enumerate(gs):
+            labels[level - 1, members] = g
+    return labels
+
+
 # ------------------------------------------------ the group tree as nodes
 # The tree as the library built it before its levels became `AnchorLevel`s:
 # a graph of group nodes and each client's path of ancestors, with client
@@ -353,14 +429,16 @@ class NodeTree:
                     self.paths.setdefault(cid, [None] * K)[level - 1] = node
 
 
-def node_tree(assign, client_models) -> NodeTree:
-    """Build the node graph of a laminar `LevelAssignment` and average it up."""
-    K = assign.K
-    levels = {1: [GroupNode(1, sorted(m), sorted(m)) for m in assign.groups[1]]}
+def node_tree(groups, client_models) -> NodeTree:
+    """Build the node graph of a laminar `{level: [members of each group]}`
+    for levels 1..K and average it up."""
+    K = max(groups)
+    levels = {1: [GroupNode(1, sorted(m), sorted(m)) for m in groups[1]]}
     for level in range(2, K + 1):
+        group_of = {c: gi for gi, members in enumerate(groups[level - 1]) for c in members}
         levels[level] = []
-        for members in assign.groups[level]:
-            kids = sorted({assign.group_of[level - 1][c] for c in members})
+        for members in groups[level]:
+            kids = sorted({group_of[c] for c in members})
             levels[level].append(
                 GroupNode(level, sorted(members), [levels[level - 1][gi] for gi in kids])
             )

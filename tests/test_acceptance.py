@@ -29,7 +29,7 @@ from demlearn.models import (
 )
 from demlearn.training import RunConfig, resolve_idx_paths, run
 
-from oracles import brute_force_upgma, central_diff
+from oracles import brute_force_upgma, central_diff, labels_of
 
 SYNTH_GLOBAL_AT_30 = 0.85
 MNIST_GLOBAL_AT_30 = 0.90
@@ -155,7 +155,7 @@ def test_criterion_2_clustering_oracle():
 # ---------------------------------------------------------------- criterion 3
 
 
-def random_assignment(n, k, rng):
+def random_labels(n, k, rng):
     groups = {k: [list(range(n))]}
     for level in range(k - 1, 0, -1):
         nxt = []
@@ -166,9 +166,7 @@ def random_assignment(n, k, rng):
             else:
                 nxt.append(sorted(g))
         groups[level] = nxt
-    from demlearn.clustering import LevelAssignment
-
-    return LevelAssignment(k, groups)
+    return labels_of(groups)
 
 
 def test_criterion_3_hierarchy_identity():
@@ -179,7 +177,7 @@ def test_criterion_3_hierarchy_identity():
         n = int(rng.integers(2, 21))
         k = int(rng.integers(1, 5))
         models = np.stack([rng.normal(0, 1, 6) for i in range(n)])
-        tree = build_tree(random_assignment(n, k, rng), models)
+        tree = build_tree(random_labels(n, k, rng), models)
         mean = np.mean(models, axis=0)
         worst_root = max(worst_root, float(np.max(np.abs(tree.root - mean))))
         for level, members in zip(tree.levels, tree.members):

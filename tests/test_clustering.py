@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demlearn.clustering import (
@@ -18,9 +18,13 @@ from demlearn.hierarchy import build_tree
 from oracles import (
     brute_force_upgma,
     dict_upgma,
+    frontier_cut,
     gradient_similarity,
+    labels_of,
     naive_euclidean,
+    node_tree,
     pairwise_distance_matrix,
+    recursive_format_dendrogram,
     weight_distance,
 )
 
@@ -284,23 +288,20 @@ def balanced_4_leaf():
 
 
 def test_truncate_balanced_4_k2():
-    assign = truncate(balanced_4_leaf(), 2)
-    assert assign.groups[2] == [[0, 1, 2, 3]]
-    assert assign.groups[1] == [[0, 1], [2, 3]]
+    labels = truncate(balanced_4_leaf(), 2)
+    assert labels.dtype == np.intp
+    assert labels.tolist() == [[0, 0, 1, 1], [0, 0, 0, 0]]
 
 
 def test_truncate_k1_single_group():
-    assign = truncate(balanced_4_leaf(), 1)
-    assert assign.groups[1] == [[0, 1, 2, 3]]
+    assert truncate(balanced_4_leaf(), 1).tolist() == [[0, 0, 0, 0]]
 
 
 def test_truncate_two_leaves_deep_k():
     d = dist_matrix_from_points([0.0, 1.0])
-    assign = truncate(agglomerate(d), 4)
+    labels = truncate(agglomerate(d), 4)
     # eager descent: the root pair splits at level 3; leaves persist downward
-    assert assign.groups[4] == [[0, 1]]
-    for level in (3, 2, 1):
-        assert assign.groups[level] == [[0], [1]]
+    assert labels.tolist() == [[0, 1], [0, 1], [0, 1], [0, 0]]
 
 
 def test_truncate_partitions_and_nesting():
@@ -308,19 +309,15 @@ def test_truncate_partitions_and_nesting():
     for trial in range(20):
         n = int(rng.integers(2, 15))
         k = int(rng.integers(1, 5))
-        dend = agglomerate(random_distance_matrix(n, rng))
-        assign = truncate(dend, k)
-        all_clients = set(range(n))
-        for level in range(1, k + 1):
-            members = [c for g in assign.groups[level] for c in g]
-            assert sorted(members) == sorted(all_clients)
-            assert len(members) == len(set(members))
-        for level in range(1, k):
-            for g in assign.groups[level]:
-                parents = {assign.group_of[level + 1][c] for c in g}
-                assert len(parents) == 1
-        assert len(assign.groups[k]) == 1
-        assert len(assign.groups[1]) <= 2 ** (k - 1)
+        labels = truncate(agglomerate(random_distance_matrix(n, rng)), k)
+        assert labels.shape == (k, n)
+        for row in labels:
+            assert set(row.tolist()) == set(range(row.max() + 1))
+        for below, above in zip(labels[:-1], labels[1:]):
+            # each lower group lies inside exactly one upper group
+            assert len(set(zip(below.tolist(), above.tolist()))) == below.max() + 1
+        assert not labels[-1].any()
+        assert labels[0].max() + 1 <= 2 ** (k - 1)
 
 
 @st.composite
@@ -338,21 +335,28 @@ def dendrograms(draw):
     return Dendrogram(n, merges)
 
 
-@settings(max_examples=100, deadline=None)
-@given(dendrograms(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dendrograms(), distance_matrices().map(agglomerate)), st.integers(1, 8))
+@example(agglomerate(np.zeros((2, 2))), 5)  # two leaves cut deeper than the tree
+@example(agglomerate(np.zeros((9, 9))), 8)  # every pair tied
 def test_truncate_gives_nested_partitions_that_build_tree_accepts(dend, k):
-    assign = truncate(dend, k)
+    """Arbitrary merge histories, and UPGMA ones (ties included): the label
+    array, the tree built on it and the dendrogram text equal the walks."""
     n = dend.n_leaves
-    assert len(assign.groups[k]) == 1
+    groups = frontier_cut(dend, k)
+    labels = truncate(dend, k)
+    assert labels.dtype == np.intp and labels.tolist() == labels_of(groups).tolist()
+    tree = build_tree(labels, np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1))
+    nodes = node_tree(groups, dict(enumerate(np.zeros((n, 1)))))
     for level in range(1, k + 1):
-        members = sorted(c for g in assign.groups[level] for c in g)
-        assert members == list(range(n))
-    for level in range(1, k):
-        for g in assign.groups[level]:
-            assert len({assign.group_of[level + 1][c] for c in g}) == 1
-    tree = build_tree(assign, np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1))
-    for level in range(1, k + 1):
-        assert [m.tolist() for m in tree.members[level - 1]] == assign.groups[level]
+        assert [m.tolist() for m in tree.members[level - 1]] == groups[level]
+        group = [[c in members for members in groups[level]].index(True) for c in range(n)]
+        assert tree.levels[level - 1].group.tolist() == group
+    for level in range(2, k + 1):
+        below = nodes.levels[level - 1]
+        kids = [[below.index(child) for child in node.children] for node in nodes.levels[level]]
+        assert tree.children[level - 2] == kids
+    assert format_dendrogram(dend) == recursive_format_dendrogram(dend)
 
 
 def test_format_dendrogram_mentions_all_leaves():

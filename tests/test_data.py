@@ -122,16 +122,20 @@ def balanced_dataset(n_per_class=120, num_classes=10, dim=4, seed=0):
     return Dataset(feats, labels, num_classes)
 
 
+def label_set(shard):
+    """The labels a shard's train and test sets hold."""
+    return set(shard.train.labels.tolist()) | set(shard.test.labels.tolist())
+
+
 def test_partition_protocol_shape():
     ds = balanced_dataset(n_per_class=400)
     shards = partition_shards(ds, 50, 2, 80, 0.2, seed=7)
     assert len(shards) == 50
     for s in shards:
-        assert len(s.label_set) == 2
+        # each dealt label gives at least one training sample, so it shows
+        assert len(label_set(s)) == 2
         assert len(s.train) + len(s.test) == 80
         assert len(s.test) == 16
-        got = set(np.unique(s.train.labels)) | set(np.unique(s.test.labels))
-        assert got <= s.label_set
 
 
 def test_partition_no_duplicate_assignment():
@@ -153,7 +157,7 @@ def test_partition_deterministic():
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.train.features, sb.train.features)
         assert np.array_equal(sa.test.labels, sb.test.labels)
-        assert sa.label_set == sb.label_set
+        assert label_set(sa) == label_set(sb)
 
 
 def test_partition_single_client_all_labels():
@@ -161,7 +165,7 @@ def test_partition_single_client_all_labels():
     shards = partition_shards(ds, 1, 4, 40, 0.2, seed=3)
     assert len(shards) == 1
     s = shards[0]
-    assert s.label_set == {0, 1, 2, 3}
+    assert label_set(s) == {0, 1, 2, 3}
     assert len(s.test) == 8 and len(s.train) == 32
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demlearn.clustering import LevelAssignment
 from demlearn.hierarchy import (
     build_tree,
     format_tree,
@@ -15,6 +14,7 @@ from demlearn.hierarchy import (
 )
 
 from oracles import (
+    labels_of,
     naive_weighted_mean,
     node_anchor_levels,
     node_format_tree,
@@ -23,26 +23,23 @@ from oracles import (
 )
 
 
-def assign_k1(client_ids):
-    return LevelAssignment(1, {1: [sorted(client_ids)]})
+def labels_k1(n):
+    return np.zeros((1, n), dtype=np.intp)
 
 
-def assign_pairs_k2():
-    return LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
+def labels_pairs_k2():
+    return labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
 
 
-def assign_k3_six():
-    return LevelAssignment(
-        3, {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
-    )
+GROUPS_K3_SIX = {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0], [1, 2], [3, 4], [5]]}
 
 
 def models_for(n, dim=3, seed=0):
     return np.random.default_rng(seed).normal(0, 1, (n, dim))
 
 
-def random_assignment(n, k, rng):
-    """A random laminar family built by repeatedly splitting groups."""
+def random_labels(n, k, rng):
+    """The labels of a random laminar family built by repeatedly splitting groups."""
     groups = {k: [list(range(n))]}
     for level in range(k - 1, 0, -1):
         next_groups = []
@@ -54,7 +51,7 @@ def random_assignment(n, k, rng):
                 parts = [sorted(g)]
             next_groups.extend(parts)
         groups[level] = next_groups
-    return LevelAssignment(k, groups)
+    return labels_of(groups)
 
 
 # ------------------------------------------------------------ group_average
@@ -88,14 +85,14 @@ def test_group_average_empty_children():
 
 
 def test_build_tree_k1_root_holds_everyone():
-    tree = build_tree(assign_k1(range(5)), models_for(5))
+    tree = build_tree(labels_k1(5), models_for(5))
     assert tree.K == 1
     assert [m.tolist() for m in tree.members[0]] == [[0, 1, 2, 3, 4]]
     assert tree.root.tobytes() == tree.levels[0].models[0].tobytes()
 
 
 def test_build_tree_two_pairs():
-    tree = build_tree(assign_pairs_k2(), models_for(4))
+    tree = build_tree(labels_pairs_k2(), models_for(4))
     assert len(tree.members[1][0]) == 4
     kids = tree.children[0][0]
     assert [len(tree.members[0][g]) for g in kids] == [2, 2]
@@ -104,30 +101,48 @@ def test_build_tree_two_pairs():
 
 def test_build_tree_rebuild_is_idempotent():
     models = models_for(4)
-    t1 = build_tree(assign_pairs_k2(), models)
-    t2 = build_tree(assign_pairs_k2(), models)
+    t1 = build_tree(labels_pairs_k2(), models)
+    t2 = build_tree(labels_pairs_k2(), models)
     for k in range(2):
         assert [m.tolist() for m in t1.members[k]] == [m.tolist() for m in t2.members[k]]
         assert np.array_equal(t1.levels[k].models, t2.levels[k].models)
 
 
 def test_build_tree_rejects_non_laminar():
-    bad = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [1, 2, 3]]})
-    with pytest.raises(ValueError):
-        build_tree(bad, models_for(4))
+    # level-1 group {2, 3} straddles level-2 groups {0, 1, 2} and {3, 4, 5}
+    bad = labels_of(
+        {3: [[0, 1, 2, 3, 4, 5]], 2: [[0, 1, 2], [3, 4, 5]], 1: [[0, 1], [2, 3], [4, 5]]}
+    )
+    with pytest.raises(ValueError, match="not laminar at level 2: a level-1 group spans"):
+        build_tree(bad, models_for(6))
+    # each level on its own is fine: the top two levels, and the bottom one
+    build_tree(bad[1:], models_for(6))
+    build_tree(np.vstack([bad[:1], np.zeros((1, 6), np.intp)]), models_for(6))
 
 
-def test_build_tree_rejects_a_level_that_misses_a_row():
-    skips_2 = LevelAssignment(2, {2: [[0, 1, 2]], 1: [[0, 1]]})
-    with pytest.raises(ValueError, match="level 1 does not partition the model block's 3 rows"):
-        build_tree(skips_2, models_for(3))
-    with pytest.raises(ValueError, match="level 1 does not partition"):
-        build_tree(assign_k1([0, 1]), models_for(3))
+def test_build_tree_rejects_an_unused_group_number():
+    with pytest.raises(ValueError, match="level 1 has no member in group 1"):
+        build_tree(np.array([[0, 0, 2, 2], [0, 0, 0, 0]]), models_for(4))
+    with pytest.raises(ValueError):  # negative numbers are not groups either
+        build_tree(np.array([[0, 0, -1, -1], [0, 0, 0, 0]]), models_for(4))
+
+
+def test_build_tree_rejects_a_top_row_with_two_groups():
+    two_roots = labels_of({2: [[0, 1], [2, 3]], 1: [[0, 1], [2, 3]]})
+    with pytest.raises(ValueError, match="level K must contain exactly one group"):
+        build_tree(two_roots, models_for(4))
+    with pytest.raises(ValueError, match="level K must contain exactly one group"):
+        build_tree(np.zeros((0, 4), np.intp), models_for(4))
 
 
 def test_build_tree_rejects_missing_model():
-    with pytest.raises(ValueError, match="missing model for client 3"):
-        build_tree(assign_pairs_k2(), models_for(3))
+    # the labels name 4 clients but the block has rows for 3, or for 5
+    with pytest.raises(ValueError, match=r"labels of shape \(2, 4\) do not fit a model block of 3 rows"):
+        build_tree(labels_pairs_k2(), models_for(3))
+    with pytest.raises(ValueError, match="do not fit a model block of 5 rows"):
+        build_tree(labels_pairs_k2(), models_for(5))
+    with pytest.raises(ValueError, match="do not fit"):
+        build_tree(np.zeros(4, np.intp), models_for(4))
 
 
 # ------------------------------------------------------------ propagate_up
@@ -135,8 +150,8 @@ def test_build_tree_rejects_missing_model():
 
 def test_propagate_identical_models():
     w = np.array([0.25, -1.0, 2.0])
-    assign = LevelAssignment(2, {2: [[0, 1, 2, 3, 4, 5]], 1: [[0, 1, 2], [3, 4, 5]]})
-    tree = build_tree(assign, np.tile(w, (6, 1)))
+    labels = labels_of({2: [[0, 1, 2, 3, 4, 5]], 1: [[0, 1, 2], [3, 4, 5]]})
+    tree = build_tree(labels, np.tile(w, (6, 1)))
     for level in tree.levels:
         for model in level.models:
             assert np.allclose(model, w, atol=1e-15)
@@ -148,7 +163,7 @@ def test_root_equals_unweighted_client_mean():
         n = int(rng.integers(2, 21))
         k = int(rng.integers(1, 5))
         models = rng.normal(0, 1, (n, 5))
-        tree = build_tree(random_assignment(n, k, rng), models)
+        tree = build_tree(random_labels(n, k, rng), models)
         mean = np.mean(models, axis=0)
         assert np.max(np.abs(tree.root - mean)) < 1e-9
 
@@ -156,7 +171,7 @@ def test_root_equals_unweighted_client_mean():
 def test_every_node_is_leaf_descendant_mean():
     rng = np.random.default_rng(3)
     models = rng.normal(0, 1, (6, 4))
-    tree = build_tree(assign_k3_six(), models)
+    tree = build_tree(labels_of(GROUPS_K3_SIX), models)
     for level, members in zip(tree.levels, tree.members):
         for model, clients in zip(level.models, members):
             leaf_mean = naive_weighted_mean(list(models[clients]), [1] * len(clients))
@@ -168,11 +183,9 @@ def test_duplicating_clients_leaves_ancestors_unchanged():
     # changes no group model anywhere in the tree
     rng = np.random.default_rng(4)
     models = rng.normal(0, 1, (4, 3))
-    tree = build_tree(assign_pairs_k2(), models)
-    dup_assign = LevelAssignment(
-        2, {2: [[0, 1, 2, 3, 4, 5, 6, 7]], 1: [[0, 1, 4, 5], [2, 3, 6, 7]]}
-    )
-    dup_tree = build_tree(dup_assign, np.vstack([models, models]))
+    tree = build_tree(labels_pairs_k2(), models)
+    dup_labels = labels_of({2: [[0, 1, 2, 3, 4, 5, 6, 7]], 1: [[0, 1, 4, 5], [2, 3, 6, 7]]})
+    dup_tree = build_tree(dup_labels, np.vstack([models, models]))
     for k in range(2):
         for orig, dup in zip(tree.members[k], dup_tree.members[k]):
             assert len(dup) == 2 * len(orig)
@@ -180,7 +193,7 @@ def test_duplicating_clients_leaves_ancestors_unchanged():
 
 
 def test_propagate_missing_client_model():
-    tree = build_tree(assign_pairs_k2(), models_for(4))
+    tree = build_tree(labels_pairs_k2(), models_for(4))
     with pytest.raises(ValueError):
         propagate_up(tree, models_for(3))
 
@@ -189,7 +202,7 @@ def test_propagate_missing_client_model():
 
 
 def test_anchors_k1():
-    tree = build_tree(assign_k1(range(8)), models_for(8))
+    tree = build_tree(labels_k1(8), models_for(8))
     assert len(tree.levels) == 1
     level = tree.levels[0]
     assert level.coeff[3] == pytest.approx(1.0 / 8.0)
@@ -197,26 +210,25 @@ def test_anchors_k1():
 
 
 def test_anchor_coeff_one_for_singleton_group():
-    assign = LevelAssignment(2, {2: [[0, 1, 2]], 1: [[0], [1, 2]]})
-    tree = build_tree(assign, models_for(3))
+    tree = build_tree(labels_of({2: [[0, 1, 2]], 1: [[0], [1, 2]]}), models_for(3))
     assert tree.levels[0].coeff[0] == 1.0
     assert tree.levels[1].coeff[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_anchor_coeffs_match_subtree_sizes():
     rng = np.random.default_rng(5)
-    tree = build_tree(assign_k3_six(), rng.normal(0, 1, (6, 4)))
+    tree = build_tree(labels_of(GROUPS_K3_SIX), rng.normal(0, 1, (6, 4)))
     assert [lv.coeff[4] for lv in tree.levels] == [pytest.approx(1 / 2), pytest.approx(1 / 3), pytest.approx(1 / 6)]
-    # a client id the model block has no row for
-    with pytest.raises(ValueError, match="missing model for client 99"):
-        build_tree(LevelAssignment(1, {1: [[0, 1, 2, 3, 4, 99]]}), rng.normal(0, 1, (6, 4)))
+    # a client the model block has no row for
+    with pytest.raises(ValueError, match="do not fit a model block of 6 rows"):
+        build_tree(labels_k1(7), rng.normal(0, 1, (6, 4)))
 
 
 def test_anchor_levels_gather_each_clients_ancestors():
     rng = np.random.default_rng(6)
     models = rng.normal(0, 1, (6, 4))
-    tree = build_tree(assign_k3_six(), models)
-    nodes = node_tree(assign_k3_six(), dict(enumerate(models)))
+    tree = build_tree(labels_of(GROUPS_K3_SIX), models)
+    nodes = node_tree(GROUPS_K3_SIX, dict(enumerate(models)))
     assert [len(lv.models) for lv in tree.levels] == [4, 2, 1]
     for cid in [5, 0, 3, 2]:
         for lv, node in zip(tree.levels, nodes.paths[cid]):
@@ -226,12 +238,12 @@ def test_anchor_levels_gather_each_clients_ancestors():
 
 def test_blend_all_ancestors_equal():
     w = np.array([1.5, -0.5])
-    tree = build_tree(assign_pairs_k2(), np.tile(w, (4, 1)))
+    tree = build_tree(labels_pairs_k2(), np.tile(w, (4, 1)))
     assert np.allclose(generalized_blend(tree)[2], w, atol=1e-15)
 
 
 def test_blend_k1_is_root():
-    tree = build_tree(assign_k1(range(5)), models_for(5))
+    tree = build_tree(labels_k1(5), models_for(5))
     blend = generalized_blend(tree)
     assert blend.shape == (5, 3)
     for row in blend:
@@ -242,7 +254,7 @@ def test_blend_k1_is_root():
 def test_blend_scalar_example():
     # level-1 model 2 (group of 2), level-2 model 8 (group of 4):
     # B = 1/2 + 1/4 = 3/4, blend = ((1/2)*2 + (1/4)*8) / (3/4) = 4
-    tree = build_tree(assign_pairs_k2(), np.zeros((4, 1)))
+    tree = build_tree(labels_pairs_k2(), np.zeros((4, 1)))
     tree.levels[0].models[0] = 2.0
     tree.levels[1].models[0] = 8.0
     assert sum(lv.coeff[0] for lv in tree.levels) == pytest.approx(0.75, abs=1e-15)
@@ -254,7 +266,7 @@ def test_blend_inside_ancestor_envelope():
     for trial in range(20):
         n = int(rng.integers(2, 12))
         k = int(rng.integers(1, 5))
-        tree = build_tree(random_assignment(n, k, rng), rng.normal(0, 1, (n, 6)))
+        tree = build_tree(random_labels(n, k, rng), rng.normal(0, 1, (n, 6)))
         blend = generalized_blend(tree)
         for cid in range(n):
             stack = np.stack([lv.models[lv.group[cid]] for lv in tree.levels])
@@ -263,7 +275,7 @@ def test_blend_inside_ancestor_envelope():
 
 
 def test_format_tree_lists_every_level():
-    tree = build_tree(assign_pairs_k2(), models_for(4))
+    tree = build_tree(labels_pairs_k2(), models_for(4))
     text = format_tree(tree)
     assert "level=2" in text and "level=1" in text
     assert "members=[0,1]" in text
@@ -274,9 +286,10 @@ def test_format_tree_lists_every_level():
 
 @st.composite
 def laminar_assignments(draw):
-    """Any laminar family over clients 0..n-1: each level splits every group
-    of the level above into random parts of random members, and lists the
-    groups in random order."""
+    """Any laminar family over clients 0..n-1 as `{level: [members of each
+    group]}`, with a model block: each level splits every group of the level
+    above into random parts of random members, and lists the groups in
+    random order."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -290,15 +303,15 @@ def laminar_assignments(draw):
         groups[level] = [parts[i].tolist() for i in rng.permutation(len(parts))]
     m = draw(st.integers(1, 20))
     scale = draw(st.sampled_from([1e-6, 1.0, 1e8]))
-    return LevelAssignment(k, groups), rng.normal(0.0, scale, (n, m))
+    return groups, rng.normal(0.0, scale, (n, m))
 
 
 @settings(max_examples=150, deadline=None)
 @given(laminar_assignments())
 def test_tree_levels_blend_and_text_equal_the_node_graph_bit_for_bit(case):
-    assign, block = case
-    tree = build_tree(assign, block)
-    nodes = node_tree(assign, dict(enumerate(block)))
+    groups, block = case
+    tree = build_tree(labels_of(groups), block)
+    nodes = node_tree(groups, dict(enumerate(block)))
     n = len(block)
     for level, (models, group, coeff) in zip(tree.levels, node_anchor_levels(nodes, range(n))):
         assert level.models.tobytes() == models.tobytes()

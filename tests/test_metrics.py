@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demlearn import models
-from demlearn.clustering import LevelAssignment
 from demlearn.data import Dataset
 from demlearn.hierarchy import build_tree
 from demlearn.metrics import (
@@ -21,7 +20,7 @@ from demlearn.metrics import (
 )
 from demlearn.models import LOGISTIC, MLP, ModelSpec
 
-from oracles import softmax_round_metrics
+from oracles import labels_of, softmax_round_metrics
 from test_hierarchy import laminar_assignments
 
 SPEC = ModelSpec(LOGISTIC, 2, 3)
@@ -118,7 +117,7 @@ def test_g_metrics_k1_empty():
     w = np.zeros(SPEC.param_count)
     union = ds([[1.0, 0.0]], [0])
     block, shards = clients(*[(w, union)] * 2)
-    tree = build_tree(LevelAssignment(1, {1: [[0, 1]]}), block)
+    tree = build_tree(np.zeros((1, 2), np.intp), block)
     gs, gg = g_metrics(SPEC, tree, shards, union)
     assert gs == () and gg == ()
 
@@ -127,8 +126,7 @@ def test_g_metrics_identical_models_match_global():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     union = ds([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0]], [0, 2, 0])
     block, shards = clients(*[(w, union)] * 4)
-    assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = build_tree(assign, block)
+    tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
     gs, gg = g_metrics(SPEC, tree, shards, union)
     ga, _ = evaluate(SPEC, tree.root, union)
     assert all(v == pytest.approx(ga) for v in gg)
@@ -142,8 +140,7 @@ def test_g_metrics_two_group_hand_count():
     t_neg = ds([[1.0, 0.0]], [2])
     union = ds([[1.0, 0.0], [1.0, 0.0]], [0, 2])
     block, shards = clients((w_good, t_pos), (w_good, t_pos), (w_anti, t_neg), (w_anti, t_neg))
-    assign = LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]})
-    tree = build_tree(assign, block)
+    tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
     gs, gg = g_metrics(SPEC, tree, shards, union)
     # each group model is its members' (identical) model: fits own shard,
     # scores 1/2 on the union
@@ -156,10 +153,10 @@ def test_round_metrics_invariant_under_client_reordering():
     union = ds(rng.normal(0, 1, (6, 2)), rng.integers(0, 3, 6))
     tests = [ds(rng.normal(0, 1, (3, 2)), rng.integers(0, 3, 3)) for _ in range(4)]
     block, shards = clients(*[(rng.normal(0, 0.5, SPEC.param_count), t) for t in tests])
-    tree = build_tree(LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
+    tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
     m1 = round_metrics(SPEC, 0, block, shards, union, tree=tree)
     # client i becomes client 3 - i: reversed rows and shards, groups relabelled
-    rev_tree = build_tree(LevelAssignment(2, {2: [[0, 1, 2, 3]], 1: [[2, 3], [0, 1]]}), block[::-1])
+    rev_tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[2, 3], [0, 1]]}), block[::-1])
     m2 = round_metrics(SPEC, 0, block[::-1], shards[::-1], union, tree=rev_tree)
     assert m1.c_spe == m2.c_spe and m1.c_gen == m2.c_gen
     assert m1.g_spe == m2.g_spe and m1.global_acc == m2.global_acc
@@ -170,7 +167,7 @@ def test_round_metrics_baseline_path():
     rng = np.random.default_rng(1)
     union = ds(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5))
     block, shards = clients(*[(np.zeros(SPEC.param_count), union)] * 2)
-    tree = build_tree(LevelAssignment(1, {1: [[0, 1]]}), block)
+    tree = build_tree(np.zeros((1, 2), np.intp), block)
     m = round_metrics(SPEC, 3, block, shards, union, tree)
     assert m.t == 3
     assert m.g_spe == () and m.g_gen == ()
@@ -179,11 +176,10 @@ def test_round_metrics_baseline_path():
         round_metrics(SPEC, 0, block, shards, union)
 
 
-def random_round(spec, assign, rng):
-    """A model block, shards and a global test set for the assignment's
-    clients.  Every test set has a power-of-two size, so each accuracy is a
-    dyadic fraction and a mean over clients is exact in any order."""
-    n = len(assign.client_ids)
+def random_round(spec, n, rng):
+    """A model block, shards and a global test set for n clients.  Every test
+    set has a power-of-two size, so each accuracy is a dyadic fraction and a
+    mean over clients is exact in any order."""
     block = rng.normal(0.0, 0.7, (n, spec.param_count))
 
     def test_set(size):
@@ -197,22 +193,17 @@ def random_round(spec, assign, rng):
 @settings(max_examples=80, deadline=None)
 @given(laminar_assignments(), st.sampled_from([LOGISTIC, MLP]), st.data())
 def test_round_metrics_equal_the_softmax_oracle_in_any_client_order(case, kind, drawn):
-    assign, _ = case
+    labels = labels_of(case[0])
     spec = ModelSpec(kind, 3, 4, 5 if kind == MLP else 0)
     rng = np.random.default_rng(drawn.draw(st.integers(0, 2**32 - 1)))
-    block, shards, union = random_round(spec, assign, rng)
-    tree = build_tree(assign, block)
+    block, shards, union = random_round(spec, labels.shape[1], rng)
+    tree = build_tree(labels, block)
     m = round_metrics(spec, 7, block, shards, union, tree)
     assert m == softmax_round_metrics(spec, 7, block, shards, union, tree)
     # new client j is old client order[j]; the tree is relabelled to match
     order = np.array(drawn.draw(st.permutations(range(len(block)))))
-    new_id = np.argsort(order)
-    moved = LevelAssignment(
-        assign.K,
-        {lv: [[int(new_id[c]) for c in g] for g in gs] for lv, gs in assign.groups.items()},
-    )
     moved_shards = [shards[i] for i in order]
-    moved_tree = build_tree(moved, block[order])
+    moved_tree = build_tree(labels[:, order], block[order])
     m2 = round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
     assert m2 == softmax_round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
     assert (m2.c_spe, m2.c_gen) == (m.c_spe, m.c_gen)
@@ -232,10 +223,10 @@ def test_round_metrics_checks_data_a_fixed_number_of_times_whatever_the_clients(
     for n in (2, 6, 24):
         halves = [list(range(n // 2)), list(range(n // 2, n))]
         singles = [[c] for c in range(n)]
-        assign = LevelAssignment(3, {3: [list(range(n))], 2: halves, 1: singles})
-        block, shards, union = random_round(SPEC, assign, rng)
+        labels = labels_of({3: [list(range(n))], 2: halves, 1: singles})
+        block, shards, union = random_round(SPEC, n, rng)
         calls.clear()
-        round_metrics(SPEC, 0, block, shards, union, build_tree(assign, block))
+        round_metrics(SPEC, 0, block, shards, union, build_tree(labels, block))
         counts.append(len(calls))
     # c_spe, c_gen, the root's evaluate and two per group level
     assert counts == [1 + 1 + 1 + 2 * 2] * 3
