@@ -4,6 +4,9 @@ Clients are compared either by Euclidean distance between their flat model
 vectors or by 1 - cosine similarity between their last update directions,
 one stacked matmul per matrix row.  Average linkage runs as a Lance-Williams
 update on the (n, n) matrix, ties going to the smallest pair of cluster ids.
+A step finds its merge in a few whole-matrix passes (argmin, compare, and a
+row-wise any when the minimum is tied), without listing the tied pairs, so
+n - 1 steps cost O(n^3) even when every distance is equal.
 The merge history (dendrogram) is cut K-1 generations below the root into
 a (K, C) label array, row k - 1 numbering each client's level-k group.
 """
@@ -102,9 +105,13 @@ def agglomerate(dm: np.ndarray) -> Dendrogram:
     Row p of an (n, n) matrix holds the distances of the cluster at position
     p; the diagonal and merged-away rows and columns hold inf.  Each step
     merges at the minimum h; among all pairs at exactly h, the smallest
-    (min_id, max_id) of cluster ids, not row positions, wins.  The survivor's
-    row and column become d(ab,c) = (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b),
-    the exact unweighted mean of cross-pair leaf distances.
+    (min_id, max_id) of cluster ids, not row positions, wins.  A step takes
+    the argmin and the mask of entries equal to h, O(n^2) each.  Two hits are
+    one pair seen from both sides; otherwise the lower id is the smallest id
+    among rows with a hit and its partner the smallest id among that row's
+    hits, one row-wise any and two O(n) lookups.  The survivor's row and
+    column become d(ab,c) = (n_a d(a,c) + n_b d(b,c)) / (n_a + n_b), the
+    exact unweighted mean of cross-pair leaf distances.
     """
     d = _check_distance_matrix(dm).copy()
     n = d.shape[0]
@@ -115,15 +122,23 @@ def agglomerate(dm: np.ndarray) -> Dendrogram:
     sizes = [1] * n
     merges: list[Merge] = []
     for new_id in range(n, 2 * n - 1):
-        h = d.min()
-        rows, cols = np.divmod(np.flatnonzero(d == h), n)  # 2-D nonzero is slower
-        a, b = ids[rows], ids[cols]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        k = np.lexsort((hi, lo))[0]
-        p, q = (rows[k], cols[k]) if a[k] == lo[k] else (cols[k], rows[k])
+        k = d.argmin()
+        h = d.flat[k]
+        hit = d == h
+        # one pair, seen from both sides: the usual case off the bootstrap,
+        # where the row-wise any below would make a step ~1.5x slower
+        if np.count_nonzero(hit) == 2:
+            p, q = divmod(k, n)
+        else:  # the lowest id among rows at h, with its lowest-id partner
+            rows = np.flatnonzero(hit.any(axis=1))
+            p = rows[ids[rows].argmin()]
+            cols = np.flatnonzero(hit[p])
+            q = cols[ids[cols].argmin()]
+        if ids[p] > ids[q]:
+            p, q = q, p
         n_p, n_q = sizes[p], sizes[q]
         size = n_p + n_q
-        merges.append(Merge(int(lo[k]), int(hi[k]), float(h), new_id, size))
+        merges.append(Merge(int(ids[p]), int(ids[q]), float(h), new_id, size))
         row = (n_p * d[p] + n_q * d[q]) / size  # inf at p and q
         d[p] = row
         d[:, p] = row

@@ -18,7 +18,8 @@ a long solve of many clients trains ranges of them in forked processes (no
 split while another thread runs); no output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
-once, naming the client, the round, lr and mu.
+once, naming the client, the round, lr and mu; so does a re-clustering
+round under metric=gradients in which a client's update is zero.
 """
 
 from __future__ import annotations
@@ -197,18 +198,27 @@ def _client_rng(cfg: RunConfig, client_id: int, t: int) -> np.random.Generator:
 
 
 def _rebuild_structure(
-    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, metric: Optional[str] = None
+    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int, metric: Optional[str] = None
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
     """Cluster the clients by their models or their update deltas, and cut
     the dendrogram into a K-level tree.
 
     With K = 1 or a lone client there is nothing to cluster: the tree is one
-    group of all clients at every level, and no dendrogram is built.
+    group of all clients at every level, and no dendrogram is built.  A zero
+    update has no cosine distance, so under metric=gradients it fails naming
+    the client and round t.
     """
     if cfg.k_levels == 1 or len(models) == 1:
         return one_group_tree(models, cfg.k_levels), None
     metric = metric or cfg.metric
     x = models if metric == clustering.WEIGHT_METRIC else deltas
+    if metric == clustering.GRADIENT_METRIC:
+        still = np.einsum("ij,ij->i", x, x) == 0.0
+        if still.any():
+            raise FloatingPointError(
+                f"client {np.flatnonzero(still)[0]} made a zero update in round {t}: "
+                f"metric=gradients needs a nonzero update delta for its cosine distance (lr={cfg.lr})"
+            )
     dend = clustering.agglomerate(clustering.build_distance_matrix(x, metric))
     return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
@@ -265,7 +275,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
     # initial models) so group membership is constant across all rounds
     state.dendrogram = None
     if hierarchical and not cfg.fixed_structure and state.t % cfg.tau == 0:
-        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg)
+        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t)
     propagate_up(state.tree, w)
 
     state.metrics = round_metrics(state.spec, state.t, w, state.shards, state.union_test, state.tree)
@@ -325,7 +335,7 @@ def initial_state(cfg: RunConfig) -> RoundState:
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
         # distance is zero so the cut is the deterministic lowest-index one
-        tree, _ = _rebuild_structure(model_block, delta_block, cfg, metric=clustering.WEIGHT_METRIC)
+        tree, _ = _rebuild_structure(model_block, delta_block, cfg, 0, metric=clustering.WEIGHT_METRIC)
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as shards are equal

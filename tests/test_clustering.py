@@ -243,13 +243,16 @@ def symmetric(upper):
 
 @st.composite
 def distance_matrices(draw):
-    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["float", "ties", "duplicates", "zero"]))
+    n = draw(st.integers(2, 40 if kind == "float" else 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["float", "ties", "zero"]))
     if kind == "float":
         return symmetric(rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 1e6])), (n, n)))
     if kind == "ties":
         return symmetric(rng.integers(0, 4, (n, n)).astype(np.float64))
+    if kind == "duplicates":  # rows from 2-4 distinct vectors: ties recur after merges
+        base = rng.integers(-2, 3, (draw(st.integers(2, 4)), 5)).astype(np.float64)
+        return build_distance_matrix(base[rng.integers(0, len(base), n)])
     return np.zeros((n, n))
 
 
@@ -257,6 +260,30 @@ def distance_matrices(draw):
 @given(distance_matrices())
 def test_agglomerate_equals_the_dict_upgma_exactly(d):
     assert merge_keys(agglomerate(d).merges) == merge_keys(dict_upgma(d))
+
+
+def test_agglomerate_all_zero_300_clients_equals_the_dict_upgma():
+    # the bootstrap's matrix: identical initial models tie every pair at 0
+    d = np.zeros((300, 300))
+    assert merge_keys(agglomerate(d).merges) == merge_keys(dict_upgma(d))
+
+
+def test_agglomerate_unique_minimum_then_ties_by_cluster_id():
+    d = np.full((5, 5), 4.0)
+    np.fill_diagonal(d, 0.0)
+    d[1, 2] = d[2, 1] = 1.0
+    d[1, 3] = d[3, 1] = d[2, 3] = d[3, 2] = 2.0
+    merges = agglomerate(d).merges
+    # a unique minimum; then a unique pair whose merged member 5 sits in the
+    # lower row; then three pairs tied at 4, where ids (0, 4) win although
+    # cluster 6 sits in row 3, above leaf 4's row
+    assert merges == [
+        Merge(1, 2, 1.0, 5, 2),
+        Merge(3, 5, 2.0, 6, 3),
+        Merge(0, 4, 4.0, 7, 2),
+        Merge(6, 7, 4.0, 8, 5),
+    ]
+    assert merge_keys(merges) == merge_keys(dict_upgma(d))
 
 
 def test_agglomerate_rejects_a_matrix_off_symmetric_in_the_sixth_digit():

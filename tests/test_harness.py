@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from demlearn import training
 from demlearn.cli import _build_parser, main
 from demlearn.data import ConfigurationError
 from demlearn.harness import (
@@ -288,6 +289,20 @@ def test_cli_divergent_run_exits_2_and_writes_no_csv(tmp_path, capsys, algorithm
     assert main(["run", "--name", "div", *cli_args(tmp_path, extra)]) == 2
     assert "client 0 diverged in round 0" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []  # no CSV, no summary
+
+
+def test_cli_zero_update_under_gradients_exits_2_naming_client_and_round(tmp_path, capsys, monkeypatch):
+    real_solve = training.local_solve
+
+    def solve_freezing_client_1(spec, w, *args):
+        kept = w[1].copy()
+        real_solve(spec, w, *args)
+        w[1] = kept
+
+    monkeypatch.setattr(training, "local_solve", solve_freezing_client_1)
+    assert main(["run", "--name", "z", *cli_args(tmp_path, ["--metric", "gradients"])]) == 2
+    assert "client 1 made a zero update in round 0: metric=gradients" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("algorithm", ["demlearn-p", "fedprox"])

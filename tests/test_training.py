@@ -376,7 +376,7 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert skipped.dendrograms == []
     assert [m.tolist() for m in skipped.state.tree.members[0]] == [[0, 1, 2, 3, 4]]
 
-    def clustered(models, deltas, cfg, metric=None):
+    def clustered(models, deltas, cfg, t, metric=None):
         dend = clustering.agglomerate(
             clustering.build_distance_matrix(models, metric or cfg.metric)
         )
@@ -395,6 +395,24 @@ def test_gradient_metric_clustering_runs():
     cfg = tiny_cfg(rounds=3, metric="gradients", n_clients=6, k_levels=3)
     result = run(cfg)
     assert len(result.metrics) == 3
+
+
+def test_gradient_metric_zero_update_names_client_and_round(monkeypatch):
+    # client 4 keeps its restart model from round 1 on: its update delta is 0
+    cfg = tiny_cfg(rounds=3, metric="gradients", n_clients=6, k_levels=3, tau=1)
+    real_solve, calls = training.local_solve, []
+
+    def solve_freezing_client_4(spec, w, *args):
+        kept = w[4].copy()
+        real_solve(spec, w, *args)
+        if calls:
+            w[4] = kept
+        calls.append(None)
+
+    monkeypatch.setattr(training, "local_solve", solve_freezing_client_4)
+    with pytest.raises(FloatingPointError, match=r"client 4 made a zero update in round 1: metric=gradients"):
+        run(cfg)
+    assert len(calls) == 2
 
 
 def test_training_loss_non_increasing_after_warmup():
