@@ -22,7 +22,7 @@ from .harness import (
     run_plan,
     sweep_mu,
 )
-from .training import HIERARCHICAL, run
+from .training import HIERARCHICAL, RunConfig, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +44,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace):
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
+
+
+def _no_dendrogram_cause(cfg: RunConfig) -> Optional[str]:
+    """Why a hierarchical run of `cfg` would re-cluster in no round, if it
+    would not; otherwise None.  Round 0 re-clusters in every other run."""
+    if cfg.rounds == 0:
+        return "run.rounds = 0 runs no round"
+    if cfg.k_levels == 1:
+        return "run.k = 1 keeps every client in one group and clusters nothing"
+    if cfg.n_clients == 1:
+        return "data.clients = 1 leaves one client and nothing to cluster"
+    if cfg.fixed_structure:
+        return "run.fixed_structure keeps the initial tree and never re-clusters"
+    return None
 
 
 def _build_parser() -> _Parser:
@@ -103,13 +117,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigurationError(
                     "export-dendrogram requires a hierarchical algorithm"
                 )
-            result = run(cfg)
-            if not result.dendrograms:
-                raise ConfigurationError(
-                    "no dendrogram was built (a run with no rounds, k = 1 or "
-                    "one client clusters nothing)"
-                )
-            _, dend = result.dendrograms[-1]
+            cause = _no_dendrogram_cause(cfg)
+            if cause:
+                raise ConfigurationError(f"export-dendrogram has no dendrogram to export: {cause}")
+            _, dend = run(cfg).dendrograms[-1]
             text = format_dendrogram(dend)
             if args.out_file:
                 with open(args.out_file, "w", encoding="utf-8") as f:

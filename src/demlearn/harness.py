@@ -61,29 +61,17 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "synthetic.separation": ("class_separation", "--separation", float),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in CONFIG_KEYS.items()}
-
-# fields that must agree across the runs of a plan, which share one partition
-_PARTITION_ATTRS = (
-    "data_source",
-    "data_dir",
-    "data_seed",
-    "n_clients",
-    "labels_per_client",
-    "samples_per_client",
-    "test_frac",
-    "num_classes",
-    "input_dim",
-    "samples_per_class",
-    "class_separation",
-)
+# the config sections that fix the data partition, which a plan's runs share
+_PARTITION_SECTIONS = ("data.", "synthetic.")
 
 DEMLEARN_P_DEFAULT_MU = 0.005
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments ignored."""
+    """Flat `key = value` lines; blank lines and # comments ignored.  A key
+    may appear once."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -94,7 +82,13 @@ def read_config_file(path: str) -> dict[str, str]:
                     f"{path}:{lineno}: expected 'key = value', got {line!r}"
                 )
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in line_of:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: key {key!r} is already set on line {line_of[key]}"
+                )
+            line_of[key] = lineno
+            values[key] = value.strip()
     return values
 
 
@@ -138,7 +132,9 @@ def config_echo(cfg: RunConfig) -> dict[str, object]:
 class ExperimentPlan:
     """Named runs plus output destination.
 
-    Names must be unique, and every run must use the same data partition.
+    Names must be unique, and every run must use the same data partition:
+    the runs may differ in `run.*` and `model.*` keys, not in `data.*` or
+    `synthetic.*` ones.
     """
 
     runs: list[tuple[str, RunConfig]]
@@ -151,13 +147,12 @@ class ExperimentPlan:
         for _, cfg in self.runs:
             cfg.validate()
         if self.runs:
-            first = self.runs[0][1]
+            first = config_echo(self.runs[0][1])
             for name, cfg in self.runs[1:]:
-                for attr in _PARTITION_ATTRS:
-                    if getattr(cfg, attr) != getattr(first, attr):
+                for key, value in config_echo(cfg).items():
+                    if key.startswith(_PARTITION_SECTIONS) and value != first[key]:
                         raise ConfigurationError(
-                            f"run {name!r} breaks the shared partition: "
-                            f"{_ATTR_TO_KEY[attr]} differs"
+                            f"run {name!r} breaks the shared partition: {key} differs"
                         )
 
 

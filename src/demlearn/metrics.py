@@ -7,8 +7,8 @@ on the collective set is reported separately as the global metric.  Every
 algorithm has a tree; FedAvg and FedProx have one level, so their group
 series are empty and the root is their global model.
 
-Every accuracy takes its labels from `models.predict`, which equals the
-argmax of the softmax bit for bit (ties to the lowest class index) but
+Every accuracy takes its labels from `models.predict_block`, which equals
+the argmax of the softmax bit for bit (ties to the lowest class index) but
 finishes the softmax only on rows where a second class lies within
 `models._TIE_MARGIN` of the max logit.  It cannot be a plain argmax of the
 logits: the softmax rounds logits [0.15755812732057958, -0.5968275940478756,
@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import ClientShard, Dataset, concat_datasets
-from .hierarchy import HierarchyTree
-from .models import ModelSpec, cross_entropy, forward, predict, predict_block
+from .hierarchy import HierarchyTree, members
+from .models import ModelSpec, cross_entropy, forward, predict_block
 
 
 @dataclass
@@ -54,15 +54,11 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
     return acc, cross_entropy(probs, ds.labels)
 
 
-def accuracy(spec: ModelSpec, w: np.ndarray, test: Dataset) -> float:
-    """Share of `test` that `predict` labels right: `evaluate`'s accuracy
-    without the softmax on the rows where one class clearly leads."""
-    return float(np.mean(predict(spec, w, test) == test.labels))
-
-
 def _accuracies(spec: ModelSpec, block: np.ndarray, tests: Sequence[Dataset]) -> list[float]:
-    """`accuracy` of row i of `block` on `tests[i]`; each distinct test set is
-    checked once, not once per row."""
+    """The share of `tests[i]` that row i of `block` labels right, for every
+    row: `evaluate`'s accuracy without the softmax on the rows where one
+    class clearly leads.  Each distinct test set is checked once, not once
+    per row."""
     preds = predict_block(spec, block, tests)
     # an exact count over the set's length: the bits of np.mean, a lot sooner
     return [np.count_nonzero(p == test.labels) / len(p) for p, test in zip(preds, tests)]
@@ -89,10 +85,11 @@ def g_metrics(
     Returns (g_spe, g_gen), each indexed by level-1.
     """
     spe, gen = [], []
-    for level, members in zip(tree.levels[:-1], tree.members):
-        member_tests = [concat_datasets([shards[c].test for c in clients]) for clients in members]
-        spe.append(float(np.mean(_accuracies(spec, level.models, member_tests))))
-        gen.append(float(np.mean(_accuracies(spec, level.models, [global_test] * len(members)))))
+    for level in tree.levels[:-1]:
+        groups = members(level.group)
+        group_tests = [concat_datasets([shards[c].test for c in clients]) for clients in groups]
+        spe.append(float(np.mean(_accuracies(spec, level.models, group_tests))))
+        gen.append(float(np.mean(_accuracies(spec, level.models, [global_test] * len(groups)))))
     return tuple(spe), tuple(gen)
 
 

@@ -23,13 +23,13 @@ its rng, and cuts every step's C batches with one gather per array.  A large
 solve trains ranges of its rows in forked processes, one per CPU; a row
 depends only on its own data, orders and anchors, so no bit depends on that.
 
-`predict` gives one model's labels, bit for bit the argmax of `forward`'s
-softmax rows, but finishes the softmax only on rows where a second class
-lies within `_TIE_MARGIN` of the max logit; `predict_block` runs it for
-each row of a block, stacking the rows whose sets have equal length.
-`forward`, the solver and `predict` share one logits kernel.
+`predict_block` gives each row of a block its labels on its own data set,
+bit for bit the argmax of `forward`'s softmax rows, but finishes the
+softmax only on rows where a second class lies within `_TIE_MARGIN` of the
+max logit; it stacks the rows whose sets have equal length.  `forward`, the
+solver and `predict_block` share one logits kernel.
 
-Inputs are validated once, where they enter: `forward`, `loss`, `predict`,
+Inputs are validated once, where they enter: `forward`, `loss`,
 `predict_block`, `prox_objective` and `local_solve` check the parameter
 length, the feature width, the labels (an integer dtype, each in range),
 non-empty sets, the anchor shapes and a finite mu >= 0.  One call checks
@@ -281,8 +281,8 @@ class _PredictWork:
 
 
 def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) -> np.ndarray:
-    """`predict` on checked inputs for a stack: Q models (Q, M) on Q sets of
-    m samples each (Q, m, input_dim); returns (Q, m) labels."""
+    """`predict_block` on checked inputs for a stack: Q models (Q, M) on Q
+    sets of m samples each (Q, m, input_dim); returns (Q, m) labels."""
     q, m = x.shape[:2]
     n = q * m
     z = work.logits[: n * spec.num_classes].reshape(q, m, spec.num_classes)
@@ -323,17 +323,12 @@ def loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
     return cross_entropy(forward(spec, w, data), data.labels)
 
 
-def predict(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
-    """Class labels of one model, bit for bit `np.argmax(forward(...), axis=1)`.
-
-    A row where only the max logit's class lies within `_TIE_MARGIN` of the
-    max takes that class; the softmax is finished only on the other rows.
-    """
-    return predict_block(spec, [w], [data])[0]
-
-
 def predict_block(spec: ModelSpec, block: np.ndarray, sets: Sequence[Dataset]) -> list[np.ndarray]:
-    """`predict` of row i of the (C, M) models on `sets[i]`, for every row.
+    """The class labels of row i of the (C, M) models on `sets[i]`, for every
+    row, bit for bit `np.argmax(forward(...), axis=1)`.
+
+    A sample where only the max logit's class lies within `_TIE_MARGIN` of
+    the max takes that class; the softmax is finished only on the others.
 
     Each distinct set object is checked once, however many rows share it.
     Rows whose sets have the same length run as one stack, Q rows at a

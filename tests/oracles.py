@@ -11,10 +11,11 @@ server side that the vectorised distances and matrix UPGMA must equal.
 node by node; the label-array cut and the one-pass text must equal them, and
 `labels_of` turns such group lists into the label array `build_tree` takes.
 `node_tree` and its queries are the group tree as a graph of nodes, one
-client at a time, that the library's per-level arrays must equal.
-`softmax_predict` is the argmax of the full softmax, which `predict` must
-equal without computing it on most rows; `softmax_round_metrics` builds a
-round's metrics on it, one model and one data set at a time.
+client at a time, that the library's per-level arrays must equal; its
+`group_average` is the count-weighted mean of one group's children.
+`softmax_predict` is the argmax of the full softmax, which `predict_block`
+must equal without computing it on most rows; `softmax_round_metrics` builds
+a round's metrics on it, one model and one data set at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from demlearn.data import Dataset
-from demlearn.hierarchy import group_average
 from demlearn.metrics import RoundMetrics
 from demlearn.models import LOGISTIC, forward
 
@@ -39,7 +39,8 @@ def softmax_round_metrics(spec, t, block, shards, global_test, tree) -> RoundMet
         return float(np.mean(softmax_predict(spec, w, ds) == ds.labels))
 
     g_spe, g_gen = [], []
-    for level, members in zip(tree.levels[:-1], tree.members):
+    for level in tree.levels[:-1]:
+        members = [np.flatnonzero(level.group == g) for g in range(len(level.models))]
         tests = [
             Dataset(
                 np.concatenate([shards[c].test.features for c in clients]),
@@ -427,6 +428,27 @@ class NodeTree:
             for node in levels[level]:
                 for cid in node.clients:
                     self.paths.setdefault(cid, [None] * K)[level - 1] = node
+
+
+def group_average(children_models, children_counts) -> np.ndarray:
+    """Count-weighted mean; weights are normalized first so they sum to 1,
+    and the children are added one at a time in the order given."""
+    if len(children_models) == 0:
+        raise ValueError("cannot average an empty children list")
+    if len(children_models) != len(children_counts):
+        raise ValueError("models and counts differ in length")
+    shape = children_models[0].shape
+    for m in children_models:
+        if m.shape != shape:
+            raise ValueError("children models differ in length")
+    counts = np.asarray(children_counts, dtype=np.float64)
+    if np.any(counts < 1):
+        raise ValueError("member counts must be at least 1")
+    weights = counts / counts.sum()
+    acc = children_models[0] * weights[0]
+    for m, w in zip(children_models[1:], weights[1:]):
+        acc += m * w
+    return acc
 
 
 def node_tree(groups, client_models) -> NodeTree:

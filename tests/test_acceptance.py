@@ -18,7 +18,7 @@ import pytest
 from demlearn.clustering import agglomerate, truncate
 from demlearn.data import Dataset
 from demlearn.harness import ExperimentPlan, run_plan
-from demlearn.hierarchy import build_tree
+from demlearn.hierarchy import build_tree, members
 from demlearn.models import (
     LOGISTIC,
     MLP,
@@ -180,8 +180,8 @@ def test_criterion_3_hierarchy_identity():
         tree = build_tree(random_labels(n, k, rng), models)
         mean = np.mean(models, axis=0)
         worst_root = max(worst_root, float(np.max(np.abs(tree.root - mean))))
-        for level, members in zip(tree.levels, tree.members):
-            for model, clients in zip(level.models, members):
+        for level in tree.levels:
+            for model, clients in zip(level.models, members(level.group)):
                 leaf_mean = np.mean(models[clients], axis=0)
                 worst_node = max(worst_node, float(np.max(np.abs(model - leaf_mean))))
     ok = worst_root < 1e-9 and worst_node < 1e-9

@@ -13,7 +13,7 @@ from demlearn.clustering import (
     format_dendrogram,
     truncate,
 )
-from demlearn.hierarchy import build_tree
+from demlearn.hierarchy import build_tree, members
 
 from oracles import (
     brute_force_upgma,
@@ -376,13 +376,16 @@ def test_truncate_gives_nested_partitions_that_build_tree_accepts(dend, k):
     tree = build_tree(labels, np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1))
     nodes = node_tree(groups, dict(enumerate(np.zeros((n, 1)))))
     for level in range(1, k + 1):
-        assert [m.tolist() for m in tree.members[level - 1]] == groups[level]
-        group = [[c in members for members in groups[level]].index(True) for c in range(n)]
+        assert [m.tolist() for m in members(tree.levels[level - 1].group)] == groups[level]
+        group = [[c in clients for clients in groups[level]].index(True) for c in range(n)]
         assert tree.levels[level - 1].group.tolist() == group
     for level in range(2, k + 1):
         below = nodes.levels[level - 1]
         kids = [[below.index(child) for child in node.children] for node in nodes.levels[level]]
-        assert tree.children[level - 2] == kids
+        # each level-(level - 1) group's parent, read off the two group rows
+        parent = np.empty(len(below), dtype=np.intp)
+        parent[tree.levels[level - 2].group] = tree.levels[level - 1].group
+        assert [m.tolist() for m in members(parent)] == kids
     assert format_dendrogram(dend) == recursive_format_dendrogram(dend)
 
 

@@ -19,7 +19,7 @@ from demlearn.data import (
     partition_shards,
     synthetic_dataset,
 )
-from demlearn.metrics import accuracy
+from demlearn.metrics import c_gen
 from demlearn.models import LOGISTIC, ModelSpec, init_params, local_solve
 
 
@@ -237,7 +237,7 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)[None]
     local_solve(spec, w, [ds], [], 0.0, 60, 16, 0.1, [1])
-    assert accuracy(spec, w[0], ds) == 1.0
+    assert c_gen(spec, w, ds) == 1.0
 
 
 def test_synthetic_argument_validation():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from demlearn import training
+from demlearn import cli, training
 from demlearn.cli import _build_parser, main
 from demlearn.data import ConfigurationError
 from demlearn.harness import (
@@ -63,6 +63,17 @@ def test_flag_overrides_file(tmp_path):
     p.write_text("run.rounds = 7\n")
     cfg = parse_config(str(p), {"run.rounds": 3})
     assert cfg.rounds == 3
+
+
+def test_repeated_key_rejected_naming_both_lines(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("run.rounds = 1\n# a comment\nrun.k = 2\n run.rounds = 0\n")
+    with pytest.raises(ConfigurationError, match=r"run.cfg:4: key 'run.rounds' is already set on line 1"):
+        parse_config(str(p), {})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    assert "key 'run.rounds' is already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -139,14 +150,39 @@ def test_plan_rejects_duplicate_names():
         plan.validate()
 
 
-def test_plan_rejects_partition_mismatch():
-    import dataclasses
+# a second valid value for every key that fixes the data partition
+PARTITION_CHANGES = {
+    "data.source": "idx",
+    "data.dir": "elsewhere",
+    "data.seed": 5,
+    "data.clients": 7,
+    "data.labels_per_client": 3,
+    "data.samples_per_client": 60,
+    "data.test_frac": 0.3,
+    "synthetic.classes": 8,
+    "synthetic.input_dim": 12,
+    "synthetic.samples_per_class": 300,
+    "synthetic.separation": 4.0,
+}
 
-    plan = ExperimentPlan(
-        [("a", RunConfig()), ("b", dataclasses.replace(RunConfig(), data_seed=5))]
-    )
-    with pytest.raises(ConfigurationError, match="shared partition"):
+
+@pytest.mark.parametrize("key", sorted(PARTITION_CHANGES))
+def test_plan_rejects_partition_mismatch(key):
+    other = parse_config(None, {key: PARTITION_CHANGES[key]})
+    plan = ExperimentPlan([("a", RunConfig()), ("b", other)])
+    with pytest.raises(ConfigurationError, match=f"run 'b' breaks the shared partition: {key} differs"):
         plan.validate()
+
+
+def test_plan_runs_may_differ_in_run_and_model_keys():
+    other = parse_config(
+        None,
+        {
+            "run.algorithm": "fedprox", "run.mu": 0.01, "run.rounds": 3, "run.k": 2,
+            "run.seed": 9, "run.lr": 0.05, "model.kind": "mlp-1hidden", "model.hidden_dim": 8,
+        },
+    )
+    ExperimentPlan([("a", RunConfig()), ("b", other)]).validate()
 
 
 # ------------------------------------------------------------ run_plan
@@ -256,7 +292,32 @@ def test_cli_k1_builds_no_dendrogram(tmp_path, capsys):
             "--samples-per-client", "20", "--epochs", "1", "--k", "1",
             "--out-file", str(out_file)]
     assert main(args) == 1
-    assert "no dendrogram was built" in capsys.readouterr().err
+    assert "no dendrogram to export: run.k = 1" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [
+        (["--fixed-structure"], "run.fixed_structure keeps the initial tree and never re-clusters"),
+        (["--rounds", "0"], "run.rounds = 0 runs no round"),
+        (["--clients", "1"], "data.clients = 1 leaves one client"),
+    ],
+)
+def test_cli_export_dendrogram_names_why_none_is_built_before_running(
+    tmp_path, capsys, monkeypatch, extra, cause
+):
+    def no_run(cfg):
+        raise AssertionError("export-dendrogram ran a run that clusters nothing")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out_file = tmp_path / "dend.txt"
+    args = ["export-dendrogram", "--rounds", "2", "--clients", "4", "--classes", "4",
+            "--input-dim", "6", "--samples-per-class", "40",
+            "--samples-per-client", "20", "--epochs", "1", "--k", "2",
+            "--out-file", str(out_file), *extra]
+    assert main(args) == 1
+    assert f"config error: export-dendrogram has no dendrogram to export: {cause}" in capsys.readouterr().err
     assert not out_file.exists()
 
 

@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demlearn.hierarchy import (
     build_tree,
     format_tree,
     generalized_blend,
-    group_average,
+    members,
     propagate_up,
 )
 
 from oracles import (
+    group_average,
     labels_of,
     naive_weighted_mean,
     node_anchor_levels,
@@ -55,6 +56,7 @@ def random_labels(n, k, rng):
 
 
 # ------------------------------------------------------------ group_average
+# the node graph's mean, which every level of the tree must equal bit for bit
 
 
 def test_group_average_identical_children():
@@ -87,16 +89,14 @@ def test_group_average_empty_children():
 def test_build_tree_k1_root_holds_everyone():
     tree = build_tree(labels_k1(5), models_for(5))
     assert tree.K == 1
-    assert [m.tolist() for m in tree.members[0]] == [[0, 1, 2, 3, 4]]
+    assert [m.tolist() for m in members(tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
     assert tree.root.tobytes() == tree.levels[0].models[0].tobytes()
 
 
 def test_build_tree_two_pairs():
     tree = build_tree(labels_pairs_k2(), models_for(4))
-    assert len(tree.members[1][0]) == 4
-    kids = tree.children[0][0]
-    assert [len(tree.members[0][g]) for g in kids] == [2, 2]
-    assert [tree.members[0][g].tolist() for g in kids] == [[0, 1], [2, 3]]
+    assert [m.tolist() for m in members(tree.levels[1].group)] == [[0, 1, 2, 3]]
+    assert [m.tolist() for m in members(tree.levels[0].group)] == [[0, 1], [2, 3]]
 
 
 def test_build_tree_rebuild_is_idempotent():
@@ -104,7 +104,7 @@ def test_build_tree_rebuild_is_idempotent():
     t1 = build_tree(labels_pairs_k2(), models)
     t2 = build_tree(labels_pairs_k2(), models)
     for k in range(2):
-        assert [m.tolist() for m in t1.members[k]] == [m.tolist() for m in t2.members[k]]
+        assert t1.levels[k].group.tobytes() == t2.levels[k].group.tobytes()
         assert np.array_equal(t1.levels[k].models, t2.levels[k].models)
 
 
@@ -172,8 +172,8 @@ def test_every_node_is_leaf_descendant_mean():
     rng = np.random.default_rng(3)
     models = rng.normal(0, 1, (6, 4))
     tree = build_tree(labels_of(GROUPS_K3_SIX), models)
-    for level, members in zip(tree.levels, tree.members):
-        for model, clients in zip(level.models, members):
+    for level in tree.levels:
+        for model, clients in zip(level.models, members(level.group)):
             leaf_mean = naive_weighted_mean(list(models[clients]), [1] * len(clients))
             assert np.allclose(model, leaf_mean, atol=1e-12)
 
@@ -187,7 +187,7 @@ def test_duplicating_clients_leaves_ancestors_unchanged():
     dup_labels = labels_of({2: [[0, 1, 2, 3, 4, 5, 6, 7]], 1: [[0, 1, 4, 5], [2, 3, 6, 7]]})
     dup_tree = build_tree(dup_labels, np.vstack([models, models]))
     for k in range(2):
-        for orig, dup in zip(tree.members[k], dup_tree.members[k]):
+        for orig, dup in zip(members(tree.levels[k].group), members(dup_tree.levels[k].group)):
             assert len(dup) == 2 * len(orig)
         assert np.allclose(dup_tree.levels[k].models, tree.levels[k].models, atol=1e-12)
 
@@ -308,6 +308,12 @@ def laminar_assignments(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(laminar_assignments())
+# a column of -0.0 in every client: each mean starts from its first child, so
+# the sign survives, as in the node graph (a sum from +0.0 would lose it)
+@example(({3: [[0, 1, 2, 3, 4]], 2: [[0, 1], [2, 3, 4]], 1: [[0], [1], [2, 4], [3]]},
+          np.column_stack([np.arange(1.0, 6.0), np.full(5, -0.0)])))
+@example(({4: [[0, 1, 2, 3, 4, 5, 6]], 3: [[5, 0, 3], [1, 2, 4, 6]], 2: [[0, 3], [5], [2, 6, 4], [1]],
+           1: [[3], [0], [5], [4, 2], [6], [1]]}, np.linspace(-1.0, 2.0, 7)[:, None]))  # one parameter wide
 def test_tree_levels_blend_and_text_equal_the_node_graph_bit_for_bit(case):
     groups, block = case
     tree = build_tree(labels_of(groups), block)

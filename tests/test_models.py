@@ -25,7 +25,6 @@ from demlearn.models import (
     init_params,
     local_solve,
     loss,
-    predict,
     predict_block,
     prox_grad,
     prox_objective,
@@ -36,6 +35,11 @@ from oracles import central_diff, client_anchors, scalar_local_solve, softmax_pr
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
 MLP_SPEC = ModelSpec(MLP, 3, 4, hidden_dim=5)
+
+
+def predict(spec, w, data):
+    """One model's labels on one data set: `predict_block` on a block of one row."""
+    return predict_block(spec, [w], [data])[0]
 
 
 def data(spec, features, labels):

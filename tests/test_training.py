@@ -8,7 +8,7 @@ import pytest
 from demlearn import clustering, training
 from demlearn.data import ConfigurationError
 from demlearn.harness import metrics_csv_lines
-from demlearn.hierarchy import build_tree, group_average
+from demlearn.hierarchy import build_tree, members
 from demlearn.training import (
     RunConfig,
     beta_schedule,
@@ -160,10 +160,10 @@ def test_fedavg_identical_clients_symmetry(monkeypatch):
 
 
 def test_weighted_mean_example():
-    out = group_average(
-        [np.array([0.0]), np.array([2.0]), np.array([5.0])], [1, 1, 2]
-    )
-    assert out[0] == pytest.approx(3.0, abs=1e-15)
+    # the root's children hold 1, 1 and 2 clients, with models 0, 2 and 5
+    labels = np.array([[0, 1, 2, 2], [0, 0, 0, 0]])
+    tree = build_tree(labels, np.array([[0.0], [2.0], [5.0], [5.0]]))
+    assert tree.root[0] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_fedprox_mu_zero_matches_fedavg():
@@ -247,7 +247,7 @@ def test_flat_run_keeps_one_group_and_records_no_structures():
     result = run(cfg)
     tree = result.state.tree
     assert tree.K == 1
-    assert [m.tolist() for m in tree.members[0]] == [[0, 1, 2, 3, 4]]
+    assert [m.tolist() for m in members(tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
     assert result.dendrograms == [] and result.tree_snapshots == []
     assert all(m.g_spe == () and m.g_gen == () for m in result.metrics)
 
@@ -314,7 +314,7 @@ def test_structure_constant_between_rebuilds():
     for _ in range(4):
         run_round(state, cfg)
         memberships.append(
-            tuple(tuple(m.tolist()) for m in state.tree.members[0])
+            tuple(tuple(m.tolist()) for m in members(state.tree.levels[0].group))
         )
     # rounds 0-1 share the structure built in round 0; rounds 2-3 the next one
     assert memberships[0] == memberships[1]
@@ -324,10 +324,10 @@ def test_structure_constant_between_rebuilds():
 def test_fixed_structure_never_changes_membership():
     cfg = tiny_cfg(rounds=5, fixed_structure=True, n_clients=6, k_levels=2)
     state = initial_state(cfg)
-    initial = tuple(tuple(m.tolist()) for m in state.tree.members[0])
+    initial = tuple(tuple(m.tolist()) for m in members(state.tree.levels[0].group))
     for _ in range(5):
         run_round(state, cfg)
-        assert tuple(tuple(m.tolist()) for m in state.tree.members[0]) == initial
+        assert tuple(tuple(m.tolist()) for m in members(state.tree.levels[0].group)) == initial
 
 
 def test_fedavg_reduction_bitwise():
@@ -359,8 +359,8 @@ def test_single_client_hierarchical_run():
     result = run(cfg)
     assert len(result.metrics) == 2
     tree = result.state.tree
-    for members in tree.members:
-        assert [m.tolist() for m in members] == [[0]]
+    for level in tree.levels:
+        assert [m.tolist() for m in members(level.group)] == [[0]]
     assert np.array_equal(tree.root, result.state.model_block[0])
 
 
@@ -374,7 +374,7 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
         m.setattr(clustering, "agglomerate", no_clustering)
         skipped = run(cfg)
     assert skipped.dendrograms == []
-    assert [m.tolist() for m in skipped.state.tree.members[0]] == [[0, 1, 2, 3, 4]]
+    assert [m.tolist() for m in members(skipped.state.tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
 
     def clustered(models, deltas, cfg, t, metric=None):
         dend = clustering.agglomerate(
