@@ -13,15 +13,18 @@ block, a mini-batch is (C, B, input_dim) features with (C, B) labels, and
 every product is a stacked (C, ., .) @ (C, ., .) matmul.  Each row comes out
 bit for bit as it would for that client alone: numpy runs the same gemm on
 every slice, and every other step is elementwise or a sum within one
-client.  `forward` and `loss` evaluate one model as a stack of one.
+client.  `forward` evaluates one model as a stack of one.
 Gradients are analytic (softmax cross-entropy backprop by hand);
 `local_solve` runs plain mini-batch SGD for all C clients in lockstep, with
 an optional sum of proximal penalties pulling each client toward its anchor
-models, given one `AnchorLevel` per tree level.  It stacks the C training
-sets into one, draws each client's orders for all epochs in one call of
-its rng, and cuts every step's C batches with one gather per array.  A large
-solve trains ranges of its rows in forked processes, one per CPU; a row
-depends only on its own data, orders and anchors, so no bit depends on that.
+models, given one `AnchorLevel` per tree level.  The anchors stay fixed
+through a solve, so it folds the levels once into one pull s * w - A
+(`_fold_anchors`), three passes over the block a step whatever the level
+count.  It stacks the C training sets into one, draws each client's orders
+for all epochs in one call of its rng, and cuts every step's C batches with
+one gather per array.  A solve with enough work trains ranges of its rows
+in forked processes, one per CPU; a row depends only on its own data,
+orders and anchors, so no bit depends on that.
 
 `predict_block` gives each row of a block its labels on its own data set,
 bit for bit the argmax of `forward`'s softmax rows, but finishes the
@@ -29,15 +32,15 @@ softmax only on rows where a second class lies within `_TIE_MARGIN` of the
 max logit; it stacks the rows whose sets have equal length.  `forward`, the
 solver and `predict_block` share one logits kernel.
 
-Inputs are validated once, where they enter: `forward`, `loss`,
-`predict_block`, `prox_objective` and `local_solve` check the parameter
-length, the feature width, the labels (an integer dtype, each in range),
-non-empty sets, the anchor shapes and a finite mu >= 0.  One call checks
-the labels of all its data sets in one reduction, and each distinct set
-once.  `local_solve` also requires a finite lr >= 0 and every client's
-training set to have the same length, because a lockstep batch has one
-shape, and it updates its model block in place.  `grad` and `prox_grad`
-are the SGD step kernels; they trust their inputs and check nothing.
+Inputs are validated once, where they enter: `forward`, `predict_block`
+and `local_solve` check the parameter length, the feature width, the
+labels (an integer dtype, each in range), non-empty sets, and, for the
+solver, the anchor shapes and a finite mu >= 0.  One call checks the
+labels of all its data sets in one reduction, and each distinct set once.
+`local_solve` also requires a finite lr >= 0 and every client's training
+set to have the same length, because a lockstep batch has one shape, and
+it updates its model block in place.  `grad` and `prox_grad` are the SGD
+step kernels; they trust their inputs and check nothing.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ _LOG_FLOOR = 1e-12
 # every other class has d = z - max < -2**-40, so exp(d) <= 1 - 2**-41 and,
 # divided by the same row sum s, rounds strictly below fl(1 / s).
 _TIE_MARGIN = 2.0**-40
-# A solve is split over processes only with at least _MIN_ROWS clients per
-# process and _MIN_STEPS steps: a fork, exit and wait cost ~2.5 ms.
-_MIN_ROWS = 16
-_MIN_STEPS = 40
+# A solve is split over processes only with at least this much work, rows x
+# steps x param_count, per process: a 2-way split of a batch-16 solve breaks
+# even against a fork, exit and wait at ~0.2M (170 parameters) to ~0.4M (874).
+_MIN_WORK = 400_000
 
 
 @dataclass(frozen=True)
@@ -220,8 +223,8 @@ class _Workspace:
     """Scratch arrays for C clients and batches of up to B samples.
 
     A step on a smaller batch works in leading views of the same arrays.  The
-    proximal pull shares memory with the two backprop activations, which are
-    dead by the time `prox_grad` computes it.
+    proximal pull s * w - A shares memory with the two backprop activations,
+    which are dead by the time `prox_grad` computes it.
     """
 
     def __init__(self, spec: ModelSpec, c: int, b: int) -> None:
@@ -318,11 +321,6 @@ def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     return probs[0]
 
 
-def loss(spec: ModelSpec, w: np.ndarray, data: Dataset) -> float:
-    """Mean cross-entropy over the data set."""
-    return cross_entropy(forward(spec, w, data), data.labels)
-
-
 def predict_block(spec: ModelSpec, block: np.ndarray, sets: Sequence[Dataset]) -> list[np.ndarray]:
     """The class labels of row i of the (C, M) models on `sets[i]`, for every
     row, bit for bit `np.argmax(forward(...), axis=1)`.
@@ -411,24 +409,25 @@ def grad(
     return g
 
 
-def prox_objective(
-    spec: ModelSpec,
-    w: np.ndarray,
-    trains: Sequence[Dataset],
-    levels: Sequence[AnchorLevel],
-    mu: float,
-) -> np.ndarray:
-    """Per client i: loss(w[i]) + (mu/2) * sum_levels coeff[i] * ||w[i] - models[group[i]]||^2"""
-    _check_block(spec, w)
-    _check_anchors(spec, levels, mu, len(w))
-    values = np.array([loss(spec, wi, data) for wi, data in zip(w, trains, strict=True)])
-    if mu == 0.0:
-        return values
-    penalty = np.zeros(len(w))
-    for level in levels:
-        diff = w - level.models[level.group]
-        penalty += level.coeff * np.einsum("ij,ij->i", diff, diff)
-    return values + 0.5 * mu * penalty
+def _fold_anchors(levels: Sequence[AnchorLevel], mu: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The levels' pull sum_k m_k * (w - models_k[group_k]), m_k = mu * coeff_k,
+    as s * w - A: s is the (C, 1) sum of the m_k and A the (C, M) sum of
+    m_k * models_k[group_k], each added in level order; None if mu or K is 0."""
+    if mu == 0.0 or not levels:
+        return None
+    first, rest = levels[0], levels[1:]
+    s = mu * first.coeff
+    # "clip" never alters an index checked at entry; "raise" would copy
+    target = np.take(first.models, first.group, axis=0, mode="clip")
+    target *= s[:, None]
+    gathered = np.empty_like(target)
+    for level in rest:
+        weight = mu * level.coeff
+        s += weight
+        np.take(level.models, level.group, axis=0, out=gathered, mode="clip")
+        gathered *= weight[:, None]
+        target += gathered
+    return s[:, None], target
 
 
 def prox_grad(
@@ -436,27 +435,24 @@ def prox_grad(
     w: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    levels: Sequence[AnchorLevel],
-    mu: float,
+    pull: tuple[np.ndarray, np.ndarray] | None,
     work: _Workspace | None = None,
 ) -> np.ndarray:
-    """Gradients of `prox_objective` on samples (x, y); bitwise `grad` at mu == 0.
+    """`grad` plus the proximal pull s * w - A of `pull` = (s, A), the
+    levels that `_fold_anchors` folds; bitwise `grad` when `pull` is None.
 
-    A step kernel like `grad`: it checks nothing.  Each level's pull
-    mu * coeff * (w - anchor) is added in turn, in the order given.
+    A step kernel like `grad`: it checks nothing, and adds the pull of every
+    level in three passes over the block.
     """
     if work is None:
         work = _Workspace(spec, *y.shape)
     g = grad(spec, w, x, y, work)
-    if mu == 0.0:
+    if pull is None:
         return g
-    pull = work.prox
-    for level in levels:
-        # "clip" never alters an index checked at entry; "raise" would copy
-        np.take(level.models, level.group, axis=0, out=pull, mode="clip")
-        np.subtract(w, pull, out=pull)
-        pull *= (mu * level.coeff)[:, None]
-        g += pull
+    s, target = pull
+    p = np.multiply(w, s, out=work.prox)
+    p -= target
+    g += p
     return g
 
 
@@ -471,7 +467,8 @@ def local_solve(
     lr: float,
     rngs: Sequence,
 ) -> None:
-    """Mini-batch SGD on `prox_objective` for C clients in lockstep.
+    """Mini-batch SGD for C clients in lockstep, on each client's mean
+    cross-entropy plus (mu/2) * sum_levels coeff * ||w - anchor||^2.
 
     `w` is the C-contiguous (C, M) block of starting models and is updated
     in place; row i trains on `trains[i]`, shuffled by `rngs[i]`.  Each
@@ -482,10 +479,11 @@ def local_solve(
     ends bitwise equal to the same solve of client i alone, deterministic
     given its rng seed.  lr == 0 walks the schedule without moving.
 
-    With at least `_MIN_STEPS` steps, P - 1 forked children and the caller
-    train P contiguous ranges of rows (see `_processes` for P).  The rngs
-    are drawn before the fork, and no output bit depends on P.  A child's
-    failure raises a RuntimeError that names its client rows.
+    The levels are folded once into the pull's target (`_fold_anchors`).
+    With enough work, P - 1 forked children and the caller train P
+    contiguous ranges of rows (see `_processes` for P).  The rngs and the
+    target are made before the fork, and no output bit depends on P.  A
+    child's failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -519,23 +517,23 @@ def local_solve(
     for i, rng in enumerate(rngs):
         orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
     orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
+    pull = _fold_anchors(levels, mu)
 
     def train(lo: int, hi: int) -> None:
-        rows = levels
-        if hi - lo < c:  # the whole block keeps its levels, checked at entry
-            rows = [AnchorLevel(lv.models, lv.group[lo:hi], lv.coeff[lo:hi]) for lv in levels]
-        _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, mu, batch_size, lr)
+        rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])
+        _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, batch_size, lr)
 
-    parts = _processes(c, epochs * -(-n // batch_size))
+    parts = _processes(c * epochs * -(-n // batch_size) * spec.param_count)
     if parts == 1:
         train(0, c)
     else:
         _train_forked(w, [c * p // parts for p in range(parts + 1)], train)
 
 
-def _train_rows(spec, w, features, labels, orders, levels, mu, batch_size, lr) -> None:
+def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None:
     """`local_solve`'s SGD steps for the clients of `w`, a range of rows of
-    its block, with their (rows, epochs, n) orders into the stacked set."""
+    its block, with their (rows, epochs, n) orders into the stacked set and
+    the same rows of the pull's (s, A)."""
     c, epochs, n = orders.shape
     b_max = min(batch_size, n)
     x_buf = np.empty(c * b_max * spec.input_dim)
@@ -550,21 +548,21 @@ def _train_rows(spec, w, features, labels, orders, levels, mu, batch_size, lr) -
             y = y_buf[: c * b].reshape(c, b)
             np.take(features, rows, axis=0, out=x, mode="clip")
             np.take(labels, rows, out=y, mode="clip")
-            g = prox_grad(spec, w, x, y, levels, mu, work)
+            g = prox_grad(spec, w, x, y, pull, work)
             g *= lr
             w -= g
 
 
-def _processes(clients: int, steps: int) -> int:
-    """How many processes share a solve: one per CPU it may run on, each
-    with at least `_MIN_ROWS` clients; one for a short solve, where the
-    platform cannot fork, or while another thread is alive (a child could
-    inherit its locks)."""
-    if steps < _MIN_STEPS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+def _processes(work: int) -> int:
+    """How many processes share a solve of `work` = rows x steps x
+    param_count: one per CPU it may run on, each with at least `_MIN_WORK`;
+    one where the platform cannot fork, or while another thread is alive (a
+    child could inherit its locks)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), clients // _MIN_ROWS))
+    return max(1, min(len(os.sched_getaffinity(0)), work // _MIN_WORK))
 
 
 def _train_forked(w: np.ndarray, edges: list[int], train) -> None:

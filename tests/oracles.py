@@ -1,10 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's code paths: plain loops, brute-force
-recomputation, and finite differences.  `scalar_local_solve` is the
-per-client SGD loop on 2-D arrays that the library's lockstep solver must
-match row for row, bit for bit; the flat FedAvg loop runs on it, and a
-round-loop test runs whole runs with it in place of the solver.
+recomputation, and finite differences.  `loss` and `prox_objective` are
+the objectives whose gradients the step kernels must match by finite
+differences.  `scalar_local_solve` is the per-client SGD loop on 2-D arrays
+that the library's lockstep solver must match row for row, bit for bit; the
+flat FedAvg loop runs on it, and a round-loop test runs whole runs with it
+in place of the solver.  Its proximal pull is folded as the library folds
+it, into s * w - A; `levelwise_pull` adds mu * coeff * (w - anchor) one
+level at a time, which the folded pull must equal to a few ulps.
 `pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
 server side that the vectorised distances and matrix UPGMA must equal.
 `frontier_cut` and `recursive_format_dendrogram` walk the merge children
@@ -24,7 +28,7 @@ import numpy as np
 
 from demlearn.data import Dataset
 from demlearn.metrics import RoundMetrics
-from demlearn.models import LOGISTIC, forward
+from demlearn.models import LOGISTIC, cross_entropy, forward
 
 
 def softmax_predict(spec, w, data) -> np.ndarray:
@@ -62,6 +66,24 @@ def softmax_round_metrics(spec, t, block, shards, global_test, tree) -> RoundMet
         global_acc=acc(tree.root, global_test),
         global_loss=float(-np.mean(np.log(np.maximum(picked, 1e-12)))),
     )
+
+
+def loss(spec, w, data) -> float:
+    """Mean cross-entropy of one model over a data set."""
+    return cross_entropy(forward(spec, w, data), data.labels)
+
+
+def prox_objective(spec, w, trains, levels, mu) -> np.ndarray:
+    """Per client i of the (C, M) block: loss(w[i]) +
+    (mu/2) * sum_levels coeff[i] * ||w[i] - models[group[i]]||^2."""
+    values = np.array([loss(spec, wi, data) for wi, data in zip(w, trains, strict=True)])
+    for i, wi in enumerate(w):
+        penalty = 0.0
+        for anchor, coeff in client_anchors(levels, i):
+            diff = wi - anchor
+            penalty += coeff * float(diff @ diff)
+        values[i] += 0.5 * mu * penalty
+    return values
 
 
 def central_diff(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -222,13 +244,35 @@ def scalar_grad(spec, w, x, y):
     return g
 
 
-def scalar_prox_grad(spec, w, x, y, anchors, mu):
-    """`scalar_grad` plus mu * coeff * (w - anchor) for each anchor in turn."""
-    g = scalar_grad(spec, w, x, y)
-    if mu == 0.0:
-        return g
+def scalar_fold(anchors, mu):
+    """One client's pull target (s, A): with m = mu * coeff per anchor,
+    s = sum m and A = sum m * anchor, each added in the order given."""
+    (anchor, coeff), *rest = anchors
+    s = mu * coeff
+    target = anchor * s
+    for anchor, coeff in rest:
+        m = mu * coeff
+        s += m
+        target += anchor * m
+    return s, target
+
+
+def levelwise_pull(w, anchors, mu):
+    """The pull sum of mu * coeff * (w - anchor), added one anchor at a
+    time: the unfolded sum that the folded pull must equal to a few ulps."""
+    pull = np.zeros_like(w)
     for anchor, coeff in anchors:
-        g += mu * coeff * (w - anchor)
+        pull += mu * coeff * (w - anchor)
+    return pull
+
+
+def scalar_prox_grad(spec, w, x, y, anchors, mu):
+    """`scalar_grad` plus the folded pull s * w - A of the anchors."""
+    g = scalar_grad(spec, w, x, y)
+    if mu == 0.0 or not anchors:
+        return g
+    s, target = scalar_fold(anchors, mu)
+    g += w * s - target
     return g
 
 

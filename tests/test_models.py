@@ -1,4 +1,4 @@
-"""Model core: forward/loss/grad, predict, proximal objective, and the lockstep solver."""
+"""Model core: forward/grad, predict, the proximal pull, and the lockstep solver."""
 
 import contextlib
 import math
@@ -24,13 +24,19 @@ from demlearn.models import (
     grad,
     init_params,
     local_solve,
-    loss,
     predict_block,
     prox_grad,
-    prox_objective,
 )
 
-from oracles import central_diff, client_anchors, scalar_local_solve, softmax_predict
+from oracles import (
+    central_diff,
+    client_anchors,
+    levelwise_pull,
+    loss,
+    prox_objective,
+    scalar_local_solve,
+    softmax_predict,
+)
 
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
@@ -64,7 +70,8 @@ def grad1(spec, w, x, y):
 
 
 def prox_grad1(spec, w, x, y, levels, mu):
-    return prox_grad(spec, w[None], x[None], y[None], levels, mu)[0]
+    """`prox_grad` on a stack of one, with the levels folded as the solver folds them."""
+    return prox_grad(spec, w[None], x[None], y[None], models._fold_anchors(levels, mu))[0]
 
 
 def prox_objective1(spec, w, batch, levels, mu):
@@ -260,13 +267,6 @@ def test_prox_objective_analytic_penalty():
     assert got - loss(LOG10, w, batch) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_prox_objective_rejects_negative_mu():
-    w = np.zeros(LOG10.param_count)
-    for mu in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="mu must be finite and non-negative"):
-            prox_objective1(LOG10, w, data(LOG10, np.zeros((1, 4)), [0]), [], mu)
-
-
 def test_prox_anchor_coeff_range():
     for coeff in (0.0, 1.5):
         with pytest.raises(ValueError, match="coeff must lie"):
@@ -283,6 +283,7 @@ def test_prox_grad_mu_zero_is_plain_grad():
     x, y = batch.features, batch.labels
     g0 = prox_grad1(LOG10, w, x, y, anchors, 0.0)
     assert g0.tobytes() == grad1(LOG10, w, x, y).tobytes()
+    assert prox_grad1(LOG10, w, x, y, [], 0.3).tobytes() == g0.tobytes()  # no levels
 
 
 def test_prox_grad_penalty_only_direction():
@@ -305,6 +306,46 @@ def test_prox_grad_matches_finite_differences():
     g = prox_grad1(LOG10, w, batch.features, batch.labels, anchors, 0.1)
     fd = central_diff(lambda v: prox_objective1(LOG10, v, batch, anchors, 0.1), w)
     assert np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4)) < 1e-5
+
+
+@st.composite
+def pull_problems(draw):
+    """A (C, M) block and 1-4 anchor levels, as (w, levels, mu).  Clients
+    share groups, a level may repeat the one before it, and one column is
+    -0.0 in the block and in every anchor model."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    w = rng.normal(0.0, scale, (c, m))
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        if levels and draw(st.booleans()):
+            levels.append(levels[-1])
+            continue
+        g = draw(st.integers(1, c))
+        levels.append(
+            AnchorLevel(rng.normal(0.0, scale, (g, m)), rng.integers(0, g, c), rng.uniform(0.01, 1.0, c))
+        )
+    zero = draw(st.integers(0, m - 1))
+    w[:, zero] = -0.0
+    for level in levels:
+        level.models[:, zero] = -0.0
+    return w, levels, draw(st.sampled_from([1e-3, 0.05, 0.7, 5.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pull_problems())
+def test_the_folded_pull_is_the_levelwise_pull_to_a_few_ulps(problem):
+    # the step's pull s * w - A against sum_k mu * coeff_k * (w - anchor_k)
+    # added level by level: both round each of their few operations once
+    w, levels, mu = problem
+    s, target = models._fold_anchors(levels, mu)
+    folded = w * s - target
+    for i in range(len(w)):
+        anchors = client_anchors(levels, i)
+        size = sum(mu * coeff * (np.abs(w[i]) + np.abs(a)) for a, coeff in anchors)
+        error = np.abs(folded[i] - levelwise_pull(w[i], anchors, mu))
+        assert np.all(error <= 8 * np.finfo(np.float64).eps * size), f"client {i}"
 
 
 def test_local_solve_lr_zero_returns_init():
@@ -411,16 +452,14 @@ def test_local_solve_rejects_bad_inputs_at_entry():
 @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0]])
 def test_non_integer_labels_are_rejected_at_entry(labels):
     # float labels used to be truncated to [0, 1, 2] by the solver, which
-    # trained on them, while `loss` died on them with a bare IndexError
+    # trained on them, while the loss died on them with a bare IndexError
     spec = ModelSpec(LOGISTIC, 2, 3)
     train = Dataset(np.zeros((3, 2)), np.asarray(labels), 3)
     w = np.zeros(spec.param_count)
     calls = [
         lambda: solve1(spec, w, train, [], 0.0, 1, 2, 0.1, 0),
-        lambda: loss(spec, w, train),
         lambda: forward(spec, w, train),
         lambda: predict(spec, w, train),
-        lambda: prox_objective(spec, w[None], [train], [], 0.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="labels must have an integer dtype, got float64"):
@@ -563,9 +602,9 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
 
 
 @contextlib.contextmanager
-def split_solves(cpus, min_rows=None, min_steps=None):
+def split_solves(cpus, min_work=None):
     """Solves as if this process could run on `cpus` CPUs, optionally with
-    other cutoffs; yields the list of pids that called `os.fork`."""
+    another cutoff; yields the list of pids that called `os.fork`."""
     forks = []
     fork = os.fork
 
@@ -576,10 +615,8 @@ def split_solves(cpus, min_rows=None, min_steps=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mp.setattr(os, "fork", counted_fork)
-        if min_rows is not None:
-            mp.setattr(models, "_MIN_ROWS", min_rows)
-        if min_steps is not None:
-            mp.setattr(models, "_MIN_STEPS", min_steps)
+        if min_work is not None:
+            mp.setattr(models, "_MIN_WORK", min_work)
         yield forks
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -599,10 +636,10 @@ def solved(problem):
 def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
     # ranges of unequal length, e.g. rows 0-1, 2-4 and 5-7 of 8
     assume(len(problem[1]) % parts)
-    with split_solves(1, min_rows=1, min_steps=1) as forks:
+    with split_solves(1, min_work=1) as forks:
         alone, alone_states = solved(problem)
     assert forks == []
-    with split_solves(parts, min_rows=1, min_steps=1) as forks:
+    with split_solves(parts, min_work=1) as forks:
         split, split_states = solved(problem)
     assert forks == [os.getpid()] * (parts - 1)
     assert split.tobytes() == alone.tobytes()
@@ -619,21 +656,29 @@ def guard_problem(spec, clients, n, epochs, batch_size):
     return spec, w, trains, levels, 0.1, epochs, batch_size, 0.1, 23
 
 
-ROWS, STEPS = models._MIN_ROWS, models._MIN_STEPS
+# `models._MIN_WORK` is one process's least work, in rows x steps x
+# param_count.  EDGE is the smallest 2-class logistic model with which ROWS
+# clients of STEPS steps reach it, so 2 * ROWS of them are the fewest to split.
+ROWS, STEPS = 16, 40
+EDGE = ModelSpec(LOGISTIC, -(-models._MIN_WORK // (2 * ROWS * STEPS)) - 1, 2)
 SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
+PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
 
 
 @pytest.mark.parametrize(
     "cpus, spec, clients, n, epochs, batch_size, forks",
     [
         (2, SERVER_120, 120, 64, 1, 16, 0),  # server-120's solve: 4 steps
-        (2, SMALL, 2 * ROWS - 1, STEPS, 1, 1, 0),
-        (2, SMALL, 2 * ROWS, STEPS - 1, 1, 1, 0),
-        (1, SMALL, 3 * ROWS, STEPS, 1, 1, 0),
-        (2, SMALL, 2 * ROWS, STEPS, 1, 1, 1),
-        (2, SMALL, 5 * ROWS, STEPS, 1, 1, 1),
-        (3, SMALL, 3 * ROWS - 1, STEPS, 1, 1, 1),
-        (4, SMALL, 3 * ROWS, STEPS, 1, 1, 2),
+        (2, EDGE, 2 * ROWS - 1, STEPS, 1, 1, 0),
+        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 0),
+        (1, EDGE, 3 * ROWS, STEPS, 1, 1, 0),
+        (2, EDGE, 2 * ROWS, STEPS, 1, 1, 1),
+        (2, EDGE, 5 * ROWS, STEPS, 1, 1, 1),
+        (3, EDGE, 3 * ROWS - 1, STEPS, 1, 1, 1),
+        (4, EDGE, 3 * ROWS, STEPS, 1, 1, 2),
+        # a logistic solve that a split slows: 32 clients at 40 steps
+        (2, SERVER_120, 32, 640, 1, 16, 0),
+        (2, PROTOCOL, 50, 64, 20, 16, 1),  # the protocol's solve: 80 steps
     ],
 )
 def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, forks):
@@ -646,7 +691,7 @@ def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, ba
 
 
 def test_a_solve_does_not_fork_while_another_thread_is_alive():
-    problem = guard_problem(SMALL, 2 * ROWS, STEPS, 1, 1)
+    problem = guard_problem(EDGE, 2 * ROWS, STEPS, 1, 1)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -665,7 +710,7 @@ def test_a_solve_does_not_fork_while_another_thread_is_alive():
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_a_solve_does_not_split_where_the_platform_cannot(missing):
-    problem = guard_problem(SMALL, 4 * ROWS, STEPS, 1, 1)
+    problem = guard_problem(EDGE, 4 * ROWS, STEPS, 1, 1)
     with split_solves(1):
         alone = solved(problem)
     with split_solves(2) as forks, pytest.MonkeyPatch.context() as mp:
@@ -703,7 +748,7 @@ def test_a_failing_child_is_named_and_quoted_in_the_error(fail, message):
             fail()
         train_rows(spec, w, features, labels, orders, *rest)
 
-    with split_solves(3, min_rows=1, min_steps=1) as forks:
+    with split_solves(3, min_work=1) as forks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_train_rows", failing)
             with pytest.raises(RuntimeError, match=f"the forked solve of client {message}"):
@@ -722,7 +767,7 @@ def test_a_failing_parent_kills_and_reaps_its_children(error):
         time.sleep(60)  # a child outlives the call unless it is killed
 
     started = time.monotonic()
-    with split_solves(3, min_rows=1, min_steps=1) as forks:
+    with split_solves(3, min_work=1) as forks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_train_rows", failing)
             with pytest.raises(type(error)) as raised:

@@ -17,7 +17,7 @@ from demlearn.training import (
     run_round,
 )
 
-from oracles import client_anchors, plain_fedavg, scalar_local_solve
+from oracles import client_anchors, loss, plain_fedavg, scalar_local_solve
 
 
 def tiny_cfg(**kw):
@@ -427,7 +427,6 @@ def test_training_loss_non_increasing_after_warmup():
         epochs=4,
     )
     from demlearn.data import concat_datasets
-    from demlearn.models import loss
 
     state = initial_state(cfg)
     union_train = concat_datasets([s.train for s in state.shards])
