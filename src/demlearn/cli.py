@@ -96,23 +96,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            cfg = _config_from_args(args)
-            plan = ExperimentPlan([(args.name, cfg)], out_dir=args.out)
-            return run_plan(plan)
-        if args.command == "sweep-mu":
-            cfg = _config_from_args(args)
-            values = [float(v) for v in args.mu_values.split(",") if v.strip()]
-            plan = sweep_mu(cfg, values)
-            plan.out_dir = args.out
-            return run_plan(plan)
-        if args.command == "compare":
-            cfg = _config_from_args(args)
-            plan = compare_plan(cfg)
-            plan.out_dir = args.out
-            return run_plan(plan)
+        cfg = _config_from_args(args)
         if args.command == "export-dendrogram":
-            cfg = _config_from_args(args)
             if cfg.algorithm not in HIERARCHICAL:
                 raise ConfigurationError(
                     "export-dendrogram requires a hierarchical algorithm"
@@ -128,7 +113,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 sys.stdout.write(text)
             return 0
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        if args.command == "run":
+            plan = ExperimentPlan([(args.name, cfg)])
+        elif args.command == "sweep-mu":
+            plan = sweep_mu(cfg, [float(v) for v in args.mu_values.split(",") if v.strip()])
+        else:
+            plan = compare_plan(cfg)
+        plan.out_dir = args.out
+        return run_plan(plan)
     except ValueError as exc:  # ConfigurationError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,9 @@ class IdxFormatError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Partition demand that the dataset cannot satisfy."""
+    """A configuration that no run can use: a bad config value or key, a
+    combination of values that rules out a stable run, or a partition that
+    the dataset cannot satisfy.  The CLI exits 1 on it."""
 
 
 @dataclass

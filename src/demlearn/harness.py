@@ -1,7 +1,9 @@
 """Experiment orchestration: config resolution, plans, and file emission.
 
 Configs resolve in three layers (built-in defaults, then a flat key=value
-file with dotted keys, then command-line flags).  A plan is a named list of
+file with dotted keys, then command-line flags).  Each key, with its flag,
+parser, default and one-field rule, is declared once, as a `RunConfig`
+field; `CONFIG_KEYS` is read from those fields.  A plan is a named list of
 runs sharing one data partition; each run emits a per-round metrics CSV, a
 summary record and, for the hierarchical algorithms, per-rebuild dendrogram
 snapshots and a tree log.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 from .clustering import format_dendrogram
@@ -28,37 +30,14 @@ def parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-# dotted config key -> (RunConfig attribute, CLI flag, parser for file values);
-# a `parse_bool` key's flag takes no value and sets True
+# a field's annotation names the parser of its file values; a `parse_bool`
+# key's flag takes no value and sets True
+_PARSERS = {"str": str, "int": int, "float": float, "bool": parse_bool}
+
+# dotted config key -> (RunConfig attribute, CLI flag, parser for file values),
+# read from RunConfig's fields
 CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
-    "run.algorithm": ("algorithm", "--algorithm", str),
-    "run.rounds": ("rounds", "--rounds", int),
-    "run.k": ("k_levels", "--k", int),
-    "run.tau": ("tau", "--tau", int),
-    "run.mu": ("mu", "--mu", float),
-    "run.beta0": ("beta0", "--beta0", float),
-    "run.beta_decay": ("beta_decay", "--beta-decay", float),
-    "run.beta_min": ("beta_min", "--beta-min", float),
-    "run.epochs": ("epochs", "--epochs", int),
-    "run.batch_size": ("batch_size", "--batch-size", int),
-    "run.lr": ("lr", "--lr", float),
-    "run.metric": ("metric", "--metric", str),
-    "run.fixed_structure": ("fixed_structure", "--fixed-structure", parse_bool),
-    "run.fedavg_weighting": ("fedavg_weighting", "--fedavg-weighting", str),
-    "run.seed": ("seed", "--seed", int),
-    "model.kind": ("model_kind", "--model-kind", str),
-    "model.hidden_dim": ("hidden_dim", "--hidden-dim", int),
-    "data.source": ("data_source", "--data-source", str),
-    "data.dir": ("data_dir", "--data-dir", str),
-    "data.seed": ("data_seed", "--data-seed", int),
-    "data.clients": ("n_clients", "--clients", int),
-    "data.labels_per_client": ("labels_per_client", "--labels-per-client", int),
-    "data.samples_per_client": ("samples_per_client", "--samples-per-client", int),
-    "data.test_frac": ("test_frac", "--test-frac", float),
-    "synthetic.classes": ("num_classes", "--classes", int),
-    "synthetic.input_dim": ("input_dim", "--input-dim", int),
-    "synthetic.samples_per_class": ("samples_per_class", "--samples-per-class", int),
-    "synthetic.separation": ("class_separation", "--separation", float),
+    f.metadata["key"]: (f.name, f.metadata["flag"], _PARSERS[f.type]) for f in fields(RunConfig)
 }
 
 # the config sections that fix the data partition, which a plan's runs share

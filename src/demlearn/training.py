@@ -24,14 +24,15 @@ round under metric=gradients in which a client's update is zero.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import clustering, hierarchy
-from .clustering import Dendrogram
+from .clustering import GRADIENT_METRIC, WEIGHT_METRIC, Dendrogram
 from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
 from .hierarchy import HierarchyTree, build_tree, generalized_blend, one_group_tree, propagate_up
 from .metrics import RoundMetrics, round_metrics
@@ -46,92 +47,91 @@ _INIT_STREAM = 0
 _CLIENT_STREAM = 1
 
 
+def _key(key: str, flag: str, default, *, choices: tuple = (), low=None, high=None):
+    """A config field: its dotted key, CLI flag and default, and its one-field
+    rule, a tuple of `choices` or inclusive `low`/`high` bounds."""
+    rule = dict(key=key, flag=flag, choices=choices, low=low, high=high)
+    return field(default=default, metadata=rule)
+
+
 @dataclass
 class RunConfig:
-    """Everything a run depends on; metric history is a pure function of this."""
+    """Everything a run depends on; metric history is a pure function of this.
 
-    algorithm: str = "demlearn"
-    rounds: int = 60
-    k_levels: int = 4
-    tau: int = 2
-    mu: float = 0.0
-    beta0: float = 1.0
-    beta_decay: float = 0.995
-    beta_min: float = 0.5
-    epochs: int = 20
-    batch_size: int = 16
-    lr: float = 0.1
-    metric: str = clustering.WEIGHT_METRIC
-    fixed_structure: bool = False
-    # "sample" or "agent"; both give the same model, because every client
-    # shard holds the same number of training samples
-    fedavg_weighting: str = "sample"
-    seed: int = 42
-    # model
-    model_kind: str = LOGISTIC
-    hidden_dim: int = 32
-    # data
-    data_source: str = "synthetic"  # or "idx"
-    data_dir: str = "data"
-    data_seed: int = 17
-    n_clients: int = 50
-    labels_per_client: int = 2
-    samples_per_client: int = 80
-    test_frac: float = 0.2
-    # synthetic source
-    num_classes: int = 10
-    input_dim: int = 16
-    samples_per_class: int = 400
-    class_separation: float = 6.0
+    Each field is one config key, declared with its flag and one-field rule;
+    `harness.CONFIG_KEYS`, and so the CLI flags, are read from the fields."""
+
+    algorithm: str = _key("run.algorithm", "--algorithm", "demlearn", choices=ALGORITHMS)
+    rounds: int = _key("run.rounds", "--rounds", 60, low=0)
+    k_levels: int = _key("run.k", "--k", 4, low=1)
+    tau: int = _key("run.tau", "--tau", 2, low=1)
+    mu: float = _key("run.mu", "--mu", 0.0)
+    beta0: float = _key("run.beta0", "--beta0", 1.0, low=0, high=1)
+    beta_decay: float = _key("run.beta_decay", "--beta-decay", 0.995, low=0, high=1)
+    beta_min: float = _key("run.beta_min", "--beta-min", 0.5, low=0, high=1)
+    epochs: int = _key("run.epochs", "--epochs", 20, low=1)
+    batch_size: int = _key("run.batch_size", "--batch-size", 16, low=1)
+    lr: float = _key("run.lr", "--lr", 0.1, low=0)
+    metric: str = _key(
+        "run.metric", "--metric", WEIGHT_METRIC, choices=(WEIGHT_METRIC, GRADIENT_METRIC)
+    )
+    fixed_structure: bool = _key("run.fixed_structure", "--fixed-structure", False)
+    # both give the same model, because every client shard holds the same
+    # number of training samples
+    fedavg_weighting: str = _key(
+        "run.fedavg_weighting", "--fedavg-weighting", "sample", choices=("sample", "agent")
+    )
+    seed: int = _key("run.seed", "--seed", 42, low=0)
+    model_kind: str = _key("model.kind", "--model-kind", LOGISTIC, choices=(LOGISTIC, MLP))
+    hidden_dim: int = _key("model.hidden_dim", "--hidden-dim", 32)
+    data_source: str = _key(
+        "data.source", "--data-source", "synthetic", choices=("synthetic", "idx")
+    )
+    data_dir: str = _key("data.dir", "--data-dir", "data")
+    data_seed: int = _key("data.seed", "--data-seed", 17, low=0)
+    n_clients: int = _key("data.clients", "--clients", 50, low=1)
+    labels_per_client: int = _key("data.labels_per_client", "--labels-per-client", 2, low=1)
+    samples_per_client: int = _key("data.samples_per_client", "--samples-per-client", 80, low=1)
+    test_frac: float = _key("data.test_frac", "--test-frac", 0.2)
+    num_classes: int = _key("synthetic.classes", "--classes", 10, low=2)
+    input_dim: int = _key("synthetic.input_dim", "--input-dim", 16, low=2)
+    samples_per_class: int = _key("synthetic.samples_per_class", "--samples-per-class", 400, low=1)
+    class_separation: float = _key("synthetic.separation", "--separation", 6.0)
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        # a NaN passes every comparison below, and an inf lr or mu ruins the
-        # first step; either would only surface as a diverged client, as would
-        # the NaN features of a non-finite separation
-        if not np.isfinite(self.lr):
-            raise ConfigurationError(f"lr must be finite, got {self.lr}")
-        if not np.isfinite(self.mu):
-            raise ConfigurationError(f"mu must be finite, got {self.mu}")
-        if not np.isfinite(self.class_separation):
-            raise ConfigurationError(f"synthetic.separation must be finite, got {self.class_separation}")
-        if self.algorithm == "demlearn" and self.mu != 0.0:
+        # a NaN passes every comparison, and an inf lr or mu ruins the first
+        # step; either would only surface as a diverged client, as would the
+        # NaN features of a non-finite separation
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            key, choices, low, high = meta["key"], meta["choices"], meta["low"], meta["high"]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be finite, got {value}")
+            if choices and value not in choices:
+                words = ", ".join(choices)
+                raise ConfigurationError(f"{key} must be one of {words}, got {value!r}")
+            if high is not None and not low <= value <= high:
+                raise ConfigurationError(f"{key} must lie in [{low}, {high}], got {value}")
+            if low is not None and value < low:
+                raise ConfigurationError(f"{key} must be at least {low}, got {value}")
+        # a strict bound: at 0 every class sits on the same point
+        if self.class_separation <= 0.0:
             raise ConfigurationError(
-                "demlearn requires mu = 0 (use algorithm=demlearn-p for mu > 0)"
+                f"synthetic.separation must be positive, got {self.class_separation}"
             )
+        # the rules below each tie two fields together
+        if self.model_kind == MLP and self.hidden_dim < 1:
+            raise ConfigurationError(
+                f"model.hidden_dim must be at least 1 for model.kind = {MLP}, got {self.hidden_dim}"
+            )
+        if self.algorithm == "demlearn" and self.mu != 0.0:
+            raise ConfigurationError("demlearn requires mu = 0 (use algorithm=demlearn-p for mu > 0)")
         if self.algorithm == "demlearn-p" and self.mu <= 0.0:
             raise ConfigurationError("demlearn-p requires mu > 0")
         if self.algorithm == "fedavg" and self.mu != 0.0:
             raise ConfigurationError("fedavg takes no proximal term (mu must be 0)")
         if self.algorithm == "fedprox" and self.mu < 0.0:
             raise ConfigurationError("fedprox requires mu >= 0")
-        if self.k_levels < 1:
-            raise ConfigurationError("k_levels must be at least 1")
-        if self.tau < 1:
-            raise ConfigurationError("tau must be at least 1")
-        if not 0.0 <= self.beta0 <= 1.0:
-            raise ConfigurationError("beta0 must lie in [0, 1]")
-        if not 0.0 <= self.beta_decay <= 1.0:
-            raise ConfigurationError("beta_decay must lie in [0, 1]")
-        if not 0.0 <= self.beta_min <= 1.0:
-            raise ConfigurationError("beta_min must lie in [0, 1]")
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be non-negative")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
-        if self.lr < 0.0:
-            raise ConfigurationError("lr must be non-negative")
-        if self.metric not in (clustering.WEIGHT_METRIC, clustering.GRADIENT_METRIC):
-            raise ConfigurationError(f"unknown clustering metric {self.metric!r}")
-        if self.fedavg_weighting not in ("sample", "agent"):
-            raise ConfigurationError("fedavg_weighting must be 'sample' or 'agent'")
-        if self.model_kind not in (LOGISTIC, MLP):
-            raise ConfigurationError(f"unknown model kind {self.model_kind!r}")
-        if self.data_source not in ("synthetic", "idx"):
-            raise ConfigurationError(f"unknown data source {self.data_source!r}")
         # the proximal step alone scales w - anchor by 1 - lr * mu * sum(coeff),
         # and sum(coeff) <= K; past 2 it overshoots further every step
         if self.algorithm == "fedprox" and self.lr * self.mu >= 2.0:
@@ -143,11 +143,7 @@ class RunConfig:
                 "demlearn-p needs lr * mu * k_levels < 2 for a stable proximal step, "
                 f"got lr={self.lr}, mu={self.mu}, k_levels={self.k_levels}"
             )
-        if (
-            self.algorithm in HIERARCHICAL
-            and self.metric == clustering.GRADIENT_METRIC
-            and self.lr == 0.0
-        ):
+        if self.algorithm in HIERARCHICAL and self.metric == GRADIENT_METRIC and self.lr == 0.0:
             raise ConfigurationError(
                 "metric=gradients needs lr > 0: with lr = 0 every update is zero "
                 "and their cosine distances are undefined"
@@ -211,8 +207,8 @@ def _rebuild_structure(
     if cfg.k_levels == 1 or len(models) == 1:
         return one_group_tree(models, cfg.k_levels), None
     metric = metric or cfg.metric
-    x = models if metric == clustering.WEIGHT_METRIC else deltas
-    if metric == clustering.GRADIENT_METRIC:
+    x = models if metric == WEIGHT_METRIC else deltas
+    if metric == GRADIENT_METRIC:
         still = np.einsum("ij,ij->i", x, x) == 0.0
         if still.any():
             raise FloatingPointError(
@@ -335,7 +331,7 @@ def initial_state(cfg: RunConfig) -> RoundState:
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
         # distance is zero so the cut is the deterministic lowest-index one
-        tree, _ = _rebuild_structure(model_block, delta_block, cfg, 0, metric=clustering.WEIGHT_METRIC)
+        tree, _ = _rebuild_structure(model_block, delta_block, cfg, 0, metric=WEIGHT_METRIC)
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as shards are equal

@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -396,6 +397,36 @@ def test_cli_non_finite_lr_or_mu_exits_1_before_any_round(tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--classes", "1"], "synthetic.classes must be at least 2, got 1"),
+        (["--input-dim", "1"], "synthetic.input_dim must be at least 2, got 1"),
+        (["--samples-per-class", "0"], "synthetic.samples_per_class must be at least 1, got 0"),
+        (["--separation", "-1"], "synthetic.separation must be positive, got -1.0"),
+        (
+            ["--model-kind", "mlp-1hidden", "--hidden-dim", "0"],
+            "model.hidden_dim must be at least 1 for model.kind = mlp-1hidden, got 0",
+        ),
+        (["--seed", "-1"], "run.seed must be at least 0, got -1"),
+        (["--data-seed", "-1"], "data.seed must be at least 0, got -1"),
+    ],
+)
+def test_cli_value_outside_its_rule_exits_1_before_any_round(tmp_path, capsys, extra, message):
+    # each of these used to pass the config and fail inside the data, model or
+    # rng code, exiting 2 as a runtime failure under an internal name
+    assert main(["run", *cli_args(tmp_path, extra)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_keys_are_the_run_config_fields():
+    # a repeated dotted key would silently collapse into one entry
+    assert len(CONFIG_KEYS) == len(fields(RunConfig))
+    assert [attr for attr, _, _ in CONFIG_KEYS.values()] == [f.name for f in fields(RunConfig)]
 
 
 def test_cli_fixed_structure_echo(tmp_path):

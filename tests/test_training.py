@@ -1,6 +1,8 @@
 """The round loop: beta schedule, local init, baselines, determinism."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +74,40 @@ def test_config_validation():
     tiny_cfg(algorithm="demlearn-p", mu=9.99, lr=0.1, k_levels=2).validate()
     tiny_cfg(metric="gradients").validate()
     tiny_cfg().validate()
+    # an MLP needs a hidden unit; a logistic model ignores hidden_dim
+    with pytest.raises(ConfigurationError, match="model.hidden_dim must be at least 1"):
+        tiny_cfg(model_kind="mlp-1hidden", hidden_dim=0).validate()
+    tiny_cfg(hidden_dim=0).validate()
+    with pytest.raises(ConfigurationError, match="synthetic.separation must be positive, got 0.0"):
+        tiny_cfg(class_separation=0.0).validate()
+
+
+def _field_rule_cases():
+    """(field, value, key or None) for every one-field rule: a value that
+    passes, or that must fail naming the dotted key."""
+    for f in dataclasses.fields(RunConfig):
+        meta, real = f.metadata, isinstance(f.default, float)
+        key = meta["key"]
+        for bound, sign in ((meta["low"], -1), (meta["high"], 1)):
+            if bound is not None:
+                past = math.nextafter(bound, sign * math.inf) if real else bound + sign
+                yield pytest.param(f.name, type(f.default)(bound), None, id=f"{key}={bound}")
+                yield pytest.param(f.name, past, key, id=f"{key}={past}")
+        if meta["choices"]:
+            yield pytest.param(f.name, "no-such-choice", key, id=f"{key}=no-such-choice")
+        if real:
+            for bad in (math.nan, math.inf):
+                yield pytest.param(f.name, bad, key, id=f"{key}={bad}")
+
+
+@pytest.mark.parametrize("name, value, key", _field_rule_cases())
+def test_each_field_rule_holds_at_its_bound_and_names_its_key_past_it(name, value, key):
+    cfg = RunConfig(**{name: value})
+    if key is None:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(key)} must "):
+            cfg.validate()
 
 
 # ------------------------------------------------------------ beta schedule
