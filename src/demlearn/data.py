@@ -3,7 +3,8 @@
 Covers three concerns: bit-exact IDX file IO (big-endian, optional gzip by
 extension), the few-labels-per-client shard partition with per-client
 train/test splits, and a synthetic Gaussian-blob dataset for network-free
-runs.
+runs.  The partition stacks the clients' splits as the models are stacked:
+client i's train and test sets are row i of two `Dataset` stacks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import gzip
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,11 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class Dataset:
-    """Feature matrix (N x input_dim) with integer labels.
+    """One set, an (N, input_dim) feature matrix with (N,) integer labels, or
+    a stack of C sets of N samples each, (C, N, input_dim) with (C, N).
 
     IDX-loaded pixel data lives in [0,1]; synthetic blob features keep their
-    natural Gaussian scale.
+    natural Gaussian scale.  The length of a stack is its set count.
     """
 
     features: np.ndarray
@@ -46,16 +47,13 @@ class Dataset:
 
     @property
     def input_dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
 
-
-@dataclass
-class ClientShard:
-    """One client's slice of the corpus, already split into train and test."""
-
-    client_id: int
-    train: Dataset
-    test: Dataset
+    def union(self) -> Dataset:
+        """A stack's sets as one set, set after set: a view, not a copy."""
+        return Dataset(
+            self.features.reshape(-1, self.input_dim), self.labels.reshape(-1), self.num_classes
+        )
 
 
 def _read_bytes(path) -> bytes:
@@ -114,17 +112,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features, labels, num_classes)
 
 
-def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
-    if not parts:
-        raise ValueError("cannot concatenate zero datasets")
-    num_classes = parts[0].num_classes
-    if any(p.num_classes != num_classes for p in parts):
-        raise ValueError("datasets disagree on num_classes")
-    features = np.concatenate([p.features for p in parts], axis=0)
-    labels = np.concatenate([p.labels for p in parts], axis=0)
-    return Dataset(features, labels, num_classes)
-
-
 def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
     return Dataset(ds.features[idx], ds.labels[idx], ds.num_classes)
 
@@ -171,14 +158,15 @@ def partition_shards(
     samples_per_client_target: int,
     test_frac: float,
     seed,
-) -> list[ClientShard]:
+) -> tuple[Dataset, Dataset]:
     """Deal single-label shards to clients and split each client 80/20-style.
 
     Samples are label-sorted (stable) and cut into pure single-label shards of
     size N // (n_clients * labels_per_client); each client receives
     labels_per_client shards by seeded shuffle and draws an equal portion of
     its target from each.  Unused samples are discarded.  The test split is
-    stratified per label.
+    stratified per label.  Every client draws the same counts, so the splits
+    come as two stacks, (train, test), with client i's split at row i.
     """
     if n_clients < 1:
         raise ConfigurationError("n_clients must be at least 1")
@@ -235,25 +223,20 @@ def partition_shards(
     ]
     _repair_duplicate_labels(assignment, shard_labels)
 
-    out: list[ClientShard] = []
-    for cid, shard_ids in enumerate(assignment):
-        train_idx: list[np.ndarray] = []
-        test_idx: list[np.ndarray] = []
-        for shard_id, draw in zip(shard_ids, draws):
-            picks = rng.permutation(shards[shard_id])[:draw]
-            n_test = int(round(test_frac * draw))
-            n_test = min(n_test, draw - 1)  # keep at least one training sample
-            test_idx.append(picks[:n_test])
-            train_idx.append(picks[n_test:])
-        if not sum(map(len, test_idx)):
-            raise ConfigurationError(
-                f"client {cid} gets no test samples: per-label draws of {draws} "
-                f"at test_frac={test_frac} each round to 0 test samples"
-            )
-        train = _take(ds, np.concatenate(train_idx))
-        test = _take(ds, np.concatenate(test_idx))
-        out.append(ClientShard(cid, train, test))
-    return out
+    # every client draws the same counts; a draw keeps at least one training
+    # sample, and a draw of 0 (more labels than samples) gives none to either
+    n_test = [max(0, min(int(round(test_frac * draw)), draw - 1)) for draw in draws]
+    if not sum(n_test):
+        raise ConfigurationError(
+            f"client 0 gets no test samples: per-label draws of {draws} "
+            f"at test_frac={test_frac} each round to 0 test samples"
+        )
+    train_idx, test_idx = [], []
+    for shard_ids in assignment:
+        picks = [rng.permutation(shards[s])[:draw] for s, draw in zip(shard_ids, draws)]
+        test_idx.append(np.concatenate([p[:k] for p, k in zip(picks, n_test)]))
+        train_idx.append(np.concatenate([p[k:] for p, k in zip(picks, n_test)]))
+    return _take(ds, np.stack(train_idx)), _take(ds, np.stack(test_idx))
 
 
 _BLOB_GAIN = 3.0  # post-mixing feature scale; keeps SGD steps effective at small lr

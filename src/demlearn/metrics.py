@@ -1,34 +1,34 @@
 """Per-round evaluation: client/group specialization and generalization.
 
 Specialization is accuracy on a model's own constituency (a client's local
-test shard, or the union of a group's members' shards); generalization is
+test split, or the union of a group's members' splits); generalization is
 accuracy on the collective test data of all clients.  The root model's score
 on the collective set is reported separately as the global metric.  Every
 algorithm has a tree; FedAvg and FedProx have one level, so their group
 series are empty and the root is their global model.
 
-Every accuracy takes its labels from `models.predict_block`, which equals
-the argmax of the softmax bit for bit (ties to the lowest class index) but
-finishes the softmax only on rows where a second class lies within
-`models._TIE_MARGIN` of the max logit.  It cannot be a plain argmax of the
-logits: the softmax rounds logits [0.15755812732057958, -0.5968275940478756,
-0.1575581273205796] to a tie that class 0 wins, where the logits pick
-class 2.  Each metric checks a data set once, however many models it
-scores, and `predict_block` stacks the models whose sets have equal length:
-C-SPE is one stacked predict, since every client's test split has the same
-length, while C-GEN scores its one shared set a model at a time.
-`evaluate` alone keeps the full softmax, for the cross-entropy.
+Every accuracy counts the right labels of `models.predict_block`, which
+equals the argmax of the softmax bit for bit (ties to the lowest class
+index) but finishes the softmax only on rows where a second class lies
+within `models._TIE_MARGIN` of the max logit.  It cannot be a plain argmax
+of the logits: the softmax rounds logits [0.15755812732057958,
+-0.5968275940478756, 0.1575581273205796] to a tie that class 0 wins, where
+the logits pick class 2.  The test splits are a (C, m) stack like the model
+block, and the collective set is that stack read as one set.  C-SPE and
+G-SPE are each one stacked predict, G-SPE of each client's group model on
+the client's split, with the right labels summed per group.  C-GEN and
+G-GEN run a model at a time on the collective set.  `evaluate` alone keeps
+the full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .data import ClientShard, Dataset, concat_datasets
-from .hierarchy import HierarchyTree, members
+from .data import Dataset
+from .hierarchy import HierarchyTree
 from .models import ModelSpec, cross_entropy, forward, predict_block
 
 
@@ -54,65 +54,63 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
     return acc, cross_entropy(probs, ds.labels)
 
 
-def _accuracies(spec: ModelSpec, block: np.ndarray, tests: Sequence[Dataset]) -> list[float]:
-    """The share of `tests[i]` that row i of `block` labels right, for every
-    row: `evaluate`'s accuracy without the softmax on the rows where one
-    class clearly leads.  Each distinct test set is checked once, not once
-    per row."""
-    preds = predict_block(spec, block, tests)
-    # an exact count over the set's length: the bits of np.mean, a lot sooner
-    return [np.count_nonzero(p == test.labels) / len(p) for p, test in zip(preds, tests)]
+def _right_counts(spec: ModelSpec, block: np.ndarray, data: Dataset) -> np.ndarray:
+    """How many samples row i of `block` labels right, for every row: on set
+    i of a stack, or on one shared set, counted a row at a time."""
+    preds = predict_block(spec, block, data)
+    if data.labels.ndim == 2:
+        return np.count_nonzero(preds == data.labels, axis=1)
+    return np.array([np.count_nonzero(p == data.labels) for p in preds])
 
 
-def c_spe(spec: ModelSpec, block: np.ndarray, shards: Sequence[ClientShard]) -> float:
-    """Mean over clients of their model (row of `block`) on their own test shard."""
-    return float(np.mean(_accuracies(spec, block, [s.test for s in shards])))
+def c_spe(spec: ModelSpec, block: np.ndarray, test: Dataset) -> float:
+    """Mean over clients of their model (row of `block`) on their own test
+    split (row of the `test` stack)."""
+    # exact counts over the split's length: the bits of np.mean, a lot sooner
+    return float(np.mean(_right_counts(spec, block, test) / test.labels.shape[1]))
 
 
-def c_gen(spec: ModelSpec, block: np.ndarray, global_test: Dataset) -> float:
+def c_gen(spec: ModelSpec, block: np.ndarray, union: Dataset) -> float:
     """Mean over clients of their model (row of `block`) on the collective test set."""
-    return float(np.mean(_accuracies(spec, block, [global_test] * len(block))))
+    return float(np.mean(_right_counts(spec, block, union) / len(union)))
 
 
 def g_metrics(
-    spec: ModelSpec,
-    tree: HierarchyTree,
-    shards: Sequence[ClientShard],
-    global_test: Dataset,
+    spec: ModelSpec, tree: HierarchyTree, test: Dataset, union: Dataset
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-level group accuracies for levels 1..K-1 (the root is reported globally).
 
-    Returns (g_spe, g_gen), each indexed by level-1.
+    A group's own data is its members' test splits: its right labels summed
+    over them, divided by size * m, as on the splits joined.  Returns
+    (g_spe, g_gen), each indexed by level-1.
     """
     spe, gen = [], []
+    m = test.labels.shape[1]
     for level in tree.levels[:-1]:
-        groups = members(level.group)
-        group_tests = [concat_datasets([shards[c].test for c in clients]) for clients in groups]
-        spe.append(float(np.mean(_accuracies(spec, level.models, group_tests))))
-        gen.append(float(np.mean(_accuracies(spec, level.models, [global_test] * len(groups)))))
+        groups = len(level.models)
+        right = _right_counts(spec, level.models[level.group], test)
+        size = np.bincount(level.group, minlength=groups)
+        spe.append(float(np.mean(np.bincount(level.group, right, groups) / (size * m))))
+        gen.append(c_gen(spec, level.models, union))
     return tuple(spe), tuple(gen)
 
 
 def round_metrics(
-    spec: ModelSpec,
-    t: int,
-    block: np.ndarray,
-    shards: Sequence[ClientShard],
-    global_test: Dataset,
-    tree: HierarchyTree,
+    spec: ModelSpec, t: int, block: np.ndarray, test: Dataset, tree: HierarchyTree
 ) -> RoundMetrics:
     """Assemble the full metric record for one round; client i is row i of
-    `block` with shard `shards[i]`.
+    `block` and of the `test` stack.
 
     Group metrics cover levels 1..K-1 (none when K = 1) and the global score
-    comes from the root.
+    comes from the root, on the collective test set.
     """
-    g_spe, g_gen = g_metrics(spec, tree, shards, global_test)
-    global_acc, global_loss = evaluate(spec, tree.root, global_test)
+    union = test.union()
+    g_spe, g_gen = g_metrics(spec, tree, test, union)
+    global_acc, global_loss = evaluate(spec, tree.root, union)
     return RoundMetrics(
         t=t,
-        c_spe=c_spe(spec, block, shards),
-        c_gen=c_gen(spec, block, global_test),
+        c_spe=c_spe(spec, block, test),
+        c_gen=c_gen(spec, block, union),
         g_spe=g_spe,
         g_gen=g_gen,
         global_acc=global_acc,

@@ -20,27 +20,27 @@ an optional sum of proximal penalties pulling each client toward its anchor
 models, given one `AnchorLevel` per tree level.  The anchors stay fixed
 through a solve, so it folds the levels once into one pull s * w - A
 (`_fold_anchors`), three passes over the block a step whatever the level
-count.  It stacks the C training sets into one, draws each client's orders
-for all epochs in one call of its rng, and cuts every step's C batches with
-one gather per array.  A solve with enough work trains ranges of its rows
-in forked processes, one per CPU; a row depends only on its own data,
-orders and anchors, so no bit depends on that.
+count.  It takes the C training sets as one (C, n, input_dim) stack, reads
+it as one (C * n, input_dim) set, draws each client's orders for all epochs
+in one call of its rng, and cuts every step's C batches with one gather per
+array.  A solve with enough work trains ranges of its rows in forked
+processes, one per CPU; a row depends only on its own data, orders and
+anchors, so no bit depends on that.
 
-`predict_block` gives each row of a block its labels on its own data set,
-bit for bit the argmax of `forward`'s softmax rows, but finishes the
-softmax only on rows where a second class lies within `_TIE_MARGIN` of the
-max logit; it stacks the rows whose sets have equal length.  `forward`, the
-solver and `predict_block` share one logits kernel.
+`predict_block` gives each row of a block its labels, bit for bit the
+argmax of `forward`'s softmax rows, but finishes the softmax only on rows
+where a second class lies within `_TIE_MARGIN` of the max logit.  On a
+stack of C sets, row i runs on set i, all in one stacked product; on one
+shared set, a row at a time.  `forward`, the solver and `predict_block`
+share one logits kernel.
 
 Inputs are validated once, where they enter: `forward`, `predict_block`
-and `local_solve` check the parameter length, the feature width, the
-labels (an integer dtype, each in range), non-empty sets, and, for the
-solver, the anchor shapes and a finite mu >= 0.  One call checks the
-labels of all its data sets in one reduction, and each distinct set once.
-`local_solve` also requires a finite lr >= 0 and every client's training
-set to have the same length, because a lockstep batch has one shape, and
-it updates its model block in place.  `grad` and `prox_grad` are the SGD
-step kernels; they trust their inputs and check nothing.
+and `local_solve` check the parameter length, the data layout and feature
+width, the labels (an integer dtype, each in range, all in one reduction),
+non-empty sets, and, for the solver, the anchor shapes and a finite
+mu >= 0.  `local_solve` also requires a finite lr >= 0, and it updates its
+model block in place.  `grad` and `prox_grad` are the SGD step kernels;
+they trust their inputs and check nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,31 +156,27 @@ def _check_block(spec: ModelSpec, w: np.ndarray) -> None:
         )
 
 
-def _check_data(spec: ModelSpec, sets: Sequence[Dataset]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Check each data set's shapes, then every label with one reduction over
-    all the sets; returns each set's (features, labels) arrays."""
-    checked = []
-    for data in sets:
-        # contiguous, so a stack of sets runs the same gemm as each set alone
-        x = np.ascontiguousarray(data.features, dtype=np.float64)
-        y = np.asarray(data.labels)
-        if y.dtype.kind not in "iu":  # signed or unsigned integers
-            raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
-        if x.ndim != 2 or x.shape[1] != spec.input_dim:
-            raise ValueError(
-                f"feature matrix has shape {x.shape}, expected (B, {spec.input_dim})"
-            )
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"label vector has shape {y.shape}, expected ({x.shape[0]},)"
-            )
-        if x.shape[0] < 1:
-            raise ValueError("data set must contain at least one sample")
-        checked.append((x, y))
-    labels = np.concatenate([y for _, y in checked])
-    if labels.min() < 0 or labels.max() >= spec.num_classes:
+def _check_data(spec: ModelSpec, data: Dataset, ndims: tuple[int, ...] = (2, 3)) -> tuple[np.ndarray, np.ndarray]:
+    """Check one data set, (N, input_dim) features with (N,) labels, or a
+    stack of C sets, (C, N, input_dim) with (C, N), as `ndims`, the feature
+    dimensions allowed, says; returns its (features, labels) arrays."""
+    # contiguous, so a set runs the same gemm whatever its layout and a
+    # stack reads as one set without a copy
+    x = np.ascontiguousarray(data.features, dtype=np.float64)
+    y = np.asarray(data.labels)
+    if y.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
+    if x.ndim not in ndims or x.shape[-1] != spec.input_dim:
+        layouts = {2: f"(B, {spec.input_dim})", 3: f"(C, B, {spec.input_dim})"}
+        expected = " or ".join(layouts[n] for n in ndims)
+        raise ValueError(f"feature matrix has shape {x.shape}, expected {expected}")
+    if y.shape != x.shape[:-1]:
+        raise ValueError(f"label vector has shape {y.shape}, expected {x.shape[:-1]}")
+    if y.size == 0:
+        raise ValueError("data set must contain at least one sample")
+    if y.min() < 0 or y.max() >= spec.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
-    return checked
+    return x, y
 
 
 def _check_anchors(
@@ -270,8 +266,8 @@ def _logits(
 
 
 class _PredictWork:
-    """Scratch arrays for `_predict` on a stack of up to n samples in all,
-    reused stack after stack; a smaller stack works in leading views."""
+    """Scratch arrays for `_predict` on n samples in all, which the rows on
+    a shared set reuse one after another."""
 
     def __init__(self, spec: ModelSpec, n: int) -> None:
         k = spec.num_classes
@@ -287,11 +283,10 @@ def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) 
     """`predict_block` on checked inputs for a stack: Q models (Q, M) on Q
     sets of m samples each (Q, m, input_dim); returns (Q, m) labels."""
     q, m = x.shape[:2]
-    n = q * m
-    z = work.logits[: n * spec.num_classes].reshape(q, m, spec.num_classes)
-    _logits(spec, w, x, z, work.hidden[: n * spec.hidden_dim].reshape(q, m, spec.hidden_dim))
-    d = work.by_class[:, :n]  # (classes, n): each reduction over classes runs along n
-    np.copyto(d, z.reshape(n, -1).T)
+    z = work.logits.reshape(q, m, spec.num_classes)
+    _logits(spec, w, x, z, work.hidden.reshape(q, m, spec.hidden_dim))
+    d = work.by_class  # (classes, q * m): each reduction over classes runs along the samples
+    np.copyto(d, z.reshape(q * m, -1).T)
     d -= d.max(axis=0)  # the subtraction `_softmax` makes, element for element
     near = d >= -_TIE_MARGIN  # never true of NaN
     count, index_sum = work.tally @ near
@@ -313,7 +308,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Class probabilities of one model, one softmax row per sample."""
     w = _check_params(spec, w)
-    [(x, _)] = _check_data(spec, [data])
+    x, _ = _check_data(spec, data, ndims=(2,))
     n = x.shape[0]
     probs = np.empty((1, n, spec.num_classes))
     _logits(spec, w[None], x[None], probs, np.empty((1, n, spec.hidden_dim)))
@@ -321,46 +316,25 @@ def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     return probs[0]
 
 
-def predict_block(spec: ModelSpec, block: np.ndarray, sets: Sequence[Dataset]) -> list[np.ndarray]:
-    """The class labels of row i of the (C, M) models on `sets[i]`, for every
-    row, bit for bit `np.argmax(forward(...), axis=1)`.
+def predict_block(spec: ModelSpec, block: np.ndarray, data: Dataset) -> Iterable[np.ndarray]:
+    """The class labels of each row of the (C, M) models, bit for bit
+    `np.argmax(forward(...), axis=1)`: on a stack of C sets, row i's labels
+    on set i, as one (C, m) array from one stacked product; on one shared
+    set, a generator that runs a row at a time, so that the C rows' labels
+    are never held together.
 
     A sample where only the max logit's class lies within `_TIE_MARGIN` of
     the max takes that class; the softmax is finished only on the others.
-
-    Each distinct set object is checked once, however many rows share it.
-    Rows whose sets have the same length run as one stack, Q rows at a
-    time, with Q such that a stack holds no more samples than the distinct
-    sets hold together: C clients on equal test splits make one stack,
-    while rows that share one set run one at a time.
     """
-    w = np.asarray(block, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != spec.param_count:
-        raise ValueError(
-            f"parameter vectors have shape {w.shape[1:]}, expected ({spec.param_count},)"
-        )
-    if len(sets) != len(w):
-        raise ValueError(f"{len(w)} models need {len(w)} data sets, got {len(sets)}")
-    distinct = list({id(data): data for data in sets}.values())
-    features = {id(data): x for data, (x, _) in zip(distinct, _check_data(spec, distinct))}
-    budget = sum(len(x) for x in features.values())
-    by_length: dict[int, list[int]] = {}
-    for i, data in enumerate(sets):
-        by_length.setdefault(len(features[id(data)]), []).append(i)
-    stack = {m: min(len(rows), budget // m) for m, rows in by_length.items()}
-    work = _PredictWork(spec, max(q * m for m, q in stack.items()))
-    out = [None] * len(w)
-    for m, rows in by_length.items():
-        q = stack[m]
-        for lo in range(0, len(rows), q):
-            chunk = rows[lo : lo + q]
-            if len(chunk) == 1:
-                x = features[id(sets[chunk[0]])][None]
-            else:
-                x = np.stack([features[id(sets[i])] for i in chunk])
-            for i, labels in zip(chunk, _predict(spec, w[chunk], x, work)):
-                out[i] = labels
-    return out
+    w = np.ascontiguousarray(block, dtype=np.float64)
+    _check_block(spec, w)
+    x, y = _check_data(spec, data)
+    if x.ndim == 3:
+        if len(x) != len(w):
+            raise ValueError(f"{len(w)} models need {len(w)} data sets, got {len(x)}")
+        return _predict(spec, w, x, _PredictWork(spec, y.size))
+    work = _PredictWork(spec, len(x))
+    return (_predict(spec, row[None], x[None], work)[0] for row in w)
 
 
 def grad(
@@ -459,7 +433,7 @@ def prox_grad(
 def local_solve(
     spec: ModelSpec,
     w: np.ndarray,
-    trains: Sequence[Dataset],
+    train: Dataset,
     levels: Sequence[AnchorLevel],
     mu: float,
     epochs: int,
@@ -471,13 +445,13 @@ def local_solve(
     cross-entropy plus (mu/2) * sum_levels coeff * ||w - anchor||^2.
 
     `w` is the C-contiguous (C, M) block of starting models and is updated
-    in place; row i trains on `trains[i]`, shuffled by `rngs[i]`.  Each
-    client's index order is reshuffled once per epoch from its own rng (its
-    e-th successive `permutation(n)`, all epochs drawn in one `permuted`
-    call), and each step moves every client on its next batch; the trailing
-    partial batch is kept.  Every training set must have the same length.  Row i
-    ends bitwise equal to the same solve of client i alone, deterministic
-    given its rng seed.  lr == 0 walks the schedule without moving.
+    in place; row i trains on set i of the (C, n, input_dim) stack `train`,
+    shuffled by `rngs[i]`.  Each client's index order is reshuffled once per
+    epoch from its own rng (its e-th successive `permutation(n)`, all epochs
+    drawn in one `permuted` call), and each step moves every client on its
+    next batch; the trailing partial batch is kept.  Row i ends bitwise
+    equal to the same solve of client i alone, deterministic given its rng
+    seed.  lr == 0 walks the schedule without moving.
 
     The levels are folded once into the pull's target (`_fold_anchors`).
     With enough work, P - 1 forked children and the caller train P
@@ -493,23 +467,17 @@ def local_solve(
         raise ValueError(f"lr must be finite and non-negative, got {lr}")
     _check_block(spec, w)
     c = w.shape[0]
-    if len(trains) != c or len(rngs) != c:
+    x, y = _check_data(spec, train, ndims=(3,))  # rejects empty sets
+    if len(x) != c or len(rngs) != c:
         raise ValueError(
-            f"{c} models need {c} training sets and rngs, got {len(trains)} and {len(rngs)}"
+            f"{c} models need {c} training sets and rngs, got {len(x)} and {len(rngs)}"
         )
-    data = _check_data(spec, trains)  # rejects empty sets
-    n = len(data[0][1])
-    for i, (_, labels) in enumerate(data):
-        if len(labels) != n:
-            raise ValueError(
-                f"client {i} has {len(labels)} training samples but client 0 has {n}; "
-                "the lockstep solver needs equal-size training sets"
-            )
     _check_anchors(spec, levels, mu, c)
 
-    # client i's samples are rows i*n .. (i+1)*n - 1 of one stacked set
-    features = np.concatenate([x for x, _ in data])
-    labels = np.concatenate([y for _, y in data]).astype(np.intp, copy=False)
+    # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
+    n = x.shape[1]
+    features = x.reshape(c * n, -1)
+    labels = y.reshape(-1).astype(np.intp, copy=False)
     # orders[i, e] is client i's order in epoch e, as its rng's e-th
     # successive permutation(n), shifted to its rows of the stacked set
     orders = np.empty((c, epochs, n), dtype=np.int32)
@@ -519,15 +487,15 @@ def local_solve(
     orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
     pull = _fold_anchors(levels, mu)
 
-    def train(lo: int, hi: int) -> None:
+    def solve(lo: int, hi: int) -> None:
         rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])
         _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, batch_size, lr)
 
     parts = _processes(c * epochs * -(-n // batch_size) * spec.param_count)
     if parts == 1:
-        train(0, c)
+        solve(0, c)
     else:
-        _train_forked(w, [c * p // parts for p in range(parts + 1)], train)
+        _train_forked(w, [c * p // parts for p in range(parts + 1)], solve)
 
 
 def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None:

@@ -8,12 +8,12 @@ loop over a fixed one-group tree of all clients: each round restarts every
 client from the root model (beta = 1), anchors it to the root with weight 1
 (FedProx's mu/2 ||w - w_global||^2), and never re-clusters.
 
-Client i is shard i and row i of two (C, M) blocks, its model and its last
-update delta, allocated once per run and updated in place; tree level k is
-one `AnchorLevel` over those rows, which the solver takes as it is.  One
-call of the lockstep solver `models.local_solve` trains every client of a
-round, so every client's shard must hold the same number of training
-samples (the shard partition deals them so).  On a host with several CPUs
+Client i is row i of two (C, M) blocks, its model and its last update
+delta, allocated once per run and updated in place, and of the train and
+test stacks that the shard partition deals; tree level k is one
+`AnchorLevel` over those rows, which the solver takes as it is.  One call
+of the lockstep solver `models.local_solve` trains every client of a
+round.  On a host with several CPUs
 a long solve of many clients trains ranges of them in forked processes (no
 split while another thread runs); no output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import clustering, hierarchy
 from .clustering import GRADIENT_METRIC, WEIGHT_METRIC, Dendrogram
-from .data import ClientShard, ConfigurationError, Dataset, concat_datasets, load_idx, partition_shards, synthetic_dataset
+from .data import ConfigurationError, Dataset, load_idx, partition_shards, synthetic_dataset
 from .hierarchy import HierarchyTree, build_tree, generalized_blend, one_group_tree, propagate_up
 from .metrics import RoundMetrics, round_metrics
 from .models import LOGISTIC, MLP, AnchorLevel, ModelSpec, init_params, local_solve
@@ -76,8 +76,8 @@ class RunConfig:
         "run.metric", "--metric", WEIGHT_METRIC, choices=(WEIGHT_METRIC, GRADIENT_METRIC)
     )
     fixed_structure: bool = _key("run.fixed_structure", "--fixed-structure", False)
-    # both give the same model, because every client shard holds the same
-    # number of training samples
+    # both give the same model, because every client holds the same number
+    # of training samples
     fedavg_weighting: str = _key(
         "run.fedavg_weighting", "--fedavg-weighting", "sample", choices=("sample", "agent")
     )
@@ -114,10 +114,15 @@ class RunConfig:
                 raise ConfigurationError(f"{key} must lie in [{low}, {high}], got {value}")
             if low is not None and value < low:
                 raise ConfigurationError(f"{key} must be at least {low}, got {value}")
-        # a strict bound: at 0 every class sits on the same point
+        # strict bounds: at 0 every class sits on the same point, and a
+        # client needs both a train and a test split
         if self.class_separation <= 0.0:
             raise ConfigurationError(
                 f"synthetic.separation must be positive, got {self.class_separation}"
+            )
+        if not 0.0 < self.test_frac < 1.0:
+            raise ConfigurationError(
+                f"data.test_frac must lie strictly between 0 and 1, got {self.test_frac}"
             )
         # the rules below each tie two fields together
         if self.model_kind == MLP and self.hidden_dim < 1:
@@ -154,13 +159,13 @@ class RunConfig:
 class RoundState:
     """Mutable loop state; `dendrogram` is set only in a round that re-clustered.
 
-    Client i owns `shards[i]` and row i of `model_block` / `delta_block`.
+    Client i owns row i of `train`, `test`, `model_block` and `delta_block`.
     """
 
     t: int
-    shards: list[ClientShard]
+    train: Dataset
+    test: Dataset
     spec: ModelSpec
-    union_test: Dataset
     tree: HierarchyTree
     model_block: np.ndarray
     delta_block: np.ndarray
@@ -225,7 +230,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
     Order: client restart and local proximal solve, delta recording, periodic
     restructuring, bottom-up model propagation, metrics.
     """
-    n = len(state.shards)
+    n = len(state.model_block)
     hierarchical = cfg.algorithm in HIERARCHICAL
     beta_t = beta_schedule(state.t, cfg) if hierarchical else 1.0
     w, start = state.model_block, state.delta_block
@@ -244,7 +249,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
     local_solve(
         state.spec,
         w,
-        [s.train for s in state.shards],
+        state.train,
         levels,
         cfg.mu,
         cfg.epochs,
@@ -274,13 +279,13 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t)
     propagate_up(state.tree, w)
 
-    state.metrics = round_metrics(state.spec, state.t, w, state.shards, state.union_test, state.tree)
+    state.metrics = round_metrics(state.spec, state.t, w, state.test, state.tree)
     state.t += 1
     return state
 
 
-def build_client_data(cfg: RunConfig) -> list[ClientShard]:
-    """Load or synthesize the corpus and partition it into client shards."""
+def build_client_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """Load or synthesize the corpus and deal the clients' (train, test) stacks."""
     if cfg.data_source == "synthetic":
         ds = synthetic_dataset(
             cfg.num_classes,
@@ -314,29 +319,27 @@ def resolve_idx_paths(data_dir: str) -> tuple[str, str]:
 
 
 def initial_state(cfg: RunConfig) -> RoundState:
-    """Shards, identical client inits, and the bootstrap structure."""
+    """Client data, identical client inits, and the bootstrap structure."""
     cfg.validate()
-    shards = build_client_data(cfg)
-    sample = shards[0].train
+    train, test = build_client_data(cfg)
     spec = ModelSpec(
         cfg.model_kind,
-        sample.input_dim,
-        sample.num_classes,
+        train.input_dim,
+        train.num_classes,
         cfg.hidden_dim if cfg.model_kind == MLP else 0,
     )
     w_init = init_params(spec, np.random.default_rng([cfg.seed, _INIT_STREAM]))
-    model_block = np.tile(w_init, (len(shards), 1))
+    model_block = np.tile(w_init, (len(train), 1))
     delta_block = np.zeros_like(model_block)
-    union_test = concat_datasets([s.test for s in shards])
     if cfg.algorithm in HIERARCHICAL:
         # bootstrap structure from the (identical) initial models; every
         # distance is zero so the cut is the deterministic lowest-index one
         tree, _ = _rebuild_structure(model_block, delta_block, cfg, 0, metric=WEIGHT_METRIC)
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
-        # 1/n leaf weights equal the sample-count weights, as shards are equal
+        # 1/n leaf weights equal the sample-count weights, as train sets are equal
         tree = one_group_tree(model_block, 1)
-    return RoundState(0, shards, spec, union_test, tree, model_block, delta_block)
+    return RoundState(0, train, test, spec, tree, model_block, delta_block)
 
 
 def run(cfg: RunConfig) -> RunResult:

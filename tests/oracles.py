@@ -19,7 +19,10 @@ client at a time, that the library's per-level arrays must equal; its
 `group_average` is the count-weighted mean of one group's children.
 `softmax_predict` is the argmax of the full softmax, which `predict_block`
 must equal without computing it on most rows; `softmax_round_metrics` builds
-a round's metrics on it, one model and one data set at a time.
+a round's metrics on it, one model and one data set at a time, and
+`concat_g_metrics` scores each group model on its members' test splits
+joined by `concat_datasets`, where the library counts per member.
+`client_sets` splits a stack of sets into one `Dataset` per client.
 """
 
 from __future__ import annotations
@@ -31,39 +34,59 @@ from demlearn.metrics import RoundMetrics
 from demlearn.models import LOGISTIC, cross_entropy, forward
 
 
+def concat_datasets(parts) -> Dataset:
+    """The sets one after another, as one set."""
+    if not parts:
+        raise ValueError("cannot concatenate zero datasets")
+    num_classes = parts[0].num_classes
+    if any(p.num_classes != num_classes for p in parts):
+        raise ValueError("datasets disagree on num_classes")
+    features = np.concatenate([p.features for p in parts], axis=0)
+    labels = np.concatenate([p.labels for p in parts], axis=0)
+    return Dataset(features, labels, num_classes)
+
+
+def client_sets(stack) -> list[Dataset]:
+    """Set i of a (C, N, d) stack as its own (N, d) `Dataset`, for each i."""
+    return [Dataset(x, y, stack.num_classes) for x, y in zip(stack.features, stack.labels)]
+
+
 def softmax_predict(spec, w, data) -> np.ndarray:
     """Each sample's class: the argmax of its softmax row, lowest index on ties."""
     return np.argmax(forward(spec, w, data), axis=1)
 
 
-def softmax_round_metrics(spec, t, block, shards, global_test, tree) -> RoundMetrics:
-    """A round's metrics with every accuracy taken from `softmax_predict`."""
+def _softmax_accuracy(spec, w, ds) -> float:
+    return float(np.mean(softmax_predict(spec, w, ds) == ds.labels))
 
-    def acc(w, ds):
-        return float(np.mean(softmax_predict(spec, w, ds) == ds.labels))
 
+def concat_g_metrics(spec, tree, tests, union):
+    """(g_spe, g_gen) for levels 1..K-1: each group model on the concatenation
+    of its members' test sets `tests[c]` and on `union`, a group at a time."""
     g_spe, g_gen = [], []
     for level in tree.levels[:-1]:
-        members = [np.flatnonzero(level.group == g) for g in range(len(level.models))]
-        tests = [
-            Dataset(
-                np.concatenate([shards[c].test.features for c in clients]),
-                np.concatenate([shards[c].test.labels for c in clients]),
-                spec.num_classes,
-            )
-            for clients in members
-        ]
-        g_spe.append(float(np.mean([acc(w, ds) for w, ds in zip(level.models, tests)])))
-        g_gen.append(float(np.mean([acc(w, global_test) for w in level.models])))
-    probs = forward(spec, tree.root, global_test)
-    picked = probs[np.arange(len(global_test)), global_test.labels]
+        groups = [np.flatnonzero(level.group == g) for g in range(len(level.models))]
+        own = [concat_datasets([tests[c] for c in clients]) for clients in groups]
+        g_spe.append(float(np.mean([_softmax_accuracy(spec, w, ds) for w, ds in zip(level.models, own)])))
+        g_gen.append(float(np.mean([_softmax_accuracy(spec, w, union) for w in level.models])))
+    return tuple(g_spe), tuple(g_gen)
+
+
+def softmax_round_metrics(spec, t, block, test, tree) -> RoundMetrics:
+    """A round's metrics with every accuracy taken from `softmax_predict`, on
+    the stack `test` split into its clients' sets."""
+    tests = client_sets(test)
+    union = concat_datasets(tests)
+    g_spe, g_gen = concat_g_metrics(spec, tree, tests, union)
+    probs = forward(spec, tree.root, union)
+    picked = probs[np.arange(len(union)), union.labels]
     return RoundMetrics(
         t=t,
-        c_spe=float(np.mean([acc(w, s.test) for w, s in zip(block, shards)])),
-        c_gen=float(np.mean([acc(w, global_test) for w in block])),
-        g_spe=tuple(g_spe),
-        g_gen=tuple(g_gen),
-        global_acc=acc(tree.root, global_test),
+        c_spe=float(np.mean([_softmax_accuracy(spec, w, ds) for w, ds in zip(block, tests)])),
+        c_gen=float(np.mean([_softmax_accuracy(spec, w, union) for w in block])),
+        g_spe=g_spe,
+        g_gen=g_gen,
+        global_acc=_softmax_accuracy(spec, tree.root, union),
         global_loss=float(-np.mean(np.log(np.maximum(picked, 1e-12)))),
     )
 
@@ -148,16 +171,18 @@ def brute_force_upgma(dm: np.ndarray):
     return merges
 
 
-def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, client_rng):
+def plain_fedavg(spec, models, train, rounds, mu, epochs, batch_size, lr, client_rng):
     """FedAvg (mu = 0) or FedProx as a flat loop, with no group tree.
 
     The global model is the training-sample-weighted mean of the client
     models, from the initial ones on.  Each round broadcasts it and solves
-    every client against one proximal anchor of weight 1 at it.
-    `client_rng(client_id, t)` gives a client's rng for round t.  Returns the
-    final global model and the final client models.
+    every client against one proximal anchor of weight 1 at it, client i on
+    set i of the stack `train`.  `client_rng(client_id, t)` gives a client's
+    rng for round t.  Returns the final global model and the final client
+    models.
     """
-    counts = [len(s.train) for s in shards]
+    trains = client_sets(train)
+    counts = [len(ds) for ds in trains]
     w_global = naive_weighted_mean(models, counts)
     for t in range(rounds):
         anchors = [(w_global, 1.0)]
@@ -165,15 +190,15 @@ def plain_fedavg(spec, models, shards, rounds, mu, epochs, batch_size, lr, clien
             scalar_local_solve(
                 spec,
                 w_global.copy(),
-                s.train,
+                ds,
                 anchors,
                 mu,
                 epochs,
                 batch_size,
                 lr,
-                client_rng(s.client_id, t),
+                client_rng(cid, t),
             )
-            for s in shards
+            for cid, ds in enumerate(trains)
         ]
         w_global = naive_weighted_mean(models, counts)
     return w_global, models

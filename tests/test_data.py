@@ -14,13 +14,14 @@ from demlearn.data import (
     ConfigurationError,
     Dataset,
     IdxFormatError,
-    concat_datasets,
     load_idx,
     partition_shards,
     synthetic_dataset,
 )
 from demlearn.metrics import c_gen
 from demlearn.models import LOGISTIC, ModelSpec, init_params, local_solve
+
+from oracles import client_sets, concat_datasets
 
 
 def write_idx(ds: Dataset, images_path, labels_path) -> None:
@@ -122,51 +123,48 @@ def balanced_dataset(n_per_class=120, num_classes=10, dim=4, seed=0):
     return Dataset(feats, labels, num_classes)
 
 
-def label_set(shard):
-    """The labels a shard's train and test sets hold."""
-    return set(shard.train.labels.tolist()) | set(shard.test.labels.tolist())
+def label_set(train, test, i):
+    """The labels client i's train and test splits hold."""
+    return set(train.labels[i].tolist()) | set(test.labels[i].tolist())
 
 
 def test_partition_protocol_shape():
     ds = balanced_dataset(n_per_class=400)
-    shards = partition_shards(ds, 50, 2, 80, 0.2, seed=7)
-    assert len(shards) == 50
-    for s in shards:
+    train, test = partition_shards(ds, 50, 2, 80, 0.2, seed=7)
+    assert train.features.shape == (50, 64, 4) and train.labels.shape == (50, 64)
+    assert test.features.shape == (50, 16, 4) and test.labels.shape == (50, 16)
+    for i in range(50):
         # each dealt label gives at least one training sample, so it shows
-        assert len(label_set(s)) == 2
-        assert len(s.train) + len(s.test) == 80
-        assert len(s.test) == 16
+        assert len(label_set(train, test, i)) == 2
 
 
 def test_partition_no_duplicate_assignment():
     ds = balanced_dataset(n_per_class=400)
-    shards = partition_shards(ds, 50, 2, 80, 0.2, seed=7)
+    train, test = partition_shards(ds, 50, 2, 80, 0.2, seed=7)
     seen: set[bytes] = set()
-    for s in shards:
-        for feats in (s.train.features, s.test.features):
-            for row in feats:
-                key = row.tobytes()
-                assert key not in seen
-                seen.add(key)
+    for feats in (train.features, test.features):
+        for row in feats.reshape(-1, 4):
+            key = row.tobytes()
+            assert key not in seen
+            seen.add(key)
 
 
 def test_partition_deterministic():
     ds = balanced_dataset()
-    a = partition_shards(ds, 20, 2, 40, 0.25, seed=11)
-    b = partition_shards(ds, 20, 2, 40, 0.25, seed=11)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.train.features, sb.train.features)
-        assert np.array_equal(sa.test.labels, sb.test.labels)
-        assert label_set(sa) == label_set(sb)
+    a_train, a_test = partition_shards(ds, 20, 2, 40, 0.25, seed=11)
+    b_train, b_test = partition_shards(ds, 20, 2, 40, 0.25, seed=11)
+    assert np.array_equal(a_train.features, b_train.features)
+    assert np.array_equal(a_train.labels, b_train.labels)
+    assert np.array_equal(a_test.features, b_test.features)
+    assert np.array_equal(a_test.labels, b_test.labels)
 
 
 def test_partition_single_client_all_labels():
     ds = balanced_dataset(n_per_class=20, num_classes=4)
-    shards = partition_shards(ds, 1, 4, 40, 0.2, seed=3)
-    assert len(shards) == 1
-    s = shards[0]
-    assert label_set(s) == {0, 1, 2, 3}
-    assert len(s.test) == 8 and len(s.train) == 32
+    train, test = partition_shards(ds, 1, 4, 40, 0.2, seed=3)
+    assert len(train) == len(test) == 1
+    assert label_set(train, test, 0) == {0, 1, 2, 3}
+    assert test.labels.shape == (1, 8) and train.labels.shape == (1, 32)
 
 
 def test_partition_infeasible_demand():
@@ -175,7 +173,22 @@ def test_partition_infeasible_demand():
         partition_shards(ds, 10, 2, 50, 0.2, seed=0)
 
 
-@settings(max_examples=60, deadline=None)
+def test_partition_that_deals_no_test_sample_is_refused():
+    # with more labels than samples a draw is 0: it gives no test sample either
+    ds = balanced_dataset(n_per_class=5, num_classes=2)
+    with pytest.raises(ConfigurationError, match="client 0 gets no test samples"):
+        partition_shards(ds, 1, 2, 1, 0.5, seed=0)
+
+
+def indexed_corpus(num_classes, samples_per_class):
+    """A synthetic corpus whose first feature is each sample's index, so a
+    split's features name the corpus samples it holds."""
+    ds = synthetic_dataset(num_classes, 2, samples_per_class, 5.0, seed=0)
+    ds.features[:, 0] = np.arange(len(ds))
+    return ds
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     num_classes=st.integers(2, 6),
     samples_per_class=st.integers(5, 80),
@@ -185,39 +198,53 @@ def test_partition_infeasible_demand():
     test_frac=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_partition_equal_train_sizes_and_ordered_ids(
+def test_partition_invariants_of_the_stacked_splits(
     num_classes, samples_per_class, n_clients, labels_per_client, samples_per_client,
     test_frac, seed,
 ):
-    # FedAvg's sample-count weights equal its agent-count weights only
-    # because every client holds the same number of training samples
-    ds = synthetic_dataset(num_classes, 2, samples_per_class, 5.0, seed=0)
+    ds = indexed_corpus(num_classes, samples_per_class)
     try:
-        shards = partition_shards(
+        train, test = partition_shards(
             ds, n_clients, labels_per_client, samples_per_client, test_frac, seed
         )
     except ConfigurationError:
         reject()
-    assert [s.client_id for s in shards] == list(range(n_clients))
-    assert len({len(s.train) for s in shards}) == 1
-    # equal test splits let C-SPE score every client in one stacked predict
-    assert len({len(s.test) for s in shards}) == 1
-    assert all(len(s.train) + len(s.test) == samples_per_client for s in shards)
+    # one train and one test length for every client, so the lockstep solver
+    # takes one batch shape and C-SPE is one stacked predict; FedAvg's
+    # sample-count weights equal its agent-count weights for the same reason
+    n_train, n_test = train.labels.shape[1], test.labels.shape[1]
+    assert train.features.shape == (n_clients, n_train, 2)
+    assert test.features.shape == (n_clients, n_test, 2)
+    assert n_train + n_test == samples_per_client and n_train >= 1 and n_test >= 1
+    # each split holds corpus samples, features with their labels
+    train_ids = train.features[..., 0].astype(np.int64)
+    test_ids = test.features[..., 0].astype(np.int64)
+    assert np.array_equal(ds.labels[train_ids], train.labels)
+    assert np.array_equal(ds.labels[test_ids], test.labels)
+    # no corpus sample is dealt twice, so train and test are disjoint too
+    ids = np.concatenate([train_ids.ravel(), test_ids.ravel()])
+    assert len(np.unique(ids)) == len(ids)
+    assert not set(train_ids.ravel()) & set(test_ids.ravel())
+    for i in range(n_clients):
+        assert len(label_set(train, test, i)) <= labels_per_client
+    # the collective test set is the clients' splits in client order
+    joined = concat_datasets(client_sets(test))
+    assert test.union().features.tobytes() == joined.features.tobytes()
+    assert test.union().labels.tobytes() == joined.labels.tobytes()
 
 
 def test_partition_median_near_target():
     ds = balanced_dataset(n_per_class=400)
-    shards = partition_shards(ds, 50, 2, 80, 0.2, seed=5)
-    totals = [len(s.train) + len(s.test) for s in shards]
-    assert abs(np.median(totals) - 80) <= 0.2 * 80
+    train, test = partition_shards(ds, 50, 2, 80, 0.2, seed=5)
+    assert abs(train.labels.shape[1] + test.labels.shape[1] - 80) <= 0.2 * 80
 
 
 def test_partition_test_split_stratified():
     ds = balanced_dataset()
-    shards = partition_shards(ds, 10, 2, 40, 0.2, seed=9)
-    for s in shards:
+    _, test = partition_shards(ds, 10, 2, 40, 0.2, seed=9)
+    for labels in test.labels:
         # 20 per label, 4 test each
-        vals, counts = np.unique(s.test.labels, return_counts=True)
+        vals, counts = np.unique(labels, return_counts=True)
         assert len(vals) == 2
         assert all(c == 4 for c in counts)
 
@@ -236,7 +263,7 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     ds = synthetic_dataset(4, 8, 30, 40.0, seed=6)
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)[None]
-    local_solve(spec, w, [ds], [], 0.0, 60, 16, 0.1, [1])
+    local_solve(spec, w, Dataset(ds.features[None], ds.labels[None], 4), [], 0.0, 60, 16, 0.1, [1])
     assert c_gen(spec, w, ds) == 1.0
 
 

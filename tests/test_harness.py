@@ -412,6 +412,9 @@ def test_cli_non_finite_lr_or_mu_exits_1_before_any_round(tmp_path, capsys, argv
         ),
         (["--seed", "-1"], "run.seed must be at least 0, got -1"),
         (["--data-seed", "-1"], "data.seed must be at least 0, got -1"),
+        # the partition used to refuse these inside the run, under the run's name
+        (["--test-frac", "0"], "data.test_frac must lie strictly between 0 and 1, got 0.0"),
+        (["--test-frac", "1"], "data.test_frac must lie strictly between 0 and 1, got 1.0"),
     ],
 )
 def test_cli_value_outside_its_rule_exits_1_before_any_round(tmp_path, capsys, extra, message):

@@ -19,20 +19,16 @@ from demlearn.metrics import (
 )
 from demlearn.models import LOGISTIC, MLP, ModelSpec
 
-from oracles import labels_of, softmax_round_metrics
+from oracles import client_sets, concat_datasets, concat_g_metrics, labels_of, softmax_round_metrics
 from test_hierarchy import laminar_assignments
+from test_models import near_tie_bias, stack
 
 SPEC = ModelSpec(LOGISTIC, 2, 3)
 
 
-class FakeShard:
-    def __init__(self, test):
-        self.test = test
-
-
 def clients(*pairs):
-    """(model, test set) pairs as a (C, M) model block and C shards."""
-    return np.stack([w for w, _ in pairs]), [FakeShard(test) for _, test in pairs]
+    """(model, test set) pairs as a (C, M) model block and a stack of C test splits."""
+    return np.stack([w for w, _ in pairs]), stack([test for _, test in pairs])
 
 
 def logits_model(rows, bias):
@@ -120,18 +116,18 @@ def test_c_gen_two_client_hand_count():
 def test_g_metrics_k1_empty():
     w = np.zeros(SPEC.param_count)
     union = ds([[1.0, 0.0]], [0])
-    block, shards = clients(*[(w, union)] * 2)
+    block, test = clients(*[(w, union)] * 2)
     tree = build_tree(np.zeros((1, 2), np.intp), block)
-    gs, gg = g_metrics(SPEC, tree, shards, union)
+    gs, gg = g_metrics(SPEC, tree, test, union)
     assert gs == () and gg == ()
 
 
 def test_g_metrics_identical_models_match_global():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     union = ds([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0]], [0, 2, 0])
-    block, shards = clients(*[(w, union)] * 4)
+    block, test = clients(*[(w, union)] * 4)
     tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
-    gs, gg = g_metrics(SPEC, tree, shards, union)
+    gs, gg = g_metrics(SPEC, tree, test, union)
     ga, _ = evaluate(SPEC, tree.root, union)
     assert all(v == pytest.approx(ga) for v in gg)
     assert ga == pytest.approx(accuracy(SPEC, w, union))
@@ -143,9 +139,9 @@ def test_g_metrics_two_group_hand_count():
     t_pos = ds([[1.0, 0.0]], [0])
     t_neg = ds([[1.0, 0.0]], [2])
     union = ds([[1.0, 0.0], [1.0, 0.0]], [0, 2])
-    block, shards = clients((w_good, t_pos), (w_good, t_pos), (w_anti, t_neg), (w_anti, t_neg))
+    block, test = clients((w_good, t_pos), (w_good, t_pos), (w_anti, t_neg), (w_anti, t_neg))
     tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
-    gs, gg = g_metrics(SPEC, tree, shards, union)
+    gs, gg = g_metrics(SPEC, tree, test, union)
     # each group model is its members' (identical) model: fits own shard,
     # scores 1/2 on the union
     assert gs[0] == pytest.approx(1.0)
@@ -154,14 +150,13 @@ def test_g_metrics_two_group_hand_count():
 
 def test_round_metrics_invariant_under_client_reordering():
     rng = np.random.default_rng(0)
-    union = ds(rng.normal(0, 1, (6, 2)), rng.integers(0, 3, 6))
     tests = [ds(rng.normal(0, 1, (3, 2)), rng.integers(0, 3, 3)) for _ in range(4)]
-    block, shards = clients(*[(rng.normal(0, 0.5, SPEC.param_count), t) for t in tests])
+    block, test = clients(*[(rng.normal(0, 0.5, SPEC.param_count), t) for t in tests])
     tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
-    m1 = round_metrics(SPEC, 0, block, shards, union, tree=tree)
-    # client i becomes client 3 - i: reversed rows and shards, groups relabelled
+    m1 = round_metrics(SPEC, 0, block, test, tree=tree)
+    # client i becomes client 3 - i: reversed rows and splits, groups relabelled
     rev_tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[2, 3], [0, 1]]}), block[::-1])
-    m2 = round_metrics(SPEC, 0, block[::-1], shards[::-1], union, tree=rev_tree)
+    m2 = round_metrics(SPEC, 0, block[::-1], stack(tests[::-1]), tree=rev_tree)
     assert m1.c_spe == m2.c_spe and m1.c_gen == m2.c_gen
     assert m1.g_spe == m2.g_spe and m1.global_acc == m2.global_acc
 
@@ -169,29 +164,38 @@ def test_round_metrics_invariant_under_client_reordering():
 def test_round_metrics_baseline_path():
     # FedAvg / FedProx keep a one-level tree: no group series, root is global
     rng = np.random.default_rng(1)
-    union = ds(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5))
-    block, shards = clients(*[(np.zeros(SPEC.param_count), union)] * 2)
+    split = ds(rng.normal(0, 1, (5, 2)), rng.integers(0, 3, 5))
+    block, test = clients(*[(np.zeros(SPEC.param_count), split)] * 2)
     tree = build_tree(np.zeros((1, 2), np.intp), block)
-    m = round_metrics(SPEC, 3, block, shards, union, tree)
+    m = round_metrics(SPEC, 3, block, test, tree)
     assert m.t == 3
     assert m.g_spe == () and m.g_gen == ()
-    assert m.global_acc == pytest.approx(accuracy(SPEC, np.zeros(SPEC.param_count), union))
+    assert m.global_acc == pytest.approx(accuracy(SPEC, np.zeros(SPEC.param_count), split))
     with pytest.raises(TypeError):
-        round_metrics(SPEC, 0, block, shards, union)
+        round_metrics(SPEC, 0, block, test)
 
 
-def random_round(spec, n, rng):
-    """A model block, shards and a global test set for n clients.  Every test
-    set has a power-of-two size, so each accuracy is a dyadic fraction and a
-    mean over clients is exact in any order."""
+def test_the_collective_set_is_the_splits_in_client_order_without_a_copy():
+    rng = np.random.default_rng(2)
+    splits = [ds(rng.normal(0, 1, (3, 2)), rng.integers(0, 3, 3)) for _ in range(4)]
+    test = stack(splits)
+    union = test.union()
+    joined = concat_datasets(splits)
+    assert union.features.tobytes() == joined.features.tobytes()
+    assert union.labels.tobytes() == joined.labels.tobytes()
+    assert np.shares_memory(union.features, test.features)
+    assert np.shares_memory(union.labels, test.labels)
+
+
+def random_round(spec, n, rng, m=None):
+    """A model block and a stack of n test splits of m samples each.  m is a
+    power of two, so each C-SPE term is a dyadic fraction and their mean is
+    exact in any order."""
     block = rng.normal(0.0, 0.7, (n, spec.param_count))
-
-    def test_set(size):
-        labels = rng.integers(0, spec.num_classes, size)
-        return Dataset(rng.normal(0.0, 1.0, (size, spec.input_dim)), labels, spec.num_classes)
-
-    shards = [FakeShard(test_set(int(rng.choice([4, 8, 16])))) for _ in range(n)]
-    return block, shards, test_set(int(rng.choice([16, 32])))
+    m = m or int(rng.choice([4, 8, 16]))
+    labels = rng.integers(0, spec.num_classes, (n, m))
+    features = rng.normal(0.0, 1.0, (n, m, spec.input_dim))
+    return block, Dataset(features, labels, spec.num_classes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,26 +204,51 @@ def test_round_metrics_equal_the_softmax_oracle_in_any_client_order(case, kind, 
     labels = labels_of(case[0])
     spec = ModelSpec(kind, 3, 4, 5 if kind == MLP else 0)
     rng = np.random.default_rng(drawn.draw(st.integers(0, 2**32 - 1)))
-    block, shards, union = random_round(spec, labels.shape[1], rng)
+    block, test = random_round(spec, labels.shape[1], rng)
     tree = build_tree(labels, block)
-    m = round_metrics(spec, 7, block, shards, union, tree)
-    assert m == softmax_round_metrics(spec, 7, block, shards, union, tree)
+    m = round_metrics(spec, 7, block, test, tree)
+    assert m == softmax_round_metrics(spec, 7, block, test, tree)
     # new client j is old client order[j]; the tree is relabelled to match
     order = np.array(drawn.draw(st.permutations(range(len(block)))))
-    moved_shards = [shards[i] for i in order]
+    moved = Dataset(test.features[order], test.labels[order], test.num_classes)
     moved_tree = build_tree(labels[:, order], block[order])
-    m2 = round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
-    assert m2 == softmax_round_metrics(spec, 7, block[order], moved_shards, union, moved_tree)
-    assert (m2.c_spe, m2.c_gen) == (m.c_spe, m.c_gen)
+    m2 = round_metrics(spec, 7, block[order], moved, moved_tree)
+    assert m2 == softmax_round_metrics(spec, 7, block[order], moved, moved_tree)
+    assert m2.c_spe == m.c_spe
+    # C-GEN's terms share the denominator C * m, which need not be a power of
+    # two, so their mean may round by order; each client's own term may not
+    own = [c_gen(spec, w[None], test.union()) for w in block]
+    assert [c_gen(spec, w[None], moved.union()) for w in block[order]] == [own[i] for i in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(laminar_assignments(), st.sampled_from([LOGISTIC, MLP]), st.data())
+def test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit(case, kind, drawn):
+    labels = labels_of(case[0])
+    spec = ModelSpec(kind, 3, 4, 5 if kind == MLP else 0)
+    rng = np.random.default_rng(drawn.draw(st.integers(0, 2**32 - 1)))
+    block, test = random_round(spec, labels.shape[1], rng, m=drawn.draw(st.integers(1, 12)))
+    tree = build_tree(labels, block)
+    for level in tree.levels[:-1]:
+        for w in level.models:
+            if rng.random() < 0.3:  # logits of near-tied classes on every sample
+                w[:] = 0.0
+                w[-spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
+    union = test.union()
+    got = g_metrics(spec, tree, test, union)
+    expected = concat_g_metrics(spec, tree, client_sets(test), union)
+    assert [[v.hex() for v in series] for series in got] == [
+        [v.hex() for v in series] for series in expected
+    ]
 
 
 def test_round_metrics_checks_data_a_fixed_number_of_times_whatever_the_clients(monkeypatch):
     calls = []
     check = models._check_data
 
-    def counted(spec, sets):
-        calls.append(len(sets))
-        return check(spec, sets)
+    def counted(spec, data, *args, **kwargs):
+        calls.append(data.features.ndim)
+        return check(spec, data, *args, **kwargs)
 
     monkeypatch.setattr(models, "_check_data", counted)
     counts = []
@@ -228,9 +257,9 @@ def test_round_metrics_checks_data_a_fixed_number_of_times_whatever_the_clients(
         halves = [list(range(n // 2)), list(range(n // 2, n))]
         singles = [[c] for c in range(n)]
         labels = labels_of({3: [list(range(n))], 2: halves, 1: singles})
-        block, shards, union = random_round(SPEC, n, rng)
+        block, test = random_round(SPEC, n, rng)
         calls.clear()
-        round_metrics(SPEC, 0, block, shards, union, build_tree(labels, block))
+        round_metrics(SPEC, 0, block, test, build_tree(labels, block))
         counts.append(len(calls))
     # c_spe, c_gen, the root's evaluate and two per group level
     assert counts == [1 + 1 + 1 + 2 * 2] * 3

@@ -31,6 +31,7 @@ from demlearn.models import (
 from oracles import (
     central_diff,
     client_anchors,
+    client_sets,
     levelwise_pull,
     loss,
     prox_objective,
@@ -45,11 +46,23 @@ MLP_SPEC = ModelSpec(MLP, 3, 4, hidden_dim=5)
 
 def predict(spec, w, data):
     """One model's labels on one data set: `predict_block` on a block of one row."""
-    return predict_block(spec, [w], [data])[0]
+    return next(iter(predict_block(spec, [w], data)))
 
 
 def data(spec, features, labels):
     return Dataset(np.asarray(features, dtype=float), np.asarray(labels), spec.num_classes)
+
+
+def stack(sets):
+    """Equal-size sets as one stack, set i at row i."""
+    return Dataset(
+        np.stack([d.features for d in sets]), np.stack([d.labels for d in sets]), sets[0].num_classes
+    )
+
+
+def rows(ds, index):
+    """The sets of a stack at `index`, as a stack."""
+    return Dataset(ds.features[index], ds.labels[index], ds.num_classes)
 
 
 def random_data(spec, n, rng, scale=1.0):
@@ -81,7 +94,7 @@ def prox_objective1(spec, w, batch, levels, mu):
 def solve1(spec, w, train, levels, mu, epochs, batch_size, lr, rng):
     """`local_solve` on a stack of one; returns the new model, w untouched."""
     block = np.array(w, dtype=np.float64)[None]
-    local_solve(spec, block, [train], levels, mu, epochs, batch_size, lr, [rng])
+    local_solve(spec, block, stack([train]), levels, mu, epochs, batch_size, lr, [rng])
     return block[0]
 
 
@@ -147,9 +160,9 @@ def test_forward_finite_for_large_features():
 
 
 def test_forward_does_not_depend_on_the_feature_layout():
-    # `predict_block` stacks sets into a C-ordered copy, so a set scored alone
-    # must give the same bits whatever its layout; a Fortran-ordered gemm
-    # rounds differently
+    # the checks take a C-ordered copy of a set, so a set scored alone must
+    # give the same bits whatever its layout; a Fortran-ordered gemm rounds
+    # differently
     rng = np.random.default_rng(22)
     spec = ModelSpec(LOGISTIC, 16, 10)
     x, y = rng.normal(0.0, 1.0, (50, 16)), rng.integers(0, 10, 50)
@@ -471,9 +484,9 @@ def test_local_solve_checks_inputs_once_whatever_the_epochs(monkeypatch):
     for name, fn in list(vars(models).items()):
         if name.startswith("_check_") and callable(fn):
 
-            def counted(*args, _name=name, _fn=fn):
+            def counted(*args, _name=name, _fn=fn, **kwargs):
                 calls.append(_name)
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(models, name, counted)
     rng = np.random.default_rng(19)
@@ -489,38 +502,44 @@ def test_local_solve_checks_inputs_once_whatever_the_epochs(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_local_solve_rejects_unequal_training_sets():
+def test_local_solve_takes_only_a_stack_of_one_set_per_client():
     rng = np.random.default_rng(20)
     w = np.zeros((3, LOG10.param_count))
-    trains = [random_data(LOG10, 6, rng), random_data(LOG10, 6, rng), random_data(LOG10, 5, rng)]
-    with pytest.raises(ValueError, match="client 2 has 5 training samples but client 0 has 6"):
-        local_solve(LOG10, w, trains, [], 0.0, 1, 4, 0.1, [0, 1, 2])
+    train = stack([random_data(LOG10, 6, rng) for _ in range(3)])
+    bad_trains = [
+        # one set, not a stack of one set per client
+        (r"feature matrix has shape \(6, 4\), expected \(C, B, 4\)", client_sets(train)[0]),
+        ("3 models need 3 training sets and rngs, got 2 and 3", rows(train, slice(2))),
+    ]
+    for message, bad in bad_trains:
+        with pytest.raises(ValueError, match=message):
+            local_solve(LOG10, w, bad, [], 0.0, 1, 4, 0.1, [0, 1, 2])
     assert not w.any()  # rejected before any step
 
 
 def test_local_solve_rejects_mismatched_stacks():
     rng = np.random.default_rng(21)
-    trains = [random_data(LOG10, 6, rng) for _ in range(2)]
+    train = stack([random_data(LOG10, 6, rng) for _ in range(2)])
     w = np.zeros((2, LOG10.param_count))
     one_client_level = anchored((np.zeros(LOG10.param_count), 0.5))
     bad_calls = [
-        ("training sets and rngs", dict(trains=trains[:1])),
+        ("training sets and rngs", dict(train=rows(train, slice(1)))),
         ("training sets and rngs", dict(rngs=[0])),
         ("anchor level covers 1 clients, expected 2", dict(levels=one_client_level)),
         ("model block", dict(w=np.zeros((2, LOG10.param_count), dtype=np.float32))),
         ("model block", dict(w=np.zeros((LOG10.param_count, 2)).T)),
     ]
     for message, kwargs in bad_calls:
-        args = dict(w=w, trains=trains, levels=[], rngs=[0, 1])
+        args = dict(w=w, train=train, levels=[], rngs=[0, 1])
         args.update(kwargs)
         with pytest.raises(ValueError, match=message):
-            local_solve(LOG10, args["w"], args["trains"], args["levels"], 0.1, 1, 4, 0.1, args["rngs"])
+            local_solve(LOG10, args["w"], args["train"], args["levels"], 0.1, 1, 4, 0.1, args["rngs"])
 
 
 @st.composite
 def lockstep_problems(draw, clients=st.integers(1, 6)):
-    """A stack of C clients with equal-size training sets and 1-4 anchor
-    levels, as (spec, models, trains, levels, mu, epochs, batch_size, lr, seed)."""
+    """A stack of C clients' training sets and 1-4 anchor levels, as
+    (spec, models, train, levels, mu, epochs, batch_size, lr, seed)."""
     kind = draw(st.sampled_from([LOGISTIC, MLP]))
     spec = ModelSpec(
         kind,
@@ -540,7 +559,7 @@ def lockstep_problems(draw, clients=st.integers(1, 6)):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 0.5, (c, spec.param_count))
-    trains = [random_data(spec, n, rng) for _ in range(c)]
+    train = stack([random_data(spec, n, rng) for _ in range(c)])
     levels = []
     for _ in range(draw(st.integers(1, 4))):
         g = draw(st.integers(1, c))
@@ -554,16 +573,17 @@ def lockstep_problems(draw, clients=st.integers(1, 6)):
     mu = draw(st.sampled_from([0.0, 0.05, 0.7]))
     epochs = draw(st.integers(1, 3))
     lr = draw(st.sampled_from([0.0, 0.1, 0.5]))
-    return spec, w, trains, levels, mu, epochs, batch_size, lr, seed
+    return spec, w, train, levels, mu, epochs, batch_size, lr, seed
 
 
 @settings(max_examples=80, deadline=None)
 @given(lockstep_problems())
 def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
-    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, trains, levels, mu, epochs, batch_size, lr, rngs)
+    local_solve(spec, block, train, levels, mu, epochs, batch_size, lr, rngs)
+    trains = client_sets(train)
     for i in range(len(w)):
         alone = scalar_local_solve(
             spec, w[i], trains[i], client_anchors(levels, i), mu, epochs, batch_size, lr,
@@ -585,14 +605,14 @@ def test_permuted_rows_are_successive_permutation_draws(seed, epochs, n):
 @settings(max_examples=60, deadline=None)
 @given(lockstep_problems(), st.data())
 def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
-    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     order = np.array(drawn.draw(st.permutations(range(len(w)))))
 
-    def solve(rows):
-        block = w[rows].copy()
-        permuted = [AnchorLevel(lv.models, lv.group[rows], lv.coeff[rows]) for lv in levels]
-        rngs = [np.random.default_rng([seed, i]) for i in rows]
-        local_solve(spec, block, [trains[i] for i in rows], permuted, mu, epochs, batch_size, lr, rngs)
+    def solve(index):
+        block = w[index].copy()
+        permuted = [AnchorLevel(lv.models, lv.group[index], lv.coeff[index]) for lv in levels]
+        rngs = [np.random.default_rng([seed, i]) for i in index]
+        local_solve(spec, block, rows(train, index), permuted, mu, epochs, batch_size, lr, rngs)
         return block
 
     assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()
@@ -624,10 +644,10 @@ def split_solves(cpus, min_work=None):
 
 def solved(problem):
     """The problem's block after `local_solve`, and its rngs' states."""
-    spec, w, trains, levels, mu, epochs, batch_size, lr, seed = problem
+    spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, trains, levels, mu, epochs, batch_size, lr, rngs)
+    local_solve(spec, block, train, levels, mu, epochs, batch_size, lr, rngs)
     return block, [rng.bit_generator.state for rng in rngs]
 
 
@@ -652,8 +672,8 @@ def guard_problem(spec, clients, n, epochs, batch_size):
     levels = [
         AnchorLevel(rng.normal(0.0, 1.0, (2, spec.param_count)), rng.integers(0, 2, clients), np.full(clients, 0.5))
     ]
-    trains = [random_data(spec, n, rng) for _ in range(clients)]
-    return spec, w, trains, levels, 0.1, epochs, batch_size, 0.1, 23
+    train = stack([random_data(spec, n, rng) for _ in range(clients)])
+    return spec, w, train, levels, 0.1, epochs, batch_size, 0.1, 23
 
 
 # `models._MIN_WORK` is one process's least work, in rows x steps x
@@ -873,29 +893,32 @@ def test_predict_on_non_finite_logits_is_the_oracle_and_warns_no_more(kind, seed
         assert predict(spec, w, ds).tobytes() == expected.tobytes()
 
 
-def test_predict_block_rows_equal_predict_and_check_each_set_once(monkeypatch):
+def test_predict_block_checks_its_data_once_in_either_layout(monkeypatch):
     rng = np.random.default_rng(4)
     block = rng.normal(0.0, 1.0, (5, MLP_SPEC.param_count))
-    shared = random_data(MLP_SPEC, 9, rng)
-    sets = [shared, random_data(MLP_SPEC, 3, rng), shared, random_data(MLP_SPEC, 14, rng), shared]
-    expected = [predict(MLP_SPEC, w, ds) for w, ds in zip(block, sets)]
+    splits = [random_data(MLP_SPEC, 9, rng) for _ in range(5)]
+    shared = random_data(MLP_SPEC, 14, rng)
     checked = []
     check = models._check_data
 
-    def counted(spec, sets):
-        checked.append(len(sets))
-        return check(spec, sets)
+    def counted(spec, data, *args, **kwargs):
+        checked.append(data.features.ndim)
+        return check(spec, data, *args, **kwargs)
 
     monkeypatch.setattr(models, "_check_data", counted)
-    got = predict_block(MLP_SPEC, block, sets)
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-    assert checked == [3]  # one call, each distinct set once
+    for data_, sets, ndim in ((stack(splits), splits, 3), (shared, [shared] * 5, 2)):
+        expected = [softmax_predict(MLP_SPEC, w, ds).tobytes() for w, ds in zip(block, sets)]
+        checked.clear()
+        got = [p.tobytes() for p in predict_block(MLP_SPEC, block, data_)]
+        assert got == expected
+        assert checked == [ndim]  # one check, whatever the row count
 
 
 @st.composite
 def prediction_blocks(draw):
-    """(spec, block, sets): rows of every `prediction_cases` kind on one
-    spec, on sets of one to three lengths, some sets shared by several rows."""
+    """(spec, block, data, sets): rows of every `prediction_cases` kind on
+    one spec, on a stack of one set per row or on one set that every row
+    shares, and the set of each row."""
     kind = draw(st.sampled_from([LOGISTIC, MLP]))
     spec = ModelSpec(
         kind,
@@ -905,10 +928,14 @@ def prediction_blocks(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = draw(st.integers(1, 12))
-    lengths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    n = draw(st.integers(1, 20))
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    own = [random_data(spec, int(rng.choice(lengths)), rng, scale) for _ in range(c)]
-    sets = [own[int(rng.integers(c))] if rng.random() < 0.3 else own[i] for i in range(c)]
+    if draw(st.booleans()):
+        sets = [random_data(spec, n, rng, scale) for _ in range(c)]
+        data_ = stack(sets)
+    else:
+        data_ = random_data(spec, n, rng, scale)
+        sets = [data_] * c
     block = np.zeros((c, spec.param_count))
     for w in block:
         case = draw(st.sampled_from(["random", "near-tie", "zero"]))
@@ -917,21 +944,27 @@ def prediction_blocks(draw):
         elif case == "near-tie":
             # with the output weights zero, the last bias is the logits
             w[-spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
-    return spec, block, sets
+    return spec, block, data_, sets
 
 
 @settings(max_examples=150, deadline=None)
 @given(prediction_blocks())
 def test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit(case):
-    spec, block, sets = case
+    spec, block, data_, sets = case
     expected = [softmax_predict(spec, w, ds).tobytes() for w, ds in zip(block, sets)]
-    assert [p.tobytes() for p in predict_block(spec, block, sets)] == expected
+    assert [p.tobytes() for p in predict_block(spec, block, data_)] == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(models, "_TIE_MARGIN", np.inf)  # every row takes the fallback
-        assert [p.tobytes() for p in predict_block(spec, block, sets)] == expected
+        assert [p.tobytes() for p in predict_block(spec, block, data_)] == expected
 
 
-def test_predict_block_stacks_rows_whose_sets_have_equal_length(monkeypatch):
+def test_predict_block_runs_a_stack_at_once_and_a_shared_set_a_row_at_a_time(monkeypatch):
+    rng = np.random.default_rng(5)
+    block = rng.normal(0.0, 1.0, (6, MLP_SPEC.param_count))
+    splits = [random_data(MLP_SPEC, 4, rng) for _ in range(6)]
+    union = random_data(MLP_SPEC, 24, rng)
+    own = [predict(MLP_SPEC, w, ds).tobytes() for w, ds in zip(block, splits)]
+    shared = [predict(MLP_SPEC, w, union).tobytes() for w in block]
     stacks = []
     logits = models._logits
 
@@ -940,35 +973,26 @@ def test_predict_block_stacks_rows_whose_sets_have_equal_length(monkeypatch):
         return logits(spec, w, x, out, hidden)
 
     monkeypatch.setattr(models, "_logits", counted)
-    rng = np.random.default_rng(5)
-    block = rng.normal(0.0, 1.0, (6, MLP_SPEC.param_count))
-    splits = [random_data(MLP_SPEC, 4, rng) for _ in range(6)]
-    union = random_data(MLP_SPEC, 24, rng)
-    runs = [
-        (splits, [6]),  # equal test splits: one stack
-        ([union] * 6, [1] * 6),  # one shared set, the largest: a row at a time
-        (splits[:5] + [union], [5, 1]),
-        # 4 + 4 samples in all: stacks of two rows on the 4-sample sets
-        ([splits[0], splits[1], splits[0], splits[1], splits[0], splits[1]], [2, 2, 2]),
-    ]
-    for sets, expected in runs:
-        stacks.clear()
-        got = predict_block(MLP_SPEC, block, sets)
-        assert stacks == expected
-        assert [g.tobytes() for g in got] == [
-            predict(MLP_SPEC, w, ds).tobytes() for w, ds in zip(block, sets)
-        ]
+    assert [p.tobytes() for p in predict_block(MLP_SPEC, block, stack(splits))] == own
+    assert stacks == [6]  # equal test splits: one stack
+    stacks.clear()
+    rows_labels = predict_block(MLP_SPEC, block, union)
+    for i, labels in enumerate(rows_labels):
+        # each row runs when it is asked for, so no two rows' labels are held
+        assert stacks == [1] * (i + 1)
+        assert labels.tobytes() == shared[i]
+    assert stacks == [1] * 6
 
 
 def test_predict_rejects_bad_inputs():
     w = np.zeros(LOG10.param_count)
     good = data(LOG10, np.zeros((2, 4)), [0, 9])
-    with pytest.raises(ValueError, match="parameter vector"):
+    with pytest.raises(ValueError, match=r"model block has shape \(1, 3\)"):
         predict(LOG10, np.zeros(3), good)
     with pytest.raises(ValueError, match="feature matrix"):
         predict(LOG10, w, data(LOG10, np.zeros((2, 5)), [0, 0]))
     with pytest.raises(ValueError, match="2 models need 2 data sets, got 1"):
-        predict_block(LOG10, np.stack([w, w]), [good])
-    # one reduction checks the labels of every set at once
+        predict_block(LOG10, np.stack([w, w]), stack([good]))
+    # one reduction checks the labels of every set of a stack at once
     with pytest.raises(ValueError, match="labels must lie"):
-        predict_block(LOG10, np.stack([w, w]), [good, data(LOG10, np.zeros((1, 4)), [10])])
+        predict_block(LOG10, np.stack([w, w]), stack([good, data(LOG10, np.zeros((2, 4)), [10, 0])]))

@@ -19,7 +19,7 @@ from demlearn.training import (
     run_round,
 )
 
-from oracles import client_anchors, loss, plain_fedavg, scalar_local_solve
+from oracles import client_anchors, client_sets, loss, plain_fedavg, scalar_local_solve
 
 
 def tiny_cfg(**kw):
@@ -80,6 +80,10 @@ def test_config_validation():
     tiny_cfg(hidden_dim=0).validate()
     with pytest.raises(ConfigurationError, match="synthetic.separation must be positive, got 0.0"):
         tiny_cfg(class_separation=0.0).validate()
+    # a client needs a train and a test split
+    for test_frac in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ConfigurationError, match=f"data.test_frac must lie strictly between 0 and 1, got {test_frac}"):
+            tiny_cfg(test_frac=test_frac).validate()
 
 
 def _field_rule_cases():
@@ -182,9 +186,12 @@ def test_fedavg_single_client_global_is_client_model():
 def test_fedavg_identical_clients_symmetry(monkeypatch):
     cfg = tiny_cfg(algorithm="fedavg", rounds=1)
     state = initial_state(cfg)
-    # give every client the same shard so local solves coincide up to rng
-    shard = state.shards[0]
-    state.shards = [dataclasses.replace(shard, client_id=i) for i in range(len(state.shards))]
+    # give every client client 0's training set so local solves coincide up to rng
+    train = state.train
+    state.train = dataclasses.replace(
+        train, features=np.repeat(train.features[:1], len(train), axis=0),
+        labels=np.repeat(train.labels[:1], len(train), axis=0),
+    )
     # same rng per client requires same (seed, id, t); force the stream of id 0
     client_rng = training._client_rng
     monkeypatch.setattr(training, "_client_rng", lambda cfg, cid, t: client_rng(cfg, 0, t))
@@ -237,7 +244,7 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
     w_global, models = plain_fedavg(
         start.spec,
         list(start.model_block),
-        start.shards,
+        start.train,
         cfg.rounds,
         cfg.mu,
         cfg.epochs,
@@ -251,11 +258,11 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         assert row.tobytes() == model.tobytes()
 
 
-def per_client_local_solve(spec, w, trains, levels, mu, epochs, batch_size, lr, rngs):
+def per_client_local_solve(spec, w, train, levels, mu, epochs, batch_size, lr, rngs):
     """`models.local_solve` as a loop of one-client solves, row by row."""
-    for i, (train, rng) in enumerate(zip(trains, rngs, strict=True)):
+    for i, (ds, rng) in enumerate(zip(client_sets(train), rngs, strict=True)):
         anchors = client_anchors(levels, i)
-        w[i] = scalar_local_solve(spec, w[i], train, anchors, mu, epochs, batch_size, lr, rng)
+        w[i] = scalar_local_solve(spec, w[i], ds, anchors, mu, epochs, batch_size, lr, rng)
 
 
 @pytest.mark.parametrize(
@@ -462,10 +469,8 @@ def test_training_loss_non_increasing_after_warmup():
         samples_per_class=60,
         epochs=4,
     )
-    from demlearn.data import concat_datasets
-
     state = initial_state(cfg)
-    union_train = concat_datasets([s.train for s in state.shards])
+    union_train = state.train.union()
     losses = []
     for _ in range(cfg.rounds):
         run_round(state, cfg)
