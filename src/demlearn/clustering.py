@@ -7,6 +7,7 @@ update on the (n, n) matrix, ties going to the smallest pair of cluster ids.
 A step finds its merge in a few whole-matrix passes (argmin, compare, and a
 row-wise any when the minimum is tied), without listing the tied pairs, so
 n - 1 steps cost O(n^3) even when every distance is equal.
+Points that all tie at 0, like identical initial models, need no matrix.
 The merge history (dendrogram) is cut K-1 generations below the root into
 a (K, C) label array, row k - 1 numbering each client's level-k group.
 """
@@ -125,7 +126,7 @@ def agglomerate(dm: np.ndarray) -> Dendrogram:
         k = d.argmin()
         h = d.flat[k]
         hit = d == h
-        # one pair, seen from both sides: the usual case off the bootstrap,
+        # one pair, seen from both sides: the usual case once models differ,
         # where the row-wise any below would make a step ~1.5x slower
         if np.count_nonzero(hit) == 2:
             p, q = divmod(k, n)
@@ -146,6 +147,18 @@ def agglomerate(dm: np.ndarray) -> Dendrogram:
         d[:, q] = np.inf
         ids[p] = new_id
         sizes[p] = size
+    return Dendrogram(n, merges)
+
+
+def tied_dendrogram(n: int) -> Dendrogram:
+    """`agglomerate`'s dendrogram of n points at distance 0 from each other.
+    Every pair ties, so the two lowest live ids merge and the new id, the
+    highest yet, queues at the back: merge i pairs ids 2i and 2i + 1."""
+    sizes = [1] * n
+    merges = []
+    for i in range(n - 1):
+        sizes.append(sizes[2 * i] + sizes[2 * i + 1])
+        merges.append(Merge(2 * i, 2 * i + 1, 0.0, n + i, sizes[-1]))
     return Dendrogram(n, merges)
 
 

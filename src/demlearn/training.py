@@ -199,7 +199,7 @@ def _client_rng(cfg: RunConfig, client_id: int, t: int) -> np.random.Generator:
 
 
 def _rebuild_structure(
-    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int, metric: Optional[str] = None
+    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
     """Cluster the clients by their models or their update deltas, and cut
     the dendrogram into a K-level tree.
@@ -211,16 +211,15 @@ def _rebuild_structure(
     """
     if cfg.k_levels == 1 or len(models) == 1:
         return one_group_tree(models, cfg.k_levels), None
-    metric = metric or cfg.metric
-    x = models if metric == WEIGHT_METRIC else deltas
-    if metric == GRADIENT_METRIC:
+    x = models if cfg.metric == WEIGHT_METRIC else deltas
+    if cfg.metric == GRADIENT_METRIC:
         still = np.einsum("ij,ij->i", x, x) == 0.0
         if still.any():
             raise FloatingPointError(
                 f"client {np.flatnonzero(still)[0]} made a zero update in round {t}: "
                 f"metric=gradients needs a nonzero update delta for its cosine distance (lr={cfg.lr})"
             )
-    dend = clustering.agglomerate(clustering.build_distance_matrix(x, metric))
+    dend = clustering.agglomerate(clustering.build_distance_matrix(x, cfg.metric))
     return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
 
@@ -332,9 +331,10 @@ def initial_state(cfg: RunConfig) -> RoundState:
     model_block = np.tile(w_init, (len(train), 1))
     delta_block = np.zeros_like(model_block)
     if cfg.algorithm in HIERARCHICAL:
-        # bootstrap structure from the (identical) initial models; every
-        # distance is zero so the cut is the deterministic lowest-index one
-        tree, _ = _rebuild_structure(model_block, delta_block, cfg, 0, metric=WEIGHT_METRIC)
+        # the initial models are identical: every distance is 0 and the tie
+        # rule alone fixes the dendrogram, so nothing needs clustering
+        dend = clustering.tied_dendrogram(len(model_block))
+        tree = build_tree(clustering.truncate(dend, cfg.k_levels), model_block)
     else:
         # FedAvg / FedProx: one group of all clients, never re-clustered; its
         # 1/n leaf weights equal the sample-count weights, as train sets are equal

@@ -11,6 +11,7 @@ from demlearn.clustering import (
     agglomerate,
     build_distance_matrix,
     format_dendrogram,
+    tied_dendrogram,
     truncate,
 )
 from demlearn.hierarchy import build_tree, members
@@ -266,6 +267,25 @@ def test_agglomerate_all_zero_300_clients_equals_the_dict_upgma():
     # the bootstrap's matrix: identical initial models tie every pair at 0
     d = np.zeros((300, 300))
     assert merge_keys(agglomerate(d).merges) == merge_keys(dict_upgma(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300))
+@example(2)
+@example(300)
+def test_tied_dendrogram_is_upgma_on_an_all_zero_matrix(n):
+    tied, upgma = tied_dendrogram(n), agglomerate(np.zeros((n, n)))
+    assert tied.n_leaves == n
+    assert merge_keys(tied.merges) == merge_keys(upgma.merges)
+    for k in range(1, 13):
+        assert np.array_equal(truncate(tied, k), truncate(upgma, k))
+
+
+def test_tied_dendrogram_of_one_point_is_one_group_at_every_level():
+    tied = tied_dendrogram(1)
+    assert tied.merges == [] and tied.root_id == 0
+    for k in range(1, 13):
+        assert truncate(tied, k).tolist() == [[0]] * k
 
 
 def test_agglomerate_unique_minimum_then_ties_by_cluster_id():

@@ -419,10 +419,8 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert skipped.dendrograms == []
     assert [m.tolist() for m in members(skipped.state.tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
 
-    def clustered(models, deltas, cfg, t, metric=None):
-        dend = clustering.agglomerate(
-            clustering.build_distance_matrix(models, metric or cfg.metric)
-        )
+    def clustered(models, deltas, cfg, t):
+        dend = clustering.agglomerate(clustering.build_distance_matrix(models, cfg.metric))
         return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
     monkeypatch.setattr(training, "_rebuild_structure", clustered)
@@ -432,6 +430,41 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert skipped.metrics == forced.metrics
     assert skipped.state.tree.root.tobytes() == forced.state.tree.root.tobytes()
     assert skipped.state.model_block.tobytes() == forced.state.model_block.tobytes()
+
+
+@pytest.mark.parametrize("algorithm, mu", [("demlearn", 0.0), ("demlearn-p", 0.01)])
+@pytest.mark.parametrize("metric", ["weights", "gradients"])
+def test_setup_clusters_nothing_and_builds_the_all_zero_upgma_tree(
+    monkeypatch, algorithm, mu, metric
+):
+    def no_clustering(*args):
+        raise AssertionError("set-up clustered")
+
+    for n in (1, 2, 7, 50):
+        for k in (1, 2, 4, 12):
+            cfg = tiny_cfg(
+                algorithm=algorithm,
+                mu=mu,
+                metric=metric,
+                n_clients=n,
+                k_levels=k,
+                samples_per_class=300,
+            )
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "build_distance_matrix", no_clustering)
+                m.setattr(clustering, "agglomerate", no_clustering)
+                state = initial_state(cfg)
+            # one client has no matrix to agglomerate: one group at every level
+            if n == 1:
+                labels = np.zeros((k, 1), np.intp)
+            else:
+                labels = clustering.truncate(clustering.agglomerate(np.zeros((n, n))), k)
+            want = build_tree(labels, state.model_block)
+            assert state.tree.K == k
+            for got, exp in zip(state.tree.levels, want.levels):
+                assert got.group.tobytes() == exp.group.tobytes()
+                assert got.coeff.tobytes() == exp.coeff.tobytes()
+                assert got.models.tobytes() == exp.models.tobytes()
 
 
 def test_gradient_metric_clustering_runs():
