@@ -3,21 +3,31 @@
 The tree is built from a (K, C) label array whose row k - 1 numbers each
 client's level-k group.  Client i is row i of the block, and tree level k is
 one `AnchorLevel`: its (G, M) group models, each client's group row, and each
-client's weight 1 / (its group's member count) -- the arrays the lockstep
-solver takes as they are.  The levels are the whole tree: `members` reads a
-level's groups off its group row.  Group models are count-weighted means of
-their children, where counts are numbers of member agents (leaves count one).
-Summation order is fixed -- children in ascending group index, leaves in
-ascending client id -- so runs are bit-reproducible.
+client's weight 1 / (its group's member count).  The levels are the whole
+tree: `members` reads a level's groups off its group row.  Group models are
+count-weighted means of their children, where counts are numbers of member
+agents (leaves count one).  Summation order is fixed -- children in
+ascending group index, leaves in ascending client id -- so runs are
+bit-reproducible.  A client's ancestors enter its restart blend
+(`generalized_blend`) and its proximal pull (`anchor_pull`), one weighted
+sum gathered in level order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import AnchorLevel
+
+class AnchorLevel(NamedTuple):
+    """One tree level: client i's level model is `models[group[i]]`, the
+    model of its group, and `coeff[i]` is 1 / that group's member count."""
+
+    models: np.ndarray  # (G, M) group models
+    group: np.ndarray  # (C,) integer rows of `models`
+    coeff: np.ndarray  # (C,) weights in (0, 1]
 
 
 @dataclass(eq=False)
@@ -58,6 +68,8 @@ def build_tree(labels: np.ndarray, block: np.ndarray) -> HierarchyTree:
         raise ValueError("level K must contain exactly one group")
     levels = []
     for k, group in enumerate(labels):
+        if group.dtype.kind not in "iu" or np.any(group < 0):
+            raise ValueError(f"level {k + 1} has a label that is not a non-negative integer")
         sizes = np.bincount(group)
         if not sizes.all():
             raise ValueError(f"level {k + 1} has no member in group {int(np.argmin(sizes))}")
@@ -105,6 +117,21 @@ def propagate_up(tree: HierarchyTree, block: np.ndarray) -> HierarchyTree:
     return tree
 
 
+def _ancestor_sum(tree: HierarchyTree, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The (C, M) sum over levels k of weights[k][:, None] times each
+    client's level-k group model, added in level order."""
+    first, *rest = tree.levels
+    # "clip" never alters a group row, which `build_tree` numbers; "raise" would copy
+    total = np.take(first.models, first.group, axis=0, mode="clip")
+    total *= weights[0][:, None]
+    gathered = np.empty_like(total)
+    for level, weight in zip(rest, weights[1:]):
+        np.take(level.models, level.group, axis=0, out=gathered, mode="clip")
+        gathered *= weight[:, None]
+        total += gathered
+    return total
+
+
 def generalized_blend(tree: HierarchyTree) -> np.ndarray:
     """Every client's normalized mix of its ancestor models, as a (C, M) block.
 
@@ -114,11 +141,20 @@ def generalized_blend(tree: HierarchyTree) -> np.ndarray:
     coeff = np.stack([level.coeff for level in tree.levels], axis=1)
     # each row's sum of a contiguous 1-D run, so pairwise from K = 8 on
     weights = coeff / coeff.sum(axis=1)[:, None]
-    first = tree.levels[0]
-    blend = first.models[first.group] * weights[:, :1]
-    for k, level in enumerate(tree.levels[1:], start=1):
-        blend += level.models[level.group] * weights[:, k : k + 1]
-    return blend
+    return _ancestor_sum(tree, weights.T)
+
+
+def anchor_pull(tree: HierarchyTree, mu: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every client's proximal pull sum_k m_k * (w - its level-k model), with
+    m_k = mu * coeff_k, folded as s * w - A for `models.local_solve`: s is
+    the (C, 1) sum of the m_k and A the (C, M) sum of m_k times the level-k
+    models, each added in level order.  None if mu is 0."""
+    if not (np.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
+    if mu == 0.0:
+        return None
+    weights = [mu * level.coeff for level in tree.levels]
+    return sum(weights[1:], weights[0])[:, None], _ancestor_sum(tree, weights)
 
 
 def format_tree(tree: HierarchyTree) -> str:

@@ -16,16 +16,15 @@ every slice, and every other step is elementwise or a sum within one
 client.  `forward` evaluates one model as a stack of one.
 Gradients are analytic (softmax cross-entropy backprop by hand);
 `local_solve` runs plain mini-batch SGD for all C clients in lockstep, with
-an optional sum of proximal penalties pulling each client toward its anchor
-models, given one `AnchorLevel` per tree level.  The anchors stay fixed
-through a solve, so it folds the levels once into one pull s * w - A
-(`_fold_anchors`), three passes over the block a step whatever the level
-count.  It takes the C training sets as one (C, n, input_dim) stack, reads
+an optional proximal pull s * w - A given as its (s, A): the form into
+which `hierarchy.anchor_pull` folds the penalties toward a client's tree
+ancestors, three passes over the block a step whatever the level count.
+It takes the C training sets as one (C, n, input_dim) stack, reads
 it as one (C * n, input_dim) set, draws each client's orders for all epochs
 in one call of its rng, and cuts every step's C batches with one gather per
 array.  A solve with enough work trains ranges of its rows in forked
 processes, one per CPU; a row depends only on its own data, orders and
-anchors, so no bit depends on that.
+pull, so no bit depends on that.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -37,10 +36,10 @@ share one logits kernel.
 Inputs are validated once, where they enter: `forward`, `predict_block`
 and `local_solve` check the parameter length, the data layout and feature
 width, the labels (an integer dtype, each in range, all in one reduction),
-non-empty sets, and, for the solver, the anchor shapes and a finite
-mu >= 0.  `local_solve` also requires a finite lr >= 0, and it updates its
-model block in place.  `grad` and `prox_grad` are the SGD step kernels;
-they trust their inputs and check nothing.
+non-empty sets, and, for the solver, the pull's shapes.  `local_solve`
+also requires a finite lr >= 0, and it updates its model block in place.
+`grad` and `prox_grad` are the SGD step kernels; they trust their inputs
+and check nothing.
 """
 
 from __future__ import annotations
@@ -98,33 +97,6 @@ class ModelSpec:
         return (self.input_dim + 1) * self.hidden_dim + (self.hidden_dim + 1) * self.num_classes
 
 
-@dataclass(frozen=True)
-class AnchorLevel:
-    """The proximal targets of a stack of clients at one tree level.
-
-    Client i is pulled toward `models[group[i]]`, the model of its group at
-    this level, with weight `coeff[i]` (1 / that group's member count).
-    """
-
-    models: np.ndarray  # (G, M) group models
-    group: np.ndarray  # (C,) integer rows of `models`
-    coeff: np.ndarray  # (C,) weights in (0, 1]
-
-    def __post_init__(self) -> None:
-        if self.models.ndim != 2:
-            raise ValueError(f"anchor models have shape {self.models.shape}, expected (G, M)")
-        if (
-            self.group.ndim != 1
-            or self.coeff.shape != self.group.shape
-            or not np.issubdtype(self.group.dtype, np.integer)
-        ):
-            raise ValueError("anchor group and coeff must be equal-length 1-D arrays of ints and floats")
-        if np.any((self.group < 0) | (self.group >= len(self.models))):
-            raise ValueError(f"anchor group index out of range [0, {len(self.models)})")
-        if not np.all((self.coeff > 0.0) & (self.coeff <= 1.0)):
-            raise ValueError(f"anchor coeff must lie in (0, 1], got {self.coeff}")
-
-
 def init_params(spec: ModelSpec, rng) -> np.ndarray:
     """Gaussian(0, INIT_VARIANCE) initial parameter vector."""
     rng = np.random.default_rng(rng)
@@ -177,23 +149,6 @@ def _check_data(spec: ModelSpec, data: Dataset, ndims: tuple[int, ...] = (2, 3))
     if y.min() < 0 or y.max() >= spec.num_classes:
         raise ValueError("labels must lie in [0, num_classes)")
     return x, y
-
-
-def _check_anchors(
-    spec: ModelSpec, levels: Sequence[AnchorLevel], mu: float, clients: int
-) -> None:
-    if not (np.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mu must be finite and non-negative, got {mu}")
-    for level in levels:
-        if level.models.shape[1] != spec.param_count:
-            raise ValueError(
-                f"anchor models have shape {level.models.shape}, "
-                f"expected (G, {spec.param_count})"
-            )
-        if len(level.group) != clients:
-            raise ValueError(
-                f"anchor level covers {len(level.group)} clients, expected {clients}"
-            )
 
 
 def _views(spec: ModelSpec, w: np.ndarray):
@@ -342,7 +297,7 @@ def grad(
     w: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> np.ndarray:
     """Analytic gradients of each client's mean cross-entropy on its samples.
 
@@ -351,9 +306,7 @@ def grad(
     trusts its inputs and checks nothing.  The result lives in `work`, the
     scratch arrays of a solve, and the next step overwrites it.
     """
-    c, b = y.shape
-    if work is None:
-        work = _Workspace(spec, c, b)
+    b = y.shape[1]
     dlogits = work.probs[:, :b]
     hidden = work.hidden[:, :b]
     _logits(spec, w, x, dlogits, hidden)
@@ -383,43 +336,21 @@ def grad(
     return g
 
 
-def _fold_anchors(levels: Sequence[AnchorLevel], mu: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The levels' pull sum_k m_k * (w - models_k[group_k]), m_k = mu * coeff_k,
-    as s * w - A: s is the (C, 1) sum of the m_k and A the (C, M) sum of
-    m_k * models_k[group_k], each added in level order; None if mu or K is 0."""
-    if mu == 0.0 or not levels:
-        return None
-    first, rest = levels[0], levels[1:]
-    s = mu * first.coeff
-    # "clip" never alters an index checked at entry; "raise" would copy
-    target = np.take(first.models, first.group, axis=0, mode="clip")
-    target *= s[:, None]
-    gathered = np.empty_like(target)
-    for level in rest:
-        weight = mu * level.coeff
-        s += weight
-        np.take(level.models, level.group, axis=0, out=gathered, mode="clip")
-        gathered *= weight[:, None]
-        target += gathered
-    return s[:, None], target
-
-
 def prox_grad(
     spec: ModelSpec,
     w: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     pull: tuple[np.ndarray, np.ndarray] | None,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> np.ndarray:
-    """`grad` plus the proximal pull s * w - A of `pull` = (s, A), the
-    levels that `_fold_anchors` folds; bitwise `grad` when `pull` is None.
+    """`grad` plus the proximal pull s * w - A of `pull` = (s, A), the (C, 1)
+    and (C, M) arrays that `hierarchy.anchor_pull` folds from every tree
+    level; bitwise `grad` when `pull` is None.
 
     A step kernel like `grad`: it checks nothing, and adds the pull of every
     level in three passes over the block.
     """
-    if work is None:
-        work = _Workspace(spec, *y.shape)
     g = grad(spec, w, x, y, work)
     if pull is None:
         return g
@@ -434,15 +365,17 @@ def local_solve(
     spec: ModelSpec,
     w: np.ndarray,
     train: Dataset,
-    levels: Sequence[AnchorLevel],
-    mu: float,
+    pull: tuple[np.ndarray, np.ndarray] | None,
     epochs: int,
     batch_size: int,
     lr: float,
     rngs: Sequence,
 ) -> None:
     """Mini-batch SGD for C clients in lockstep, on each client's mean
-    cross-entropy plus (mu/2) * sum_levels coeff * ||w - anchor||^2.
+    cross-entropy plus the proximal penalty whose gradient is the pull
+    s * w - A of `pull` = (s, A), a (C, 1) and a (C, M) array, or none if
+    `pull` is None.  `hierarchy.anchor_pull` folds (mu/2) * sum_levels
+    coeff * ||w - anchor||^2 into this form.
 
     `w` is the C-contiguous (C, M) block of starting models and is updated
     in place; row i trains on set i of the (C, n, input_dim) stack `train`,
@@ -453,10 +386,9 @@ def local_solve(
     equal to the same solve of client i alone, deterministic given its rng
     seed.  lr == 0 walks the schedule without moving.
 
-    The levels are folded once into the pull's target (`_fold_anchors`).
     With enough work, P - 1 forked children and the caller train P
-    contiguous ranges of rows (see `_processes` for P).  The rngs and the
-    target are made before the fork, and no output bit depends on P.  A
+    contiguous ranges of rows (see `_processes` for P).  The rngs are drawn
+    before the fork, and no output bit depends on P.  A
     child's failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
@@ -472,7 +404,10 @@ def local_solve(
         raise ValueError(
             f"{c} models need {c} training sets and rngs, got {len(x)} and {len(rngs)}"
         )
-    _check_anchors(spec, levels, mu, c)
+    if pull is not None and (pull[0].shape != (c, 1) or pull[1].shape != w.shape):
+        raise ValueError(
+            f"pull has shapes {pull[0].shape} and {pull[1].shape}, expected ({c}, 1) and {w.shape}"
+        )
 
     # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
     n = x.shape[1]
@@ -485,7 +420,6 @@ def local_solve(
     for i, rng in enumerate(rngs):
         orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
     orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
-    pull = _fold_anchors(levels, mu)
 
     def solve(lo: int, hi: int) -> None:
         rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])

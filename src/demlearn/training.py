@@ -1,17 +1,17 @@
 """The round loop shared by all four algorithms, and run orchestration.
 
 One round: every client restarts from a decaying blend of its ancestor
-group models, runs a few epochs of proximal SGD against those ancestors,
-then (every tau rounds) the server re-clusters the clients and finally
-re-averages every group model bottom-up.  FedAvg and FedProx are the same
-loop over a fixed one-group tree of all clients: each round restarts every
-client from the root model (beta = 1), anchors it to the root with weight 1
+group models, runs a few epochs of proximal SGD against those ancestors
+(the pull that `hierarchy.anchor_pull` folds from the tree), then (every
+tau rounds) the server re-clusters the clients and finally re-averages
+every group model bottom-up.  FedAvg and FedProx are the same loop over a
+fixed one-group tree of all clients: each round restarts every client from
+the root model (beta = 1), pulls it toward the root with weight 1
 (FedProx's mu/2 ||w - w_global||^2), and never re-clusters.
 
 Client i is row i of two (C, M) blocks, its model and its last update
-delta, allocated once per run and updated in place, and of the train and
-test stacks that the shard partition deals; tree level k is one
-`AnchorLevel` over those rows, which the solver takes as it is.  One call
+delta, allocated once per run and updated in place, of the train and test
+stacks that the shard partition deals, and of every tree level.  One call
 of the lockstep solver `models.local_solve` trains every client of a
 round.  On a host with several CPUs
 a long solve of many clients trains ranges of them in forked processes (no
@@ -36,7 +36,7 @@ from .clustering import GRADIENT_METRIC, WEIGHT_METRIC, Dendrogram
 from .data import ConfigurationError, Dataset, load_idx, partition_shards, synthetic_dataset
 from .hierarchy import HierarchyTree, build_tree, generalized_blend, one_group_tree, propagate_up
 from .metrics import RoundMetrics, round_metrics
-from .models import LOGISTIC, MLP, AnchorLevel, ModelSpec, init_params, local_solve
+from .models import LOGISTIC, MLP, ModelSpec, init_params, local_solve
 
 ALGORITHMS = ("demlearn", "demlearn-p", "fedavg", "fedprox")
 HIERARCHICAL = ("demlearn", "demlearn-p")
@@ -241,16 +241,16 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         np.copyto(w, blend)
     np.copyto(start, w)
     if hierarchical:
-        levels = state.tree.levels
+        pull = hierarchy.anchor_pull(state.tree, cfg.mu)
+    elif cfg.mu:  # a flat algorithm pulls every client toward the root, its global model
+        pull = np.full((n, 1), cfg.mu), np.broadcast_to(cfg.mu * state.tree.root, w.shape)
     else:
-        # a flat algorithm anchors every client to the root, its global model
-        levels = [AnchorLevel(state.tree.levels[0].models, np.zeros(n, np.intp), np.ones(n))]
+        pull = None
     local_solve(
         state.spec,
         w,
         state.train,
-        levels,
-        cfg.mu,
+        pull,
         cfg.epochs,
         cfg.batch_size,
         cfg.lr,

@@ -5,9 +5,10 @@ recomputation, and finite differences.  `loss` and `prox_objective` are
 the objectives whose gradients the step kernels must match by finite
 differences.  `scalar_local_solve` is the per-client SGD loop on 2-D arrays
 that the library's lockstep solver must match row for row, bit for bit; the
-flat FedAvg loop runs on it, and a round-loop test runs whole runs with it
-in place of the solver.  Its proximal pull is folded as the library folds
-it, into s * w - A; `levelwise_pull` adds mu * coeff * (w - anchor) one
+flat FedAvg loop runs on it.  Its proximal pull is folded as the library
+folds it, into s * w - A (`scalar_fold`); `scalar_pull_solve` is the same
+loop on a pull already folded, which a round-loop test runs whole runs with
+in place of the solver.  `levelwise_pull` adds mu * coeff * (w - anchor) one
 level at a time, which the folded pull must equal to a few ulps.
 `pairwise_distance_matrix` and `dict_upgma` are the one-pair-at-a-time
 server side that the vectorised distances and matrix UPGMA must equal.
@@ -291,12 +292,12 @@ def levelwise_pull(w, anchors, mu):
     return pull
 
 
-def scalar_prox_grad(spec, w, x, y, anchors, mu):
-    """`scalar_grad` plus the folded pull s * w - A of the anchors."""
+def scalar_prox_grad(spec, w, x, y, pull):
+    """`scalar_grad` plus the folded pull s * w - A of `pull` = (s, A)."""
     g = scalar_grad(spec, w, x, y)
-    if mu == 0.0 or not anchors:
+    if pull is None:
         return g
-    s, target = scalar_fold(anchors, mu)
+    s, target = pull
     g += w * s - target
     return g
 
@@ -304,6 +305,12 @@ def scalar_prox_grad(spec, w, x, y, anchors, mu):
 def scalar_local_solve(spec, w_init, train, anchors, mu, epochs, batch_size, lr, rng):
     """One client's mini-batch SGD: reshuffle once per epoch, keep the
     trailing partial batch, step w -= lr * g."""
+    pull = scalar_fold(anchors, mu) if mu != 0.0 and anchors else None
+    return scalar_pull_solve(spec, w_init, train, pull, epochs, batch_size, lr, rng)
+
+
+def scalar_pull_solve(spec, w_init, train, pull, epochs, batch_size, lr, rng):
+    """`scalar_local_solve` on the client's folded pull (s, A), or None."""
     w = np.array(w_init, dtype=np.float64)
     x, y = train.features, train.labels
     rng = np.random.default_rng(rng)
@@ -312,7 +319,7 @@ def scalar_local_solve(spec, w_init, train, anchors, mu, epochs, batch_size, lr,
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            w -= lr * scalar_prox_grad(spec, w, x[idx], y[idx], anchors, mu)
+            w -= lr * scalar_prox_grad(spec, w, x[idx], y[idx], pull)
     return w
 
 

@@ -18,9 +18,9 @@ import pytest
 from demlearn.clustering import agglomerate, truncate
 from demlearn.data import Dataset
 from demlearn.harness import ExperimentPlan, run_plan
-from demlearn.hierarchy import build_tree, members
+from demlearn.hierarchy import AnchorLevel, HierarchyTree, anchor_pull, build_tree, members
 from demlearn import models
-from demlearn.models import LOGISTIC, MLP, AnchorLevel, ModelSpec, prox_grad
+from demlearn.models import LOGISTIC, MLP, ModelSpec, prox_grad
 from demlearn.training import RunConfig, resolve_idx_paths, run
 
 from oracles import brute_force_upgma, central_diff, labels_of, prox_objective
@@ -94,8 +94,9 @@ def test_criterion_1_gradient_correctness():
             for _ in range(n_anchors)
         ]
         mu = float(rng.uniform(0, 0.5))
-        pull = models._fold_anchors(anchors, mu)
-        g = prox_grad(spec, w[None], batch.features[None], batch.labels[None], pull)[0]
+        pull = anchor_pull(HierarchyTree(anchors), mu) if anchors else None
+        work = models._Workspace(spec, 1, b)
+        g = prox_grad(spec, w[None], batch.features[None], batch.labels[None], pull, work)[0]
         fd = central_diff(lambda v: prox_objective(spec, v[None], [batch], anchors, mu)[0], w)
         rel = np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4))
         worst = max(worst, rel)

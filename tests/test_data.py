@@ -263,7 +263,7 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     ds = synthetic_dataset(4, 8, 30, 40.0, seed=6)
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)[None]
-    local_solve(spec, w, Dataset(ds.features[None], ds.labels[None], 4), [], 0.0, 60, 16, 0.1, [1])
+    local_solve(spec, w, Dataset(ds.features[None], ds.labels[None], 4), None, 60, 16, 0.1, [1])
     assert c_gen(spec, w, ds) == 1.0
 
 

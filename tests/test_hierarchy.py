@@ -1,4 +1,6 @@
-"""Group tree construction, bottom-up averaging, anchors, and blends."""
+"""Group tree construction, bottom-up averaging, anchors, blends and pulls."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demlearn.hierarchy import (
+    anchor_pull,
     build_tree,
     format_tree,
     generalized_blend,
@@ -123,8 +126,14 @@ def test_build_tree_rejects_non_laminar():
 def test_build_tree_rejects_an_unused_group_number():
     with pytest.raises(ValueError, match="level 1 has no member in group 1"):
         build_tree(np.array([[0, 0, 2, 2], [0, 0, 0, 0]]), models_for(4))
-    with pytest.raises(ValueError):  # negative numbers are not groups either
+    # negative or non-integer numbers are not groups either
+    not_a_label = "level {} has a label that is not a non-negative integer"
+    with pytest.raises(ValueError, match=not_a_label.format(1)):
         build_tree(np.array([[0, 0, -1, -1], [0, 0, 0, 0]]), models_for(4))
+    with pytest.raises(ValueError, match=not_a_label.format(2)):
+        build_tree(np.array([[0, 1, 2, 3], [0, 0, -1, -1], [0, 0, 0, 0]]), models_for(4))
+    with pytest.raises(ValueError, match=not_a_label.format(1)):
+        build_tree(np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]]), models_for(4))
 
 
 def test_build_tree_rejects_a_top_row_with_two_groups():
@@ -272,6 +281,14 @@ def test_blend_inside_ancestor_envelope():
             stack = np.stack([lv.models[lv.group[cid]] for lv in tree.levels])
             assert np.all(blend[cid] >= stack.min(axis=0) - 1e-12)
             assert np.all(blend[cid] <= stack.max(axis=0) + 1e-12)
+
+
+def test_anchor_pull_checks_mu_and_pulls_nothing_at_zero():
+    tree = build_tree(labels_pairs_k2(), models_for(4))
+    assert anchor_pull(tree, 0.0) is None
+    for mu in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"mu must be finite and non-negative, got {mu}"):
+            anchor_pull(tree, mu)
 
 
 def test_format_tree_lists_every_level():

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from demlearn import models
 from demlearn.data import Dataset
+from demlearn.hierarchy import AnchorLevel, HierarchyTree, anchor_pull
 from demlearn.models import (
     LOGISTIC,
     MLP,
-    AnchorLevel,
     ModelSpec,
     forward,
     grad,
@@ -78,23 +78,30 @@ def anchored(*anchors):
     return [AnchorLevel(a[None], np.zeros(1, dtype=np.intp), np.array([c])) for a, c in anchors]
 
 
+def fold(levels, mu):
+    """The levels' pull (s, A), as `hierarchy.anchor_pull` folds a tree's;
+    None for no levels."""
+    return anchor_pull(HierarchyTree(levels), mu) if levels else None
+
+
 def grad1(spec, w, x, y):
-    return grad(spec, w[None], x[None], y[None])[0]
+    return grad(spec, w[None], x[None], y[None], models._Workspace(spec, 1, len(y)))[0]
 
 
 def prox_grad1(spec, w, x, y, levels, mu):
-    """`prox_grad` on a stack of one, with the levels folded as the solver folds them."""
-    return prox_grad(spec, w[None], x[None], y[None], models._fold_anchors(levels, mu))[0]
+    """`prox_grad` on a stack of one, on the levels' folded pull."""
+    work = models._Workspace(spec, 1, len(y))
+    return prox_grad(spec, w[None], x[None], y[None], fold(levels, mu), work)[0]
 
 
 def prox_objective1(spec, w, batch, levels, mu):
     return prox_objective(spec, w[None], [batch], levels, mu)[0]
 
 
-def solve1(spec, w, train, levels, mu, epochs, batch_size, lr, rng):
+def solve1(spec, w, train, pull, epochs, batch_size, lr, rng):
     """`local_solve` on a stack of one; returns the new model, w untouched."""
     block = np.array(w, dtype=np.float64)[None]
-    local_solve(spec, block, stack([train]), levels, mu, epochs, batch_size, lr, [rng])
+    local_solve(spec, block, stack([train]), pull, epochs, batch_size, lr, [rng])
     return block[0]
 
 
@@ -280,14 +287,6 @@ def test_prox_objective_analytic_penalty():
     assert got - loss(LOG10, w, batch) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_prox_anchor_coeff_range():
-    for coeff in (0.0, 1.5):
-        with pytest.raises(ValueError, match="coeff must lie"):
-            anchored((np.zeros(4), coeff))
-    with pytest.raises(ValueError, match="out of range"):
-        AnchorLevel(np.zeros((2, 4)), np.array([0, 2]), np.array([0.5, 0.5]))
-
-
 def test_prox_grad_mu_zero_is_plain_grad():
     rng = np.random.default_rng(11)
     w = rng.normal(0, 0.5, LOG10.param_count)
@@ -352,7 +351,7 @@ def test_the_folded_pull_is_the_levelwise_pull_to_a_few_ulps(problem):
     # the step's pull s * w - A against sum_k mu * coeff_k * (w - anchor_k)
     # added level by level: both round each of their few operations once
     w, levels, mu = problem
-    s, target = models._fold_anchors(levels, mu)
+    s, target = fold(levels, mu)
     folded = w * s - target
     for i in range(len(w)):
         anchors = client_anchors(levels, i)
@@ -365,7 +364,7 @@ def test_local_solve_lr_zero_returns_init():
     rng = np.random.default_rng(13)
     w = rng.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 8, rng)
-    out = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.0, rng)
+    out = solve1(LOG10, w, train, None, 3, 4, 0.0, rng)
     assert np.array_equal(out, w)
 
 
@@ -374,7 +373,7 @@ def test_local_solve_descends_on_full_batches():
     w = init_params(LOG10, rng)
     train = random_data(LOG10, 16, rng)
     before = prox_objective1(LOG10, w, train, [], 0.0)
-    out = solve1(LOG10, w, train, [], 0.0, 20, 16, 0.05, rng)
+    out = solve1(LOG10, w, train, None, 20, 16, 0.05, rng)
     after = prox_objective1(LOG10, out, train, [], 0.0)
     assert after <= before
 
@@ -384,7 +383,7 @@ def test_local_solve_one_full_batch_step_matches_manual():
     w = rng.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 6, rng)
     anchors = anchored((rng.normal(0, 1, LOG10.param_count), 0.5))
-    out = solve1(LOG10, w, train, anchors, 0.3, 1, 6, 0.1, 99)
+    out = solve1(LOG10, w, train, fold(anchors, 0.3), 1, 6, 0.1, 99)
     # one epoch at batch_size == n is a single step on the permuted batch
     perm = np.random.default_rng(99).permutation(6)
     manual = w - 0.1 * prox_grad1(
@@ -408,8 +407,8 @@ def test_local_solve_deterministic_given_seed():
     rng_data = np.random.default_rng(16)
     w = rng_data.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 10, rng_data)
-    a = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
-    b = solve1(LOG10, w, train, [], 0.0, 3, 4, 0.05, 1234)
+    a = solve1(LOG10, w, train, None, 3, 4, 0.05, 1234)
+    b = solve1(LOG10, w, train, None, 3, 4, 0.05, 1234)
     assert a.tobytes() == b.tobytes()
 
 
@@ -417,14 +416,14 @@ def test_local_solve_rejects_empty_training_set():
     w = np.zeros(LOG10.param_count)
     empty = data(LOG10, np.zeros((0, 4)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        solve1(LOG10, w, empty, [], 0.0, 1, 4, 0.1, 0)
+        solve1(LOG10, w, empty, None, 1, 4, 0.1, 0)
 
 
 def test_local_solve_result_is_finite():
     rng = np.random.default_rng(17)
     w = init_params(MLP_SPEC, rng)
     train = random_data(MLP_SPEC, 12, rng)
-    out = solve1(MLP_SPEC, w, train, [], 0.0, 5, 4, 0.1, rng)
+    out = solve1(MLP_SPEC, w, train, None, 5, 4, 0.1, rng)
     assert np.all(np.isfinite(out))
 
 
@@ -433,24 +432,23 @@ def test_local_solve_rejects_bad_inputs_at_entry():
     w = np.zeros(LOG10.param_count)
     train = random_data(LOG10, 6, rng)
     x, y = train.features, train.labels
-    anchor = anchored((np.zeros(LOG10.param_count), 0.5))
+    pull = fold(anchored((np.zeros(LOG10.param_count), 0.5)), 0.1)
 
-    def solve(w=w, train=train, anchors=anchor, mu=0.1, lr=0.1):
-        return solve1(LOG10, w, train, anchors, mu, 2, 4, lr, 0)
+    def solve(w=w, train=train, pull=pull, lr=0.1):
+        return solve1(LOG10, w, train, pull, 2, 4, lr, 0)
 
     solve()  # the unaltered inputs are accepted
+    m = LOG10.param_count
     bad_inputs = [
-        ("model block", dict(w=np.zeros(LOG10.param_count + 1))),
+        ("model block", dict(w=np.zeros(m + 1))),
         ("feature matrix", dict(train=data(LOG10, np.zeros((6, 5)), y))),
         ("label vector", dict(train=data(LOG10, x, y[:5]))),
         ("labels must lie", dict(train=data(LOG10, x, np.r_[y[:5], 10]))),
         ("labels must lie", dict(train=data(LOG10, x, np.r_[y[:5], -1]))),
-        ("anchor models have shape", dict(anchors=anchored((np.zeros(LOG10.param_count - 1), 0.5)))),
-        ("mu must be", dict(mu=-0.1)),
-        # a NaN lr or mu used to return an all-NaN block, and an inf mu only
-        # warned; an inf lr ruins the first step
-        ("mu must be finite and non-negative, got nan", dict(mu=math.nan)),
-        ("mu must be finite and non-negative, got inf", dict(mu=math.inf)),
+        (rf"pull has shapes \(1, 1\) and \(1, {m - 1}\), expected \(1, 1\) and \(1, {m}\)",
+         dict(pull=(pull[0], pull[1][:, 1:]))),
+        (rf"pull has shapes \(1,\) and \(1, {m}\)", dict(pull=(pull[0][:, 0], pull[1]))),
+        # a NaN lr used to return an all-NaN block; an inf lr ruins the first step
         ("lr must be finite and non-negative, got nan", dict(lr=math.nan)),
         ("lr must be finite and non-negative, got inf", dict(lr=math.inf)),
         ("lr must be finite and non-negative, got -0.1", dict(lr=-0.1)),
@@ -470,7 +468,7 @@ def test_non_integer_labels_are_rejected_at_entry(labels):
     train = Dataset(np.zeros((3, 2)), np.asarray(labels), 3)
     w = np.zeros(spec.param_count)
     calls = [
-        lambda: solve1(spec, w, train, [], 0.0, 1, 2, 0.1, 0),
+        lambda: solve1(spec, w, train, None, 1, 2, 0.1, 0),
         lambda: forward(spec, w, train),
         lambda: predict(spec, w, train),
     ]
@@ -492,11 +490,11 @@ def test_local_solve_checks_inputs_once_whatever_the_epochs(monkeypatch):
     rng = np.random.default_rng(19)
     w = rng.normal(0, 0.5, MLP_SPEC.param_count)
     train = random_data(MLP_SPEC, 12, rng)
-    anchors = anchored((rng.normal(0, 1, MLP_SPEC.param_count), 0.5))
+    pull = fold(anchored((rng.normal(0, 1, MLP_SPEC.param_count), 0.5)), 0.1)
     counts = []
     for epochs in (1, 7):
         calls.clear()
-        solve1(MLP_SPEC, w, train, anchors, 0.1, epochs, 4, 0.1, 0)
+        solve1(MLP_SPEC, w, train, pull, epochs, 4, 0.1, 0)
         counts.append(sorted(calls))
     assert counts[0], "no check helper ran"
     assert counts[0] == counts[1]
@@ -513,7 +511,7 @@ def test_local_solve_takes_only_a_stack_of_one_set_per_client():
     ]
     for message, bad in bad_trains:
         with pytest.raises(ValueError, match=message):
-            local_solve(LOG10, w, bad, [], 0.0, 1, 4, 0.1, [0, 1, 2])
+            local_solve(LOG10, w, bad, None, 1, 4, 0.1, [0, 1, 2])
     assert not w.any()  # rejected before any step
 
 
@@ -521,19 +519,19 @@ def test_local_solve_rejects_mismatched_stacks():
     rng = np.random.default_rng(21)
     train = stack([random_data(LOG10, 6, rng) for _ in range(2)])
     w = np.zeros((2, LOG10.param_count))
-    one_client_level = anchored((np.zeros(LOG10.param_count), 0.5))
+    one_client_pull = fold(anchored((np.zeros(LOG10.param_count), 0.5)), 0.1)
     bad_calls = [
         ("training sets and rngs", dict(train=rows(train, slice(1)))),
         ("training sets and rngs", dict(rngs=[0])),
-        ("anchor level covers 1 clients, expected 2", dict(levels=one_client_level)),
+        (r"pull has shapes \(1, 1\) and \(1, 50\), expected \(2, 1\) and \(2, 50\)", dict(pull=one_client_pull)),
         ("model block", dict(w=np.zeros((2, LOG10.param_count), dtype=np.float32))),
         ("model block", dict(w=np.zeros((LOG10.param_count, 2)).T)),
     ]
     for message, kwargs in bad_calls:
-        args = dict(w=w, train=train, levels=[], rngs=[0, 1])
+        args = dict(w=w, train=train, pull=None, rngs=[0, 1])
         args.update(kwargs)
         with pytest.raises(ValueError, match=message):
-            local_solve(LOG10, args["w"], args["train"], args["levels"], 0.1, 1, 4, 0.1, args["rngs"])
+            local_solve(LOG10, args["w"], args["train"], args["pull"], 1, 4, 0.1, args["rngs"])
 
 
 @st.composite
@@ -582,7 +580,7 @@ def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, train, levels, mu, epochs, batch_size, lr, rngs)
+    local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs)
     trains = client_sets(train)
     for i in range(len(w)):
         alone = scalar_local_solve(
@@ -612,7 +610,7 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
         block = w[index].copy()
         permuted = [AnchorLevel(lv.models, lv.group[index], lv.coeff[index]) for lv in levels]
         rngs = [np.random.default_rng([seed, i]) for i in index]
-        local_solve(spec, block, rows(train, index), permuted, mu, epochs, batch_size, lr, rngs)
+        local_solve(spec, block, rows(train, index), fold(permuted, mu), epochs, batch_size, lr, rngs)
         return block
 
     assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()
@@ -647,7 +645,7 @@ def solved(problem):
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, train, levels, mu, epochs, batch_size, lr, rngs)
+    local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs)
     return block, [rng.bit_generator.state for rng in rngs]
 
 

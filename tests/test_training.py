@@ -19,7 +19,7 @@ from demlearn.training import (
     run_round,
 )
 
-from oracles import client_anchors, client_sets, loss, plain_fedavg, scalar_local_solve
+from oracles import client_sets, loss, plain_fedavg, scalar_pull_solve
 
 
 def tiny_cfg(**kw):
@@ -258,11 +258,12 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         assert row.tobytes() == model.tobytes()
 
 
-def per_client_local_solve(spec, w, train, levels, mu, epochs, batch_size, lr, rngs):
-    """`models.local_solve` as a loop of one-client solves, row by row."""
+def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs):
+    """`models.local_solve` as a loop of one-client solves, row by row, each
+    on its row (s_i, A_i) of the pull."""
     for i, (ds, rng) in enumerate(zip(client_sets(train), rngs, strict=True)):
-        anchors = client_anchors(levels, i)
-        w[i] = scalar_local_solve(spec, w[i], ds, anchors, mu, epochs, batch_size, lr, rng)
+        row = None if pull is None else (pull[0][i, 0], pull[1][i])
+        w[i] = scalar_pull_solve(spec, w[i], ds, row, epochs, batch_size, lr, rng)
 
 
 @pytest.mark.parametrize(
