@@ -2,7 +2,9 @@
 
 Flags mirror the dotted config keys and win over the config file, which wins
 over built-in defaults.  Exit codes: 0 success, 1 config error, 2 runtime
-failure.
+failure; `harness.report_failure` decides the code of every failure and
+prints its message on stderr.  Stdout carries only the per-run summary lines
+and `export-dendrogram`'s text.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .harness import (
     compare_plan,
     parse_bool,
     parse_config,
+    report_failure,
     run_plan,
     sweep_mu,
 )
@@ -44,6 +47,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace):
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
+
+
+def _mu_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _no_dendrogram_cause(cfg: RunConfig) -> Optional[str]:
@@ -72,9 +82,7 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep-mu", help="one run per proximal strength")
     _add_config_flags(p_sweep)
     p_sweep.add_argument(
-        "--mu-values",
-        default="0.002,0.01,0.05",
-        help="comma-separated mu values",
+        "--mu-values", default="0.002,0.01,0.05", type=_mu_values, help="comma-separated mu values"
     )
     p_sweep.add_argument("--out", default="results", help="output directory")
 
@@ -99,9 +107,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _config_from_args(args)
         if args.command == "export-dendrogram":
             if cfg.algorithm not in HIERARCHICAL:
-                raise ConfigurationError(
-                    "export-dendrogram requires a hierarchical algorithm"
-                )
+                raise ConfigurationError("export-dendrogram requires a hierarchical algorithm")
             cause = _no_dendrogram_cause(cfg)
             if cause:
                 raise ConfigurationError(f"export-dendrogram has no dendrogram to export: {cause}")
@@ -116,17 +122,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             plan = ExperimentPlan([(args.name, cfg)])
         elif args.command == "sweep-mu":
-            plan = sweep_mu(cfg, [float(v) for v in args.mu_values.split(",") if v.strip()])
+            plan = sweep_mu(cfg, args.mu_values)
         else:
             plan = compare_plan(cfg)
         plan.out_dir = args.out
         return run_plan(plan)
-    except ValueError as exc:  # ConfigurationError included
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return report_failure(exc)
 
 
 if __name__ == "__main__":

@@ -6,14 +6,17 @@ parser, default and one-field rule, is declared once, as a `RunConfig`
 field; `CONFIG_KEYS` is read from those fields.  A plan is a named list of
 runs sharing one data partition; each run emits a per-round metrics CSV, a
 summary record and, for the hierarchical algorithms, per-rebuild dendrogram
-snapshots and a tree log.
+snapshots and a tree log, written by one loop in `write_run_outputs`.
+`report_failure` gives every failure, in a plan or at the CLI, its exit code
+(1 for a `ConfigurationError`, 2 otherwise) and prints it on stderr.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 from .clustering import format_dendrogram
@@ -157,14 +160,12 @@ def sweep_mu(base: RunConfig, values: Sequence[float]) -> ExperimentPlan:
 def compare_plan(base: RunConfig) -> ExperimentPlan:
     """The four algorithms on one shared partition."""
     prox_mu = base.mu if base.mu > 0 else DEMLEARN_P_DEFAULT_MU
-    return ExperimentPlan(
-        [
-            ("demlearn", replace(base, algorithm="demlearn", mu=0.0)),
-            ("demlearn-p", replace(base, algorithm="demlearn-p", mu=prox_mu)),
-            ("fedavg", replace(base, algorithm="fedavg", mu=0.0)),
-            ("fedprox", replace(base, algorithm="fedprox", mu=prox_mu)),
-        ]
-    )
+    return ExperimentPlan([
+        ("demlearn", replace(base, algorithm="demlearn", mu=0.0)),
+        ("demlearn-p", replace(base, algorithm="demlearn-p", mu=prox_mu)),
+        ("fedavg", replace(base, algorithm="fedavg", mu=0.0)),
+        ("fedprox", replace(base, algorithm="fedprox", mu=prox_mu)),
+    ])
 
 
 def metrics_csv_lines(name: str, result: RunResult) -> list[str]:
@@ -173,82 +174,65 @@ def metrics_csv_lines(name: str, result: RunResult) -> list[str]:
     header = ["run", "t", "c_spe", "c_gen", *g_cols, "global_acc", "global_loss"]
     lines = [",".join(header)]
     for m in result.metrics:
-        row = [name, str(m.t), repr(m.c_spe), repr(m.c_gen)]
-        row += [repr(v) for v in m.g_spe]
-        row += [repr(v) for v in m.g_gen]
-        row += [repr(m.global_acc), repr(m.global_loss)]
-        lines.append(",".join(row))
+        # the fields in order, a per-level series spread over its columns
+        cells = [v for value in astuple(m) for v in (value if isinstance(value, tuple) else (value,))]
+        lines.append(",".join([name, *map(repr, cells)]))
     return lines
 
 
 def summary_record(name: str, cfg: RunConfig, result: RunResult) -> str:
-    payload: dict[str, object] = {
-        "run": name,
-        "rounds_completed": len(result.metrics),
-        "config": config_echo(cfg),
-    }
+    payload = {"run": name, "rounds_completed": len(result.metrics), "config": config_echo(cfg)}
     if result.metrics:
-        last = result.metrics[-1]
-        payload["final"] = {
-            "t": last.t,
-            "c_spe": last.c_spe,
-            "c_gen": last.c_gen,
-            "g_spe": list(last.g_spe),
-            "g_gen": list(last.g_gen),
-            "global_acc": last.global_acc,
-            "global_loss": last.global_loss,
-        }
+        payload["final"] = asdict(result.metrics[-1])
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_run_outputs(out_dir: str, name: str, cfg: RunConfig, result: RunResult) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    csv_path = os.path.join(out_dir, f"{name}_metrics.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(metrics_csv_lines(name, result)) + "\n")
-    written.append(csv_path)
-
-    summary_path = os.path.join(out_dir, f"{name}_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as f:
-        f.write(summary_record(name, cfg, result))
-    written.append(summary_path)
-
+    """Write the run's metrics CSV, summary, each dendrogram and, for a
+    hierarchical run, its tree log, in that order; returns their paths."""
+    base = os.path.join(out_dir, name)
+    texts = {  # path -> text
+        f"{base}_metrics.csv": "\n".join(metrics_csv_lines(name, result)) + "\n",
+        f"{base}_summary.json": summary_record(name, cfg, result),
+    }
     for t, dend in result.dendrograms:
-        dpath = os.path.join(out_dir, f"{name}_dendrogram_t{t}.txt")
-        with open(dpath, "w", encoding="utf-8") as f:
-            f.write(format_dendrogram(dend))
-        written.append(dpath)
-
+        texts[f"{base}_dendrogram_t{t}.txt"] = format_dendrogram(dend)
     if result.tree_snapshots:
-        tpath = os.path.join(out_dir, f"{name}_tree.txt")
-        with open(tpath, "w", encoding="utf-8") as f:
-            for t, snap in result.tree_snapshots:
-                f.write(f"round t={t}\n{snap}\n")
-        written.append(tpath)
-    return written
+        texts[f"{base}_tree.txt"] = "".join(f"round t={t}\n{snap}\n" for t, snap in result.tree_snapshots)
+    os.makedirs(out_dir, exist_ok=True)
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    return list(texts)
+
+
+def report_failure(exc: Exception, run_name: Optional[str] = None) -> int:
+    """Print a failure, naming its run if it has one, on stderr; returns its
+    exit code: 1 for a ConfigurationError, 2 for anything else."""
+    config = isinstance(exc, ConfigurationError)
+    if run_name is None:
+        where = "config error" if config else "error"
+    else:
+        where = f"config error in run {run_name!r}" if config else f"run {run_name!r} failed"
+    print(f"{where}: {exc}", file=sys.stderr)
+    return 1 if config else 2
 
 
 def run_plan(plan: ExperimentPlan) -> int:
-    """Execute every run in the plan; 0 on success, 1/2 on config/runtime failure.
+    """Execute every run in the plan; 0 on success, or the exit code of the
+    first failure (see `report_failure`), which ends the plan.
 
     Outputs are flushed per run, so a failure keeps everything completed so far.
     """
     try:
         plan.validate()
     except ConfigurationError as exc:
-        print(f"config error: {exc}")
-        return 1
+        return report_failure(exc)
     for name, cfg in plan.runs:
         try:
             result = run(cfg)
-        except ConfigurationError as exc:
-            print(f"config error in run {name!r}: {exc}")
-            return 1
         except Exception as exc:  # noqa: BLE001 - report and abort with status
-            print(f"run {name!r} failed: {exc}")
-            return 2
+            return report_failure(exc, name)
         write_run_outputs(plan.out_dir, name, cfg, result)
         if result.metrics:
             last = result.metrics[-1]

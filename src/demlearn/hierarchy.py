@@ -86,11 +86,6 @@ def build_tree(labels: np.ndarray, block: np.ndarray) -> HierarchyTree:
     return propagate_up(HierarchyTree(levels), block)
 
 
-def one_group_tree(block: np.ndarray, k_levels: int) -> HierarchyTree:
-    """A tree whose every level 1..k_levels is one group of all clients."""
-    return build_tree(np.zeros((k_levels, len(block)), dtype=np.intp), block)
-
-
 def propagate_up(tree: HierarchyTree, block: np.ndarray) -> HierarchyTree:
     """Recompute every group model bottom-up from the client models in `block`.
 

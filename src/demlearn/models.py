@@ -8,6 +8,8 @@ row-major and fixed per ModelSpec:
     mlp-1hidden:          [W1: input_dim*hidden_dim | b1: hidden_dim |
                            W2: hidden_dim*num_classes | b2: num_classes]
 
+The logistic model is the MLP's output layer applied to the features: every
+kernel runs the tanh hidden layer only where hidden_dim > 0.
 The kernels work on a stack of C clients at once: the models are one (C, M)
 block, a mini-batch is (C, B, input_dim) features with (C, B) labels, and
 every product is a stacked (C, ., .) @ (C, ., .) matmul.  Each row comes out
@@ -92,9 +94,14 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        if self.kind == LOGISTIC:
-            return (self.input_dim + 1) * self.num_classes
-        return (self.input_dim + 1) * self.hidden_dim + (self.hidden_dim + 1) * self.num_classes
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layers(self))
+
+
+def _layers(spec: ModelSpec) -> list[tuple[int, int]]:
+    """(fan-in, fan-out) of each dense layer in layout order: the hidden
+    layer where hidden_dim > 0, then the output layer."""
+    dims = [spec.input_dim, *([spec.hidden_dim] if spec.hidden_dim else []), spec.num_classes]
+    return list(zip(dims, dims[1:]))
 
 
 def init_params(spec: ModelSpec, rng) -> np.ndarray:
@@ -151,23 +158,15 @@ def _check_data(spec: ModelSpec, data: Dataset, ndims: tuple[int, ...] = (2, 3))
     return x, y
 
 
-def _views(spec: ModelSpec, w: np.ndarray):
-    """Per-part views into a (C, M) block, per the documented layout:
-    (C, rows, cols) weight stacks and (C, n) bias stacks."""
-    c = w.shape[0]
-    d, k = spec.input_dim, spec.num_classes
-    if spec.kind == LOGISTIC:
-        return w[:, : d * k].reshape(c, d, k), w[:, d * k :]
-    h = spec.hidden_dim
-    o = 0
-    w1 = w[:, o : o + d * h].reshape(c, d, h)
-    o += d * h
-    b1 = w[:, o : o + h]
-    o += h
-    w2 = w[:, o : o + h * k].reshape(c, h, k)
-    o += h * k
-    b2 = w[:, o:]
-    return w1, b1, w2, b2
+def _views(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
+    """Views into a (C, M) block, per the documented layout: each layer's
+    (C, fan_in, fan_out) weight stack and (C, fan_out) bias stack, in order."""
+    c, o, views = w.shape[0], 0, []
+    for fan_in, fan_out in _layers(spec):
+        end = o + fan_in * fan_out
+        views += [w[:, o:end].reshape(c, fan_in, fan_out), w[:, end : end + fan_out]]
+        o = end + fan_out
+    return views
 
 
 class _Workspace:
@@ -207,17 +206,15 @@ def _logits(
 ) -> None:
     """Fill `out` (C, B, classes) with the logits and, for the MLP, the hidden
     activations `hidden` (C, B, hidden_dim) that backprop needs."""
-    if spec.kind == LOGISTIC:
-        wt, b = _views(spec, w)
-        np.matmul(x, wt, out=out)
-        out += b[:, None, :]
-    else:
-        w1, b1, w2, b2 = _views(spec, w)
+    *hidden_layer, w_out, b_out = _views(spec, w)
+    if spec.hidden_dim:
+        w1, b1 = hidden_layer
         np.matmul(x, w1, out=hidden)
         hidden += b1[:, None, :]
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w2, out=out)
-        out += b2[:, None, :]
+        x = hidden
+    np.matmul(x, w_out, out=out)
+    out += b_out[:, None, :]
 
 
 class _PredictWork:
@@ -315,23 +312,21 @@ def grad(
     dlogits /= b
 
     g = work.grad
-    xt = x.transpose(0, 2, 1)
-    if spec.kind == LOGISTIC:
-        gw, gb = _views(spec, g)
-        np.matmul(xt, dlogits, out=gw)
-        np.sum(dlogits, axis=1, out=gb)
+    *hidden_grad, gw_out, gb_out = _views(spec, g)
+    # the output layer's inputs: the hidden activations, or the features
+    inputs = hidden if spec.hidden_dim else x
+    np.matmul(inputs.transpose(0, 2, 1), dlogits, out=gw_out)
+    np.sum(dlogits, axis=1, out=gb_out)
+    if not spec.hidden_dim:
         return g
-    w2 = _views(spec, w)[2]
-    gw1, gb1, gw2, gb2 = _views(spec, g)
-    np.matmul(hidden.transpose(0, 2, 1), dlogits, out=gw2)
-    np.sum(dlogits, axis=1, out=gb2)
+    gw1, gb1 = hidden_grad
     dpre = work.dhidden[:, :b]
-    np.matmul(dlogits, w2.transpose(0, 2, 1), out=dpre)
+    np.matmul(dlogits, _views(spec, w)[-2].transpose(0, 2, 1), out=dpre)
     # dpre = dhidden * (1 - hidden^2), overwriting hidden on the way
     hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     dpre *= hidden
-    np.matmul(xt, dpre, out=gw1)
+    np.matmul(x.transpose(0, 2, 1), dpre, out=gw1)
     np.sum(dpre, axis=1, out=gb1)
     return g
 

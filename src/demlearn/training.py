@@ -34,7 +34,7 @@ import numpy as np
 from . import clustering, hierarchy
 from .clustering import GRADIENT_METRIC, WEIGHT_METRIC, Dendrogram
 from .data import ConfigurationError, Dataset, load_idx, partition_shards, synthetic_dataset
-from .hierarchy import HierarchyTree, build_tree, generalized_blend, one_group_tree, propagate_up
+from .hierarchy import HierarchyTree, build_tree, generalized_blend, propagate_up
 from .metrics import RoundMetrics, round_metrics
 from .models import LOGISTIC, MLP, ModelSpec, init_params, local_solve
 
@@ -210,7 +210,7 @@ def _rebuild_structure(
     the client and round t.
     """
     if cfg.k_levels == 1 or len(models) == 1:
-        return one_group_tree(models, cfg.k_levels), None
+        return build_tree(np.zeros((cfg.k_levels, len(models)), dtype=np.intp), models), None
     x = models if cfg.metric == WEIGHT_METRIC else deltas
     if cfg.metric == GRADIENT_METRIC:
         still = np.einsum("ij,ij->i", x, x) == 0.0
@@ -321,24 +321,18 @@ def initial_state(cfg: RunConfig) -> RoundState:
     """Client data, identical client inits, and the bootstrap structure."""
     cfg.validate()
     train, test = build_client_data(cfg)
-    spec = ModelSpec(
-        cfg.model_kind,
-        train.input_dim,
-        train.num_classes,
-        cfg.hidden_dim if cfg.model_kind == MLP else 0,
-    )
+    hidden_dim = cfg.hidden_dim if cfg.model_kind == MLP else 0
+    spec = ModelSpec(cfg.model_kind, train.input_dim, train.num_classes, hidden_dim)
     w_init = init_params(spec, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     model_block = np.tile(w_init, (len(train), 1))
     delta_block = np.zeros_like(model_block)
-    if cfg.algorithm in HIERARCHICAL:
-        # the initial models are identical: every distance is 0 and the tie
-        # rule alone fixes the dendrogram, so nothing needs clustering
-        dend = clustering.tied_dendrogram(len(model_block))
-        tree = build_tree(clustering.truncate(dend, cfg.k_levels), model_block)
-    else:
-        # FedAvg / FedProx: one group of all clients, never re-clustered; its
-        # 1/n leaf weights equal the sample-count weights, as train sets are equal
-        tree = one_group_tree(model_block, 1)
+    # identical initial models: the tie rule alone fixes the dendrogram, so
+    # nothing needs clustering.  FedAvg and FedProx cut it to one group of all
+    # clients, never re-clustered, whose 1/n leaf weights equal the
+    # sample-count weights, as train sets are equal
+    k = cfg.k_levels if cfg.algorithm in HIERARCHICAL else 1
+    dend = clustering.tied_dendrogram(len(model_block))
+    tree = build_tree(clustering.truncate(dend, k), model_block)
     return RoundState(0, train, test, spec, tree, model_block, delta_block)
 
 

@@ -13,7 +13,8 @@ A change that moves output bytes on purpose regenerates the manifest,
 
     PYTHONPATH=src python tests/test_digests.py --write
 
-and names each changed digest in CHANGES.md.
+which first prints each case and entry whose digest differs from the old
+manifest, and names each changed digest in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -109,11 +110,19 @@ def _manifest() -> dict:
     return manifest
 
 
-def _assert_same(name: str, got: dict, want: dict) -> None:
-    changed = [key for key in ("exit", "stdout", "stderr") if got[key] != want[key]]
-    for fname in sorted(set(got["files"]) | set(want["files"])):
-        if got["files"].get(fname) != want["files"].get(fname):
+def _changed(got: dict, want: dict) -> list[str]:
+    """The entries of a case whose record differs: exit, stdout, stderr and
+    the names of its files."""
+    changed = [key for key in ("exit", "stdout", "stderr") if got[key] != want.get(key)]
+    files = want.get("files", {})
+    for fname in sorted(set(got["files"]) | set(files)):
+        if got["files"].get(fname) != files.get(fname):
             changed.append(fname)
+    return changed
+
+
+def _assert_same(name: str, got: dict, want: dict) -> None:
+    changed = _changed(got, want)
     assert not changed, f"case {name!r} changed: {', '.join(changed)}"
 
 
@@ -143,6 +152,11 @@ def test_a_one_cpu_child_writes_the_same_bytes():
 def _main(argv: list[str]) -> int:
     if argv[:1] == ["--write"]:
         cases = {name: run_case(name) for name in CASES}
+        old = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"] if MANIFEST.exists() else {}
+        for name, record in cases.items():
+            changed = _changed(record, old.get(name, {}))
+            if changed:
+                print(f"case {name!r} changed: {', '.join(changed)}")
         manifest = {"host": host_record(), "cases": cases}
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(cases)} cases to {MANIFEST}")

@@ -1,6 +1,7 @@
 """Config resolution, plans, output files, and CLI entry points."""
 
 import json
+import struct
 import time
 from dataclasses import fields
 
@@ -8,7 +9,7 @@ import pytest
 
 from demlearn import cli, training
 from demlearn.cli import _build_parser, main
-from demlearn.data import ConfigurationError
+from demlearn.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ConfigurationError
 from demlearn.harness import (
     CONFIG_KEYS,
     ExperimentPlan,
@@ -349,7 +350,7 @@ def test_cli_divergent_run_exits_2_and_writes_no_csv(tmp_path, capsys, algorithm
     # a stable proximal step (lr * mu = 1e-10) whose models still overflow
     extra = ["--algorithm", algorithm, "--mu", "1e-170", "--lr", "1e160"]
     assert main(["run", "--name", "div", *cli_args(tmp_path, extra)]) == 2
-    assert "client 0 diverged in round 0" in capsys.readouterr().out
+    assert "client 0 diverged in round 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no CSV, no summary
 
 
@@ -363,7 +364,32 @@ def test_cli_zero_update_under_gradients_exits_2_naming_client_and_round(tmp_pat
 
     monkeypatch.setattr(training, "local_solve", solve_freezing_client_1)
     assert main(["run", "--name", "z", *cli_args(tmp_path, ["--metric", "gradients"])]) == 2
-    assert "client 1 made a zero update in round 0: metric=gradients" in capsys.readouterr().out
+    assert "client 1 made a zero update in round 0: metric=gradients" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep-mu", "export-dendrogram"])
+def test_cli_corrupt_idx_file_exits_2_on_stderr_under_every_command(tmp_path, capsys, monkeypatch, command):
+    # a bad data file is a runtime failure, whichever layer catches it
+    monkeypatch.delenv(training.DATA_DIR_ENV, raising=False)
+    images = tmp_path / "train-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">iiii", 0, 1, 1, 1) + b"\x00")
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(struct.pack(">ii", IDX_LABEL_MAGIC, 1) + b"\x00")
+    out = [] if command == "export-dendrogram" else ["--out", str(tmp_path / "out")]
+    argv = [command, "--data-source", "idx", "--data-dir", str(tmp_path), *out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"image file {images} has magic 0, expected {IDX_IMAGE_MAGIC}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["0.01,x", "0.01;0.05", ""])
+def test_cli_bad_mu_values_exit_1_on_stderr(tmp_path, capsys, values):
+    assert main(["sweep-mu", "--mu-values", values, *cli_args(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
