@@ -15,10 +15,13 @@ of the logits: the softmax rounds logits [0.15755812732057958,
 -0.5968275940478756, 0.1575581273205796] to a tie that class 0 wins, where
 the logits pick class 2.  The test splits are a (C, m) stack like the model
 block, and the collective set is that stack read as one set.  C-SPE and
-G-SPE are each one stacked predict, G-SPE of each client's group model on
-the client's split, with the right labels summed per group.  C-GEN and
-G-GEN run a model at a time on the collective set.  `evaluate` alone keeps
-the full softmax, for the cross-entropy.
+C-GEN come from the right counts that `models.local_solve` takes where each
+client trains.  A group of one child is that child's model bit for bit
+(`propagate_up` scales it by 1.0), so it takes the child's counts; for the
+other groups, G-SPE is one stacked predict of each member's group model on
+the member's split, with the right labels summed per group, and G-GEN runs
+a model at a time on the collective set.  `evaluate` alone keeps the full
+softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -63,54 +66,63 @@ def _right_counts(spec: ModelSpec, block: np.ndarray, data: Dataset) -> np.ndarr
     return np.array([np.count_nonzero(p == data.labels) for p in preds])
 
 
-def c_spe(spec: ModelSpec, block: np.ndarray, test: Dataset) -> float:
-    """Mean over clients of their model (row of `block`) on their own test
-    split (row of the `test` stack)."""
-    # exact counts over the split's length: the bits of np.mean, a lot sooner
-    return float(np.mean(_right_counts(spec, block, test) / test.labels.shape[1]))
-
-
-def c_gen(spec: ModelSpec, block: np.ndarray, union: Dataset) -> float:
-    """Mean over clients of their model (row of `block`) on the collective test set."""
-    return float(np.mean(_right_counts(spec, block, union) / len(union)))
-
-
 def g_metrics(
-    spec: ModelSpec, tree: HierarchyTree, test: Dataset, union: Dataset
+    spec: ModelSpec, tree: HierarchyTree, test: Dataset, union: Dataset, right: np.ndarray
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-level group accuracies for levels 1..K-1 (the root is reported globally).
+    """Per-level group accuracies for levels 1..K-1 (the root is reported
+    globally), given the clients' (C, 2) right counts `right` on their own
+    splits and on the collective set.
 
     A group's own data is its members' test splits: its right labels summed
-    over them, divided by size * m, as on the splits joined.  Returns
+    over them, divided by size * m, as on the splits joined.  A group of one
+    child (a client at level 1) is that child's model bit for bit, so it
+    takes the child's counts; only the other groups predict.  Returns
     (g_spe, g_gen), each indexed by level-1.
     """
     spe, gen = [], []
-    m = test.labels.shape[1]
+    m, n = test.labels.shape[1], len(union)
+    below, group = right, np.arange(len(right))  # the clients: one-member groups
     for level in tree.levels[:-1]:
         groups = len(level.models)
-        right = _right_counts(spec, level.models[level.group], test)
+        parent = np.empty(len(below), dtype=np.intp)
+        parent[group] = level.group
+        lone = np.bincount(parent, minlength=groups) == 1
+        counts = np.empty((groups, 2), dtype=np.intp)
+        copies = lone[parent]
+        counts[parent[copies]] = below[copies]
+        rest = ~lone
+        if rest.any():  # each member's group model on its split, each model on the union
+            rows = np.flatnonzero(rest[level.group])
+            own = Dataset(test.features[rows], test.labels[rows], test.num_classes)
+            members = _right_counts(spec, level.models[level.group[rows]], own)
+            counts[rest, 0] = np.bincount(level.group[rows], members, groups)[rest]
+            counts[rest, 1] = _right_counts(spec, level.models[rest], union)
         size = np.bincount(level.group, minlength=groups)
-        spe.append(float(np.mean(np.bincount(level.group, right, groups) / (size * m))))
-        gen.append(c_gen(spec, level.models, union))
+        spe.append(float(np.mean(counts[:, 0] / (size * m))))
+        gen.append(float(np.mean(counts[:, 1] / n)))
+        below, group = counts, level.group
     return tuple(spe), tuple(gen)
 
 
 def round_metrics(
-    spec: ModelSpec, t: int, block: np.ndarray, test: Dataset, tree: HierarchyTree
+    spec: ModelSpec, t: int, right: np.ndarray, test: Dataset, tree: HierarchyTree
 ) -> RoundMetrics:
-    """Assemble the full metric record for one round; client i is row i of
-    `block` and of the `test` stack.
+    """Assemble the full metric record for one round from the (C, 2) counts
+    of the labels each client's model gets right on its own split and on the
+    collective set, as `models.local_solve` returns them; client i is row i
+    of `right` and of the `test` stack.
 
     Group metrics cover levels 1..K-1 (none when K = 1) and the global score
     comes from the root, on the collective test set.
     """
     union = test.union()
-    g_spe, g_gen = g_metrics(spec, tree, test, union)
+    g_spe, g_gen = g_metrics(spec, tree, test, union, right)
     global_acc, global_loss = evaluate(spec, tree.root, union)
     return RoundMetrics(
         t=t,
-        c_spe=c_spe(spec, block, test),
-        c_gen=c_gen(spec, block, union),
+        # exact counts over each denominator: the bits of np.mean, a lot sooner
+        c_spe=float(np.mean(right[:, 0] / test.labels.shape[1])),
+        c_gen=float(np.mean(right[:, 1] / len(union))),
         g_spe=g_spe,
         g_gen=g_gen,
         global_acc=global_acc,

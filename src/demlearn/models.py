@@ -24,9 +24,12 @@ ancestors, three passes over the block a step whatever the level count.
 It takes the C training sets as one (C, n, input_dim) stack, reads
 it as one (C * n, input_dim) set, draws each client's orders for all epochs
 in one call of its rng, and cuts every step's C batches with one gather per
-array.  A solve with enough work trains ranges of its rows in forked
-processes, one per CPU; a row depends only on its own data, orders and
-pull, so no bit depends on that.
+array.  A step's activations are batch-major, (B, C, width), and its
+softmax runs on a class-major copy, so no reduction runs along a short
+axis.  Given the test splits, the solve also counts each row's right
+labels, for C-SPE and C-GEN.  A solve with enough work trains and scores
+ranges of its rows in forked processes, one per CPU; a row depends only on
+its own data, orders and pull, so no bit depends on that.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -65,10 +68,14 @@ _LOG_FLOOR = 1e-12
 # every other class has d = z - max < -2**-40, so exp(d) <= 1 - 2**-41 and,
 # divided by the same row sum s, rounds strictly below fl(1 / s).
 _TIE_MARGIN = 2.0**-40
-# A solve is split over processes only with at least this much work, rows x
-# steps x param_count, per process: a 2-way split of a batch-16 solve breaks
-# even against a fork, exit and wait at ~0.2M (170 parameters) to ~0.4M (874).
-_MIN_WORK = 400_000
+# A solve is split only with this much work per process.  A row's work is
+# (steps + samples scored / _SAMPLES_PER_STEP) x (param_count + _STEP_COST),
+# fitted to forked and whole solves of real runs on 2 CPUs: MLP-32 breaks
+# even at ~16 clients of 80 steps; server-120's 120 logistic clients,
+# scored on 1,920 samples, do not gain.
+_MIN_WORK = 800_000
+_STEP_COST = 300
+_SAMPLES_PER_STEP = 100
 
 
 @dataclass(frozen=True)
@@ -170,23 +177,32 @@ def _views(spec: ModelSpec, w: np.ndarray) -> list[np.ndarray]:
 
 
 class _Workspace:
-    """Scratch arrays for C clients and batches of up to B samples.
+    """Scratch arrays and views for SGD steps of the (C, M) block `w` on
+    batches of up to B samples, built once per solve.
 
-    A step on a smaller batch works in leading views of the same arrays.  The
-    proximal pull s * w - A shares memory with the two backprop activations,
-    which are dead by the time `prox_grad` computes it.
+    The activations are batch-major, (B, C, width): a smaller batch works
+    in leading views, and bias adds and sums run over rows of C * width.
+    The softmax's class-major copy `by_class` shares memory with `dhidden`,
+    written after the softmax, and the pull s * w - A with both activations,
+    dead by the time `prox_grad` computes it.
     """
 
-    def __init__(self, spec: ModelSpec, c: int, b: int) -> None:
-        m, size = spec.param_count, c * b * spec.hidden_dim
-        shared = np.empty(max(2 * size, c * m))
-        self.hidden = shared[:size].reshape(c, b, spec.hidden_dim)
-        self.dhidden = shared[size : 2 * size].reshape(c, b, spec.hidden_dim)
+    def __init__(self, spec: ModelSpec, w: np.ndarray, b: int) -> None:
+        c, m = w.shape
+        size, classes = b * c * spec.hidden_dim, b * c * spec.num_classes
+        shared = np.empty(max(2 * size, size + classes, c * m))
+        self.hidden = shared[:size].reshape(b, c, spec.hidden_dim)
+        self.dhidden = shared[size : 2 * size].reshape(b, c, spec.hidden_dim)
+        self.by_class = shared[size : size + classes]
         self.prox = shared[: c * m].reshape(c, m)
-        self.probs = np.empty((c, b, spec.num_classes))
-        self.grad = np.empty((c, m))
-        self.client = np.arange(c)[:, None]
-        self.sample = np.arange(b)
+        self.logits = np.empty((b, c, spec.num_classes))
+        self.sample = np.arange(b * c)
+        self.w, self.grad = w, np.empty((c, m))
+        self.layers, self.grads = _views(spec, w), _views(spec, self.grad)
+        # the layers with contiguous copies of the biases, refreshed each step
+        self.biases = [np.empty(bias.shape) for bias in self.layers[1::2]]
+        self.inputs = list(self.layers)
+        self.inputs[1::2] = self.biases
 
 
 def _softmax(z: np.ndarray) -> None:
@@ -201,12 +217,41 @@ def _exp_normalize(d: np.ndarray) -> None:
     d /= d.sum(axis=-1, keepdims=True)
 
 
+def _class_softmax(d: np.ndarray) -> None:
+    """`_softmax` of the columns of a class-major (classes, N) array, in
+    place, bit for bit: every reduction runs along the N samples."""
+    d -= d.max(axis=0)  # a max has the same bits in any order
+    np.exp(d, out=d)
+    d /= _class_sum(d)
+
+
+def _class_sum(d: np.ndarray) -> np.ndarray:
+    """The column sums of a class-major (k, N) array, in numpy's pairwise
+    order over a contiguous run of k: in order below 8 classes; up to 128,
+    eight running sums added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the rest in order; from 128 on, numpy's own sum of a row-major copy."""
+    k = len(d)
+    if k >= 128:
+        return d.T.copy().sum(axis=1)
+    width = 8 if k >= 8 else 1  # how many running sums
+    runs, rest = d[:width].copy(), k - k % width
+    for i in range(width, rest, width):
+        runs += d[i : i + width]
+    while len(runs) > 1:
+        runs = runs[0::2] + runs[1::2]
+    total = runs[0]
+    for row in d[rest:]:
+        total += row
+    return total
+
+
 def _logits(
-    spec: ModelSpec, w: np.ndarray, x: np.ndarray, out: np.ndarray, hidden: np.ndarray
+    spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, out: np.ndarray, hidden: np.ndarray
 ) -> None:
-    """Fill `out` (C, B, classes) with the logits and, for the MLP, the hidden
-    activations `hidden` (C, B, hidden_dim) that backprop needs."""
-    *hidden_layer, w_out, b_out = _views(spec, w)
+    """Fill `out` (C, B, classes) with the logits of the model `layers`
+    (`_views` of a block, or biases copied from it) and, for the MLP, the
+    hidden activations `hidden` (C, B, hidden_dim) that backprop needs."""
+    *hidden_layer, w_out, b_out = layers
     if spec.hidden_dim:
         w1, b1 = hidden_layer
         np.matmul(x, w1, out=hidden)
@@ -236,7 +281,7 @@ def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) 
     sets of m samples each (Q, m, input_dim); returns (Q, m) labels."""
     q, m = x.shape[:2]
     z = work.logits.reshape(q, m, spec.num_classes)
-    _logits(spec, w, x, z, work.hidden.reshape(q, m, spec.hidden_dim))
+    _logits(spec, _views(spec, w), x, z, work.hidden.reshape(q, m, spec.hidden_dim))
     d = work.by_class  # (classes, q * m): each reduction over classes runs along the samples
     np.copyto(d, z.reshape(q * m, -1).T)
     d -= d.max(axis=0)  # the subtraction `_softmax` makes, element for element
@@ -263,7 +308,7 @@ def forward(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     x, _ = _check_data(spec, data, ndims=(2,))
     n = x.shape[0]
     probs = np.empty((1, n, spec.num_classes))
-    _logits(spec, w[None], x[None], probs, np.empty((1, n, spec.hidden_dim)))
+    _logits(spec, _views(spec, w[None]), x[None], probs, np.empty((1, n, spec.hidden_dim)))
     _softmax(probs)
     return probs[0]
 
@@ -289,51 +334,64 @@ def predict_block(spec: ModelSpec, block: np.ndarray, data: Dataset) -> Iterable
     return (_predict(spec, row[None], x[None], work)[0] for row in w)
 
 
-def grad(
-    spec: ModelSpec,
-    w: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    work: _Workspace,
-) -> np.ndarray:
+def grad(spec: ModelSpec, x: np.ndarray, y: np.ndarray, work: _Workspace) -> np.ndarray:
     """Analytic gradients of each client's mean cross-entropy on its samples.
 
-    w is (C, M), x (C, B, input_dim) and y (C, B); row i of the (C, M) result
-    is the gradient of `loss` for w[i] on (x[i], y[i]).  A step kernel: it
-    trusts its inputs and checks nothing.  The result lives in `work`, the
-    scratch arrays of a solve, and the next step overwrites it.
+    `work` holds the (C, M) block w; x is (C, B, input_dim) and y (C, B),
+    and row i of the (C, M) result is the gradient of `loss` for w[i] on
+    (x[i], y[i]).  A step kernel: it trusts its inputs and checks nothing.
+    The result lives in `work`, and the next step overwrites it.
     """
-    b = y.shape[1]
-    dlogits = work.probs[:, :b]
-    hidden = work.hidden[:, :b]
-    _logits(spec, w, x, dlogits, hidden)
-    _softmax(dlogits)
-    dlogits[work.client, work.sample[:b], y] -= 1.0
-    dlogits /= b
+    b, c = y.shape[1], len(work.w)
+    n, k = b * c, spec.num_classes
+    for bias, view in zip(work.biases, work.layers[1::2]):
+        np.copyto(bias, view)
+    logits, hidden = work.logits[:b], work.hidden[:b]  # batch-major
+    _logits(spec, work.inputs, x, logits.transpose(1, 0, 2), hidden.transpose(1, 0, 2))
+    # the softmax and the label's -1 on the class-major copy, whose column
+    # j * C + i is client i's sample j
+    d = work.by_class[: k * n].reshape(k, n)
+    np.copyto(d, logits.reshape(n, k).T)
+    _class_softmax(d)
+    work.by_class[y.T.ravel() * n + work.sample[:n]] -= 1.0
+    d /= b
+    np.copyto(logits.reshape(n, k), d.T)
 
-    g = work.grad
-    *hidden_grad, gw_out, gb_out = _views(spec, g)
+    *hidden_grad, gw_out, gb_out = work.grads
     # the output layer's inputs: the hidden activations, or the features
-    inputs = hidden if spec.hidden_dim else x
-    np.matmul(inputs.transpose(0, 2, 1), dlogits, out=gw_out)
-    np.sum(dlogits, axis=1, out=gb_out)
+    inputs = hidden.transpose(1, 0, 2) if spec.hidden_dim else x
+    _layer_grad(inputs, logits, gw_out, gb_out)
     if not spec.hidden_dim:
-        return g
+        return work.grad
     gw1, gb1 = hidden_grad
-    dpre = work.dhidden[:, :b]
-    np.matmul(dlogits, _views(spec, w)[-2].transpose(0, 2, 1), out=dpre)
+    dpre = work.dhidden[:b]
+    np.matmul(logits.transpose(1, 0, 2), work.layers[-2].transpose(0, 2, 1), out=dpre.transpose(1, 0, 2))
     # dpre = dhidden * (1 - hidden^2), overwriting hidden on the way
     hidden *= hidden
     np.subtract(1.0, hidden, out=hidden)
     dpre *= hidden
-    np.matmul(x.transpose(0, 2, 1), dpre, out=gw1)
-    np.sum(dpre, axis=1, out=gb1)
-    return g
+    _layer_grad(x, dpre, gw1, gb1)
+    return work.grad
+
+
+def _layer_grad(inputs: np.ndarray, deltas: np.ndarray, gw: np.ndarray, gb: np.ndarray) -> None:
+    """gw = inputs^T @ deltas and gb = deltas summed over the batch, for
+    (C, B, fan_in) inputs and batch-major (B, C, fan_out) deltas, bit for
+    bit as on one client's arrays.  Where a side is 1 wide, numpy's order
+    follows the layout (gemv for the product, a pairwise sum over B for
+    fan_out = 1), so both then run on client-major copies."""
+    if 1 in gw.shape[1:]:
+        inputs = np.ascontiguousarray(inputs)
+        deltas = np.ascontiguousarray(deltas.transpose(1, 0, 2))
+        np.add.reduce(deltas, axis=1, out=gb)
+    else:
+        np.add.reduce(deltas, axis=0, out=gb)
+        deltas = deltas.transpose(1, 0, 2)
+    np.matmul(inputs.transpose(0, 2, 1), deltas, out=gw)
 
 
 def prox_grad(
     spec: ModelSpec,
-    w: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     pull: tuple[np.ndarray, np.ndarray] | None,
@@ -346,11 +404,11 @@ def prox_grad(
     A step kernel like `grad`: it checks nothing, and adds the pull of every
     level in three passes over the block.
     """
-    g = grad(spec, w, x, y, work)
+    g = grad(spec, x, y, work)
     if pull is None:
         return g
     s, target = pull
-    p = np.multiply(w, s, out=work.prox)
+    p = np.multiply(work.w, s, out=work.prox)
     p -= target
     g += p
     return g
@@ -365,7 +423,8 @@ def local_solve(
     batch_size: int,
     lr: float,
     rngs: Sequence,
-) -> None:
+    test: Dataset | None = None,
+) -> np.ndarray | None:
     """Mini-batch SGD for C clients in lockstep, on each client's mean
     cross-entropy plus the proximal penalty whose gradient is the pull
     s * w - A of `pull` = (s, A), a (C, 1) and a (C, M) array, or none if
@@ -381,10 +440,16 @@ def local_solve(
     equal to the same solve of client i alone, deterministic given its rng
     seed.  lr == 0 walks the schedule without moving.
 
-    With enough work, P - 1 forked children and the caller train P
-    contiguous ranges of rows (see `_processes` for P).  The rngs are drawn
-    before the fork, and no output bit depends on P.  A
-    child's failure raises a RuntimeError that names its client rows.
+    Given the (C, m, input_dim) stack `test`, the solve also scores each
+    trained row and returns the (C, 2) counts of the labels it gets right
+    (the argmax of `forward`'s softmax): on its own test set and on the
+    collective set, the stack read as one set.  A range of rows in which a
+    model's squared norm is not finite is not scored, and its counts read 0.
+
+    With enough work, P - 1 forked children and the caller train and score
+    P contiguous ranges of rows (see `_processes` for P).  The rngs are
+    drawn before the fork, and no output bit depends on P.  A child's
+    failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -403,6 +468,12 @@ def local_solve(
         raise ValueError(
             f"pull has shapes {pull[0].shape} and {pull[1].shape}, expected ({c}, 1) and {w.shape}"
         )
+    scored, right = 0, None
+    if test is not None:
+        test_x, test_y = _check_data(spec, test, ndims=(3,))
+        if len(test_x) != c:
+            raise ValueError(f"{c} models need {c} test sets, got {len(test_x)}")
+        scored, right = test_y.size + test_y.shape[1], np.zeros((c, 2), dtype=np.intp)
 
     # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
     n = x.shape[1]
@@ -416,15 +487,16 @@ def local_solve(
         orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
     orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
 
-    def solve(lo: int, hi: int) -> None:
+    def task(lo: int, hi: int) -> None:
         rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])
         _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, batch_size, lr)
+        if right is not None:
+            right[lo:hi] = _score_rows(spec, w[lo:hi], test_x[lo:hi], test_y[lo:hi], test_x, test_y)
 
-    parts = _processes(c * epochs * -(-n // batch_size) * spec.param_count)
-    if parts == 1:
-        solve(0, c)
-    else:
-        _train_forked(w, [c * p // parts for p in range(parts + 1)], solve)
+    steps = epochs * -(-n // batch_size) + scored / _SAMPLES_PER_STEP
+    parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
+    _split_rows(task, c, parts, [w] if right is None else [w, right])
+    return right
 
 
 def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None:
@@ -435,43 +507,70 @@ def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None
     b_max = min(batch_size, n)
     x_buf = np.empty(c * b_max * spec.input_dim)
     y_buf = np.empty(c * b_max, dtype=np.intp)
-    work = _Workspace(spec, c, b_max)
+    work = _Workspace(spec, w, b_max)
     for e in range(epochs):
         for start in range(0, n, batch_size):
             rows = orders[:, e, start : start + batch_size]
             b = rows.shape[1]
-            # leading views of the flat buffers are contiguous (C, b, .) batches
+            # leading views of the flat buffers: the (C, b, .) features and
+            # the batch-major (b, C) labels
             x = x_buf[: c * b * spec.input_dim].reshape(c, b, spec.input_dim)
-            y = y_buf[: c * b].reshape(c, b)
+            y = y_buf[: c * b].reshape(b, c)
             np.take(features, rows, axis=0, out=x, mode="clip")
-            np.take(labels, rows, out=y, mode="clip")
-            g = prox_grad(spec, w, x, y, pull, work)
+            np.take(labels, rows.T, out=y, mode="clip")
+            g = prox_grad(spec, x, y.T, pull, work)
             g *= lr
             w -= g
 
 
-def _processes(work: int) -> int:
-    """How many processes share a solve of `work` = rows x steps x
-    param_count: one per CPU it may run on, each with at least `_MIN_WORK`;
-    one where the platform cannot fork, or while another thread is alive (a
-    child could inherit its locks)."""
+def _score_rows(spec, w, own_x, own_y, stack_x, stack_y) -> np.ndarray:
+    """The (rows, 2) counts of `local_solve`: each row of `w` on its own
+    test set (own_x, own_y) and on the whole stack read as one set; all 0 if
+    a row's squared norm is not finite, whose labels would be meaningless."""
+    right = np.zeros((len(w), 2), dtype=np.intp)
+    if not np.isfinite(np.einsum("ij,ij->i", w, w)).all():
+        return right
+    own = _predict(spec, w, own_x, _PredictWork(spec, own_y.size))
+    right[:, 0] = np.count_nonzero(own == own_y, axis=1)
+    union_x, union_y = stack_x.reshape(1, -1, spec.input_dim), stack_y.reshape(1, -1)
+    work = _PredictWork(spec, union_y.size)
+    for i in range(len(w)):
+        right[i, 1] = np.count_nonzero(_predict(spec, w[i : i + 1], union_x, work) == union_y)
+    return right
+
+
+def _processes(rows: int, work: int) -> int:
+    """How many processes share `rows` rows of `work` each (see
+    `local_solve`): one per CPU it may run on, each with at least one row
+    and `_MIN_WORK`; one where the platform cannot fork, or while another
+    thread is alive (a child could inherit its locks)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), work // _MIN_WORK))
+    return max(1, min(len(os.sched_getaffinity(0)), rows, rows * work // _MIN_WORK))
 
 
-def _train_forked(w: np.ndarray, edges: list[int], train) -> None:
-    """`train(lo, hi)` for each range edges[p]:edges[p + 1] of the block `w`:
-    forked children train all but the last, which this process trains, and
-    pass their rows back through an anonymous shared mapping."""
+def _split_rows(task, rows: int, parts: int, results: list[np.ndarray]) -> None:
+    """`task(lo, hi)` over `parts` contiguous ranges of `rows`: forked
+    children run all but the last, which this process runs, and pass their
+    rows of each (rows, ...) array of `results` back through one anonymous
+    shared mapping.  One part is `task(0, rows)` in this process."""
+    if parts == 1:
+        task(0, rows)
+        return
     # imported here, so that a run that never splits does not load them (~60 KB)
     import mmap
     import signal
 
+    edges = [rows * p // parts for p in range(parts + 1)]
     split = edges[-2]
-    out = np.frombuffer(mmap.mmap(-1, w[:split].nbytes)).reshape(split, -1)
+    sizes = [a[:split].nbytes for a in results]
+    mapping, offsets = mmap.mmap(-1, sum(sizes)), np.cumsum([0, *sizes]).tolist()
+    shared = [
+        np.frombuffer(mapping, a.dtype, a[:split].size, o).reshape(a[:split].shape)
+        for a, o in zip(results, offsets)
+    ]
     read, write = os.pipe()  # the children's error messages
     with open(read, "rb") as errors, open(write, "wb", buffering=0) as pipe:
         children = []  # (pid, lo, hi) of every child not yet reaped
@@ -480,8 +579,9 @@ def _train_forked(w: np.ndarray, edges: list[int], train) -> None:
                 pid = os.fork()
                 if pid == 0:  # the child never returns
                     try:
-                        train(lo, hi)
-                        out[lo:hi] = w[lo:hi]
+                        task(lo, hi)
+                        for out, a in zip(shared, results):
+                            out[lo:hi] = a[lo:hi]
                         os._exit(0)
                     except BaseException as exc:
                         pipe.write(f"{type(exc).__name__}: {exc}\n".encode())
@@ -489,7 +589,7 @@ def _train_forked(w: np.ndarray, edges: list[int], train) -> None:
                         os._exit(1)
                 children.append((pid, lo, hi))
             pipe.close()
-            train(split, len(w))
+            task(split, rows)
             # read to EOF, which comes once every child has exited
             message = "; ".join(errors.read().decode(errors="replace").splitlines())
             failed = []
@@ -500,11 +600,12 @@ def _train_forked(w: np.ndarray, edges: list[int], train) -> None:
                 if code:
                     failed.append(f"{lo}-{hi - 1} (exit code {code})")
             if failed:
-                rows = ", ".join(failed)
-                raise RuntimeError(f"the forked solve of client rows {rows} failed: {message or 'no message'}")
+                rows_named = ", ".join(failed)
+                raise RuntimeError(f"the forked solve of client rows {rows_named} failed: {message or 'no message'}")
         except BaseException:
             for pid, _, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             raise
-    w[:split] = out
+    for out, a in zip(shared, results):
+        a[:split] = out

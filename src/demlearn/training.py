@@ -13,9 +13,10 @@ Client i is row i of two (C, M) blocks, its model and its last update
 delta, allocated once per run and updated in place, of the train and test
 stacks that the shard partition deals, and of every tree level.  One call
 of the lockstep solver `models.local_solve` trains every client of a
-round.  On a host with several CPUs
-a long solve of many clients trains ranges of them in forked processes (no
-split while another thread runs); no output byte depends on the CPU count.
+round and counts each trained model's right labels for C-SPE and C-GEN.
+On a host with several CPUs a long solve of many clients trains and scores
+ranges of them in forked processes (no split while another thread runs);
+no output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
 once, naming the client, the round, lr and mu; so does a re-clustering
@@ -246,7 +247,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         pull = np.full((n, 1), cfg.mu), np.broadcast_to(cfg.mu * state.tree.root, w.shape)
     else:
         pull = None
-    local_solve(
+    right = local_solve(
         state.spec,
         w,
         state.train,
@@ -255,6 +256,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         cfg.batch_size,
         cfg.lr,
         [_client_rng(cfg, i, state.t) for i in range(n)],
+        state.test,
     )
     # a model whose squared norm overflows has diverged even if every entry is
     # finite: its distances and averages are no longer meaningful numbers
@@ -278,7 +280,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t)
     propagate_up(state.tree, w)
 
-    state.metrics = round_metrics(state.spec, state.t, w, state.test, state.tree)
+    state.metrics = round_metrics(state.spec, state.t, right, state.test, state.tree)
     state.t += 1
     return state
 

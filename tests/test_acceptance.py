@@ -95,8 +95,8 @@ def test_criterion_1_gradient_correctness():
         ]
         mu = float(rng.uniform(0, 0.5))
         pull = anchor_pull(HierarchyTree(anchors), mu) if anchors else None
-        work = models._Workspace(spec, 1, b)
-        g = prox_grad(spec, w[None], batch.features[None], batch.labels[None], pull, work)[0]
+        work = models._Workspace(spec, w[None], b)
+        g = prox_grad(spec, batch.features[None], batch.labels[None], pull, work)[0]
         fd = central_diff(lambda v: prox_objective(spec, v[None], [batch], anchors, mu)[0], w)
         rel = np.max(np.abs(g - fd) / (np.abs(fd) + 1e-4))
         worst = max(worst, rel)

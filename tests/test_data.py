@@ -18,7 +18,6 @@ from demlearn.data import (
     partition_shards,
     synthetic_dataset,
 )
-from demlearn.metrics import c_gen
 from demlearn.models import LOGISTIC, ModelSpec, init_params, local_solve
 
 from oracles import client_sets, concat_datasets
@@ -263,8 +262,9 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     ds = synthetic_dataset(4, 8, 30, 40.0, seed=6)
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)[None]
-    local_solve(spec, w, Dataset(ds.features[None], ds.labels[None], 4), None, 60, 16, 0.1, [1])
-    assert c_gen(spec, w, ds) == 1.0
+    stacked = Dataset(ds.features[None], ds.labels[None], 4)
+    right = local_solve(spec, w, stacked, None, 60, 16, 0.1, [1], stacked)
+    assert right.tolist() == [[len(ds), len(ds)]]  # every training sample right
 
 
 def test_synthetic_argument_validation():

@@ -10,10 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from demlearn import models
+from demlearn import metrics, models
 from demlearn.data import Dataset
 from demlearn.hierarchy import AnchorLevel, HierarchyTree, anchor_pull
 from demlearn.models import (
@@ -85,13 +85,13 @@ def fold(levels, mu):
 
 
 def grad1(spec, w, x, y):
-    return grad(spec, w[None], x[None], y[None], models._Workspace(spec, 1, len(y)))[0]
+    return grad(spec, x[None], y[None], models._Workspace(spec, w[None], len(y)))[0]
 
 
 def prox_grad1(spec, w, x, y, levels, mu):
     """`prox_grad` on a stack of one, on the levels' folded pull."""
-    work = models._Workspace(spec, 1, len(y))
-    return prox_grad(spec, w[None], x[None], y[None], fold(levels, mu), work)[0]
+    work = models._Workspace(spec, w[None], len(y))
+    return prox_grad(spec, x[None], y[None], fold(levels, mu), work)[0]
 
 
 def prox_objective1(spec, w, batch, levels, mu):
@@ -574,8 +574,21 @@ def lockstep_problems(draw, clients=st.integers(1, 6)):
     return spec, w, train, levels, mu, epochs, batch_size, lr, seed
 
 
+def width_problem(spec, seed=5):
+    """A fixed lockstep problem of 3 clients whose batches of 10, 10 and 1
+    take numpy's gemv and pairwise-sum paths where a layer is 1 wide."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 0.5, (3, spec.param_count))
+    train = stack([random_data(spec, 21, rng) for _ in range(3)])
+    levels = [AnchorLevel(rng.normal(0.0, 1.0, (2, spec.param_count)), np.array([0, 1, 1]), np.full(3, 0.5))]
+    return spec, w, train, levels, 0.05, 2, 10, 0.5, seed
+
+
 @settings(max_examples=80, deadline=None)
 @given(lockstep_problems())
+@example(width_problem(ModelSpec(LOGISTIC, 1, 3)))
+@example(width_problem(ModelSpec(MLP, 1, 3, hidden_dim=2)))
+@example(width_problem(ModelSpec(MLP, 3, 3, hidden_dim=1)))
 def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
@@ -640,13 +653,21 @@ def split_solves(cpus, min_work=None):
         os.waitpid(-1, os.WNOHANG)
 
 
-def solved(problem):
-    """The problem's block after `local_solve`, and its rngs' states."""
+def scoring_stack(spec, clients, seed, m=3):
+    """A stack of m-sample test sets, one per client."""
+    rng = np.random.default_rng([seed, 1])
+    return stack([random_data(spec, m, rng) for _ in range(clients)])
+
+
+def solved(problem, m=3):
+    """The problem's block after `local_solve`, the counts it scored on a
+    stack of m-sample test sets (None for m = 0), and its rngs' states."""
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs)
-    return block, [rng.bit_generator.state for rng in rngs]
+    test = scoring_stack(spec, len(w), seed, m) if m else None
+    right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs, test)
+    return block, right, [rng.bit_generator.state for rng in rngs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -655,13 +676,39 @@ def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
     # ranges of unequal length, e.g. rows 0-1, 2-4 and 5-7 of 8
     assume(len(problem[1]) % parts)
     with split_solves(1, min_work=1) as forks:
-        alone, alone_states = solved(problem)
+        alone, alone_right, alone_states = solved(problem)
     assert forks == []
     with split_solves(parts, min_work=1) as forks:
-        split, split_states = solved(problem)
+        split, split_right, split_states = solved(problem)
     assert forks == [os.getpid()] * (parts - 1)
     assert split.tobytes() == alone.tobytes()
+    assert split_right.tolist() == alone_right.tolist()
     assert split_states == alone_states  # the orders are drawn before any fork
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_problems(clients=st.integers(4, 9)), st.sampled_from([1, 2, 3]))
+def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts):
+    assume(parts == 1 or len(problem[1]) % parts)  # unequal ranges
+    spec = problem[0]
+    with split_solves(parts, min_work=1) as forks:
+        block, right, _ = solved(problem)
+    assert len(forks) == parts - 1
+    test = scoring_stack(spec, len(block), problem[-1])
+    own, collective = metrics._right_counts(spec, block, test), metrics._right_counts(spec, block, test.union())
+    assert right.tolist() == np.stack([own, collective], axis=1).tolist()
+
+
+def test_a_range_with_a_diverged_row_is_not_scored():
+    spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
+    w[1] = 1e200  # finite entries whose squared norm overflows
+    test = scoring_stack(MLP_SPEC, 5, 0, m=4)
+    with split_solves(2, min_work=1) as forks:  # a child scores rows 0-1
+        right = local_solve(MLP_SPEC, w, train, None, 1, 2, 0.0, list(range(5)), test)
+    assert len(forks) == 1
+    assert right[:2].tolist() == [[0, 0]] * 2
+    own, collective = metrics._right_counts(spec, w[2:], rows(test, slice(2, 5))), metrics._right_counts(spec, w[2:], test.union())
+    assert right[2:].tolist() == np.stack([own, collective], axis=1).tolist()
 
 
 def guard_problem(spec, clients, n, epochs, batch_size):
@@ -674,37 +721,51 @@ def guard_problem(spec, clients, n, epochs, batch_size):
     return spec, w, train, levels, 0.1, epochs, batch_size, 0.1, 23
 
 
-# `models._MIN_WORK` is one process's least work, in rows x steps x
-# param_count.  EDGE is the smallest 2-class logistic model with which ROWS
-# clients of STEPS steps reach it, so 2 * ROWS of them are the fewest to split.
-ROWS, STEPS = 16, 40
-EDGE = ModelSpec(LOGISTIC, -(-models._MIN_WORK // (2 * ROWS * STEPS)) - 1, 2)
+def edge_spec(rows, steps):
+    """The smallest 2-class logistic model with which `rows` clients of
+    `steps` steps, and nothing to score, reach `models._MIN_WORK`, one
+    process's least work: rows x steps x (param_count + `_STEP_COST`)."""
+    d = 1
+    while rows * steps * (2 * (d + 1) + models._STEP_COST) < models._MIN_WORK:
+        d += 1
+    return ModelSpec(LOGISTIC, d, 2)
+
+
+# 2 * ROWS clients of EDGE are the fewest to split
+ROWS, STEPS = 16, 80
+EDGE = edge_spec(ROWS, STEPS)
 SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
 PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
 
 
 @pytest.mark.parametrize(
-    "cpus, spec, clients, n, epochs, batch_size, forks",
+    "cpus, spec, clients, n, epochs, batch_size, m, forks",
     [
-        (2, SERVER_120, 120, 64, 1, 16, 0),  # server-120's solve: 4 steps
-        (2, EDGE, 2 * ROWS - 1, STEPS, 1, 1, 0),
-        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 0),
-        (1, EDGE, 3 * ROWS, STEPS, 1, 1, 0),
-        (2, EDGE, 2 * ROWS, STEPS, 1, 1, 1),
-        (2, EDGE, 5 * ROWS, STEPS, 1, 1, 1),
-        (3, EDGE, 3 * ROWS - 1, STEPS, 1, 1, 1),
-        (4, EDGE, 3 * ROWS, STEPS, 1, 1, 2),
+        (2, SERVER_120, 120, 64, 1, 16, 0, 0),  # server-120's solve: 4 steps
+        # and its round's scoring, on 16 + 1,920 samples a client, which a
+        # split does not speed up
+        (2, SERVER_120, 120, 64, 1, 16, 16, 0),
+        (2, EDGE, 2 * ROWS - 1, STEPS, 1, 1, 0, 0),
+        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 0, 0),
+        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 4, 1),  # its scoring tips it
+        (1, EDGE, 3 * ROWS, STEPS, 1, 1, 0, 0),
+        (2, EDGE, 2 * ROWS, STEPS, 1, 1, 0, 1),
+        (2, EDGE, 5 * ROWS, STEPS, 1, 1, 0, 1),
+        (3, EDGE, 3 * ROWS - 1, STEPS, 1, 1, 0, 1),
+        (4, EDGE, 3 * ROWS, STEPS, 1, 1, 0, 2),
         # a logistic solve that a split slows: 32 clients at 40 steps
-        (2, SERVER_120, 32, 640, 1, 16, 0),
-        (2, PROTOCOL, 50, 64, 20, 16, 1),  # the protocol's solve: 80 steps
+        (2, SERVER_120, 32, 640, 1, 16, 0, 0),
+        (2, PROTOCOL, 50, 64, 20, 16, 16, 1),  # the protocol's round: 80 steps
     ],
 )
-def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, forks):
+def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, m, forks):
     problem = guard_problem(spec, clients, n, epochs, batch_size)
     with split_solves(1):
-        alone = solved(problem)
+        alone = solved(problem, m)
     with split_solves(cpus) as made:
-        assert solved(problem)[0].tobytes() == alone[0].tobytes()
+        block, right, _ = solved(problem, m)
+    assert block.tobytes() == alone[0].tobytes()
+    assert (right is None and m == 0) or right.tolist() == alone[1].tolist()
     assert len(made) == forks
 
 
@@ -793,6 +854,35 @@ def test_a_failing_parent_kills_and_reaps_its_children(error):
     assert raised.value is error
     assert len(forks) == 2
     assert time.monotonic() - started < 30
+
+
+# -------------------------------------------- the solver's class-major softmax
+
+
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 130), st.integers(0, 2**32 - 1), st.lists(st.lists(SPECIAL, min_size=1, max_size=3), max_size=3))
+@example(7, 1, [[math.inf], [math.nan]])
+@example(8, 2, [[-math.inf]])
+@example(127, 3, [[math.inf, -math.inf]])
+@example(128, 4, [[math.nan, math.inf]])
+@example(130, 5, [[-math.inf] * 3])
+def test_the_class_major_softmax_is_the_softmax_bit_for_bit(k, seed, specials):
+    # from 8 classes the pairwise sum differs from a running sum; from 128,
+    # numpy splits the run in halves and the helper takes its plain sum
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, rng.uniform(0.1, 40.0), (5 + len(specials), k))
+    z[0] = -math.inf  # every class at -inf
+    for row, values in enumerate(specials, start=5):  # rows with inf and NaN logits
+        values = values[:k]
+        z[row, rng.choice(k, size=len(values), replace=False)] = values
+    by_row, by_class = z.copy(), z.T.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        models._softmax(by_row)
+        models._class_softmax(by_class)
+    assert by_class.T.tobytes() == np.ascontiguousarray(by_row).tobytes()
 
 
 # ------------------------------------------------ predict: the softmax argmax
@@ -966,9 +1056,9 @@ def test_predict_block_runs_a_stack_at_once_and_a_shared_set_a_row_at_a_time(mon
     stacks = []
     logits = models._logits
 
-    def counted(spec, w, x, out, hidden):
-        stacks.append(len(w))
-        return logits(spec, w, x, out, hidden)
+    def counted(spec, layers, x, out, hidden):
+        stacks.append(len(layers[0]))
+        return logits(spec, layers, x, out, hidden)
 
     monkeypatch.setattr(models, "_logits", counted)
     assert [p.tobytes() for p in predict_block(MLP_SPEC, block, stack(splits))] == own

@@ -19,7 +19,8 @@ from demlearn.training import (
     run_round,
 )
 
-from oracles import client_sets, loss, plain_fedavg, scalar_pull_solve
+from oracles import client_sets, concat_datasets, loss, plain_fedavg, scalar_pull_solve, softmax_predict
+from test_models import split_solves
 
 
 def tiny_cfg(**kw):
@@ -258,12 +259,20 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         assert row.tobytes() == model.tobytes()
 
 
-def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs):
+def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs, test):
     """`models.local_solve` as a loop of one-client solves, row by row, each
-    on its row (s_i, A_i) of the pull."""
+    on its row (s_i, A_i) of the pull, and scored by the softmax argmax on
+    its own split and on the splits joined."""
     for i, (ds, rng) in enumerate(zip(client_sets(train), rngs, strict=True)):
         row = None if pull is None else (pull[0][i, 0], pull[1][i])
         w[i] = scalar_pull_solve(spec, w[i], ds, row, epochs, batch_size, lr, rng)
+    tests = client_sets(test)
+    union = concat_datasets(tests)
+    right = [
+        [np.count_nonzero(softmax_predict(spec, row, data) == data.labels) for data in (own, union)]
+        for row, own in zip(w, tests)
+    ]
+    return np.array(right)
 
 
 @pytest.mark.parametrize(
@@ -315,6 +324,19 @@ def test_divergence_check_names_the_first_bad_client():
     state.model_block[3:] = 1e200  # finite entries whose squared norm overflows
     with pytest.raises(FloatingPointError, match="client 3 diverged in round 0"):
         run_round(state, cfg)
+
+
+def test_a_client_diverged_in_a_forked_range_is_named_by_the_caller(capfd):
+    cfg = tiny_cfg(beta0=0.0, lr=0.0, rounds=1)
+    state = initial_state(cfg)
+    # a child trains rows 0-1 and the caller rows 2-4; neither scores a
+    # range with a diverged row, which would warn on its non-finite logits
+    state.model_block[[1, 4]] = 1e200
+    with split_solves(2, min_work=1) as forks:
+        with pytest.raises(FloatingPointError, match=r"^client 1 diverged in round 0: "):
+            run_round(state, cfg)
+    assert len(forks) == 1
+    assert capfd.readouterr().err == ""
 
 
 def test_run_round_fixed_point_when_nothing_moves():
@@ -481,10 +503,11 @@ def test_gradient_metric_zero_update_names_client_and_round(monkeypatch):
 
     def solve_freezing_client_4(spec, w, *args):
         kept = w[4].copy()
-        real_solve(spec, w, *args)
+        right = real_solve(spec, w, *args)
         if calls:
             w[4] = kept
         calls.append(None)
+        return right
 
     monkeypatch.setattr(training, "local_solve", solve_freezing_client_4)
     with pytest.raises(FloatingPointError, match=r"client 4 made a zero update in round 1: metric=gradients"):
