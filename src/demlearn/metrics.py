@@ -7,16 +7,16 @@ on the collective set is reported separately as the global metric.  Every
 algorithm has a tree; FedAvg and FedProx have one level, so their group
 series are empty and the root is their global model.
 
-Every accuracy counts the right labels of `models.predict_block`, which
-equals the argmax of the softmax bit for bit (ties to the lowest class
-index) but finishes the softmax only on rows where a second class lies
-within `models._TIE_MARGIN` of the max logit.  It cannot be a plain argmax
-of the logits: the softmax rounds logits [0.15755812732057958,
--0.5968275940478756, 0.1575581273205796] to a tie that class 0 wins, where
-the logits pick class 2.  The test splits are a (C, m) stack like the model
-block, and the collective set is that stack read as one set.  C-SPE and
-C-GEN come from the right counts that `models.local_solve` takes where each
-client trains.  A group of one child is that child's model bit for bit
+Every accuracy counts, with `models._right_counts`, the right labels of
+`models.predict_block`, which equal the argmax of the softmax bit for bit
+(ties to the lowest class index) but finish the softmax only on rows where
+a second class lies within `models._TIE_MARGIN` of the max logit.  It
+cannot be a plain argmax of the logits: the softmax rounds logits
+[0.15755812732057958, -0.5968275940478756, 0.1575581273205796] to a tie
+that class 0 wins, where the logits pick class 2.  The test splits are a
+(C, m) stack like the model block, and the collective set is that stack
+read as one set.  C-SPE and C-GEN come from the right counts that
+`models.local_solve` takes where each client trains.  A group of one child is that child's model bit for bit
 (`propagate_up` scales it by 1.0), so it takes the child's counts; for the
 other groups, G-SPE is one stacked predict of each member's group model on
 the member's split, with the right labels summed per group, and G-GEN runs
@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .hierarchy import HierarchyTree
-from .models import ModelSpec, cross_entropy, forward, predict_block
+from .models import ModelSpec, _right_counts, cross_entropy, forward
 
 
 @dataclass
@@ -55,15 +55,6 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
     preds = np.argmax(probs, axis=1)
     acc = float(np.mean(preds == ds.labels))
     return acc, cross_entropy(probs, ds.labels)
-
-
-def _right_counts(spec: ModelSpec, block: np.ndarray, data: Dataset) -> np.ndarray:
-    """How many samples row i of `block` labels right, for every row: on set
-    i of a stack, or on one shared set, counted a row at a time."""
-    preds = predict_block(spec, block, data)
-    if data.labels.ndim == 2:
-        return np.count_nonzero(preds == data.labels, axis=1)
-    return np.array([np.count_nonzero(p == data.labels) for p in preds])
 
 
 def g_metrics(

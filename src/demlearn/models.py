@@ -26,10 +26,11 @@ it as one (C * n, input_dim) set, draws each client's orders for all epochs
 in one call of its rng, and cuts every step's C batches with one gather per
 array.  A step's activations are batch-major, (B, C, width), and its
 softmax runs on a class-major copy, so no reduction runs along a short
-axis.  Given the test splits, the solve also counts each row's right
-labels, for C-SPE and C-GEN.  A solve with enough work trains and scores
-ranges of its rows in forked processes, one per CPU; a row depends only on
-its own data, orders and pull, so no bit depends on that.
+axis.  The solve also counts each row's right labels on the test splits,
+for C-SPE and C-GEN.  A solve with enough work trains and scores ranges of
+its rows in forked processes, one per CPU, but leaves a large collective
+set to the caller; a row depends only on its own data, orders and pull, so
+no bit depends on that.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -38,7 +39,7 @@ stack of C sets, row i runs on set i, all in one stacked product; on one
 shared set, a row at a time.  `forward`, the solver and `predict_block`
 share one logits kernel.
 
-Inputs are validated once, where they enter: `forward`, `predict_block`
+Inputs are validated where they enter: `forward`, `predict_block`
 and `local_solve` check the parameter length, the data layout and feature
 width, the labels (an integer dtype, each in range, all in one reduction),
 non-empty sets, and, for the solver, the pull's shapes.  `local_solve`
@@ -76,6 +77,12 @@ _TIE_MARGIN = 2.0**-40
 _MIN_WORK = 800_000
 _STEP_COST = 300
 _SAMPLES_PER_STEP = 100
+# Each process of a split scores its rows on the collective set only while a
+# layer's product on that set has at most this many multiply-adds.  From
+# ~1M, numpy's OpenBLAS runs the product on several threads, and split
+# processes that each did so ran 2-4x slower than one process on 2 CPUs
+# (MLP-32 on 1,800 samples, 0.92M, gained; on 2,000, 1.02M, it did not).
+_SPLIT_SCORING = 800_000
 
 
 @dataclass(frozen=True)
@@ -423,8 +430,8 @@ def local_solve(
     batch_size: int,
     lr: float,
     rngs: Sequence,
-    test: Dataset | None = None,
-) -> np.ndarray | None:
+    test: Dataset,
+) -> np.ndarray:
     """Mini-batch SGD for C clients in lockstep, on each client's mean
     cross-entropy plus the proximal penalty whose gradient is the pull
     s * w - A of `pull` = (s, A), a (C, 1) and a (C, M) array, or none if
@@ -440,16 +447,18 @@ def local_solve(
     equal to the same solve of client i alone, deterministic given its rng
     seed.  lr == 0 walks the schedule without moving.
 
-    Given the (C, m, input_dim) stack `test`, the solve also scores each
-    trained row and returns the (C, 2) counts of the labels it gets right
-    (the argmax of `forward`'s softmax): on its own test set and on the
+    The solve also scores each trained row on the (C, m, input_dim) stack
+    `test` and returns the (C, 2) counts of the labels it gets right (the
+    argmax of `forward`'s softmax): on its own test set and on the
     collective set, the stack read as one set.  A range of rows in which a
     model's squared norm is not finite is not scored, and its counts read 0.
 
     With enough work, P - 1 forked children and the caller train and score
-    P contiguous ranges of rows (see `_processes` for P).  The rngs are
-    drawn before the fork, and no output bit depends on P.  A child's
-    failure raises a RuntimeError that names its client rows.
+    P contiguous ranges of rows (see `_processes` for P).  Where a layer's
+    product on the collective set exceeds `_SPLIT_SCORING`, the caller
+    scores every row on that set after the split instead, as one range.
+    The rngs are drawn before the fork, and no output bit depends on P.  A
+    child's failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -468,12 +477,13 @@ def local_solve(
         raise ValueError(
             f"pull has shapes {pull[0].shape} and {pull[1].shape}, expected ({c}, 1) and {w.shape}"
         )
-    scored, right = 0, None
-    if test is not None:
-        test_x, test_y = _check_data(spec, test, ndims=(3,))
-        if len(test_x) != c:
-            raise ValueError(f"{c} models need {c} test sets, got {len(test_x)}")
-        scored, right = test_y.size + test_y.shape[1], np.zeros((c, 2), dtype=np.intp)
+    test_y = _check_data(spec, test, ndims=(3,))[1]
+    if len(test_y) != c:
+        raise ValueError(f"{c} models need {c} test sets, got {len(test_y)}")
+    right, union = np.zeros((c, 2), dtype=np.intp), test.union()
+    # past `_SPLIT_SCORING`, this process scores every row on the collective
+    # set once they all have trained
+    each = len(union) * max(a * b for a, b in _layers(spec)) <= _SPLIT_SCORING
 
     # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
     n = x.shape[1]
@@ -490,12 +500,18 @@ def local_solve(
     def task(lo: int, hi: int) -> None:
         rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])
         _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, batch_size, lr)
-        if right is not None:
-            right[lo:hi] = _score_rows(spec, w[lo:hi], test_x[lo:hi], test_y[lo:hi], test_x, test_y)
+        if _finite(w[lo:hi]):
+            own = Dataset(test.features[lo:hi], test.labels[lo:hi], test.num_classes)
+            right[lo:hi, 0] = _right_counts(spec, w[lo:hi], own)
+            if each:
+                right[lo:hi, 1] = _right_counts(spec, w[lo:hi], union)
 
+    scored = test_y.shape[1] + (len(union) if each else 0)
     steps = epochs * -(-n // batch_size) + scored / _SAMPLES_PER_STEP
     parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
-    _split_rows(task, c, parts, [w] if right is None else [w, right])
+    _split_rows(task, c, parts, [w, right])
+    if not each and _finite(w):
+        right[:, 1] = _right_counts(spec, w, union)
     return right
 
 
@@ -523,20 +539,19 @@ def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None
             w -= g
 
 
-def _score_rows(spec, w, own_x, own_y, stack_x, stack_y) -> np.ndarray:
-    """The (rows, 2) counts of `local_solve`: each row of `w` on its own
-    test set (own_x, own_y) and on the whole stack read as one set; all 0 if
-    a row's squared norm is not finite, whose labels would be meaningless."""
-    right = np.zeros((len(w), 2), dtype=np.intp)
-    if not np.isfinite(np.einsum("ij,ij->i", w, w)).all():
-        return right
-    own = _predict(spec, w, own_x, _PredictWork(spec, own_y.size))
-    right[:, 0] = np.count_nonzero(own == own_y, axis=1)
-    union_x, union_y = stack_x.reshape(1, -1, spec.input_dim), stack_y.reshape(1, -1)
-    work = _PredictWork(spec, union_y.size)
-    for i in range(len(w)):
-        right[i, 1] = np.count_nonzero(_predict(spec, w[i : i + 1], union_x, work) == union_y)
-    return right
+def _finite(w: np.ndarray) -> bool:
+    """Whether every row of `w` has a finite squared norm; the labels of one
+    that has not are meaningless, so `local_solve` does not score its range."""
+    return bool(np.isfinite(np.einsum("ij,ij->i", w, w)).all())
+
+
+def _right_counts(spec: ModelSpec, block: np.ndarray, data: Dataset) -> np.ndarray:
+    """How many samples row i of `block` labels right, for every row: on set
+    i of a stack, or on one shared set, counted a row at a time."""
+    preds = predict_block(spec, block, data)
+    if data.labels.ndim == 2:
+        return np.count_nonzero(preds == data.labels, axis=1)
+    return np.array([np.count_nonzero(p == data.labels) for p in preds], dtype=np.intp)
 
 
 def _processes(rows: int, work: int) -> int:
