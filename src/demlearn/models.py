@@ -29,8 +29,10 @@ softmax runs on a class-major copy, so no reduction runs along a short
 axis.  The solve also counts each row's right labels on the test splits,
 for C-SPE and C-GEN.  A solve with enough work trains and scores ranges of
 its rows in forked processes, one per CPU, but leaves a large collective
-set to the caller; a row depends only on its own data, orders and pull, so
-no bit depends on that.
+set to the caller.  A `Helpers` set forks those processes once and serves
+every later solve on the same stacks, such as a run's; a solve without
+one forks a set for its one call.  A row depends only on its own data,
+orders and pull, so no bit depends on the split.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -53,7 +55,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,12 +73,14 @@ _LOG_FLOOR = 1e-12
 _TIE_MARGIN = 2.0**-40
 # A solve is split only with this much work per process.  A row's work is
 # (steps + samples scored / _SAMPLES_PER_STEP) x (param_count + _STEP_COST),
-# fitted to forked and whole solves of real runs on 2 CPUs: MLP-32 breaks
-# even at ~16 clients of 80 steps; server-120's 120 logistic clients,
-# scored on 1,920 samples, do not gain.
-_MIN_WORK = 800_000
+# fitted to split and whole rounds of real runs on 2 CPUs, with helpers
+# forked once per run: a split slowed 4 MLP-32 clients of 80 steps and 16
+# logistic clients of 40, broke even at 8 and 32, and sped up 12 and 64;
+# it sped up server-120's 120 logistic clients of 4 steps, scored on
+# 16 + 1,920 samples or on 1 + 120.
+_MIN_WORK = 350_000
 _STEP_COST = 300
-_SAMPLES_PER_STEP = 100
+_SAMPLES_PER_STEP = 10
 # Each process of a split scores its rows on the collective set only while a
 # layer's product on that set has at most this many multiply-adds.  From
 # ~1M, numpy's OpenBLAS runs the product on several threads, and split
@@ -431,6 +435,7 @@ def local_solve(
     lr: float,
     rngs: Sequence,
     test: Dataset,
+    helpers: Helpers | None = None,
 ) -> np.ndarray:
     """Mini-batch SGD for C clients in lockstep, on each client's mean
     cross-entropy plus the proximal penalty whose gradient is the pull
@@ -453,12 +458,15 @@ def local_solve(
     collective set, the stack read as one set.  A range of rows in which a
     model's squared norm is not finite is not scored, and its counts read 0.
 
-    With enough work, P - 1 forked children and the caller train and score
-    P contiguous ranges of rows (see `_processes` for P).  Where a layer's
-    product on the collective set exceeds `_SPLIT_SCORING`, the caller
-    scores every row on that set after the split instead, as one range.
-    The rngs are drawn before the fork, and no output bit depends on P.  A
-    child's failure raises a RuntimeError that names its client rows.
+    With enough work, P contiguous ranges of rows train and score in P
+    processes (see `_processes` for P): this one runs the last range, and
+    the helpers of `helpers`, a `Helpers` set of this spec and these two
+    stacks, the others; without such a set, one forked for this call.
+    Where a layer's product on the collective set exceeds `_SPLIT_SCORING`,
+    this process scores every row on that set after the split instead, as
+    one range.  Every rng is drawn in this process, and no output bit
+    depends on P.  A helper's failure raises a RuntimeError that names its
+    client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -487,32 +495,64 @@ def local_solve(
 
     # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
     n = x.shape[1]
-    features = x.reshape(c * n, -1)
     labels = y.reshape(-1).astype(np.intp, copy=False)
-    # orders[i, e] is client i's order in epoch e, as its rng's e-th
-    # successive permutation(n), shifted to its rows of the stacked set
-    orders = np.empty((c, epochs, n), dtype=np.int32)
-    every_epoch = np.broadcast_to(np.arange(n), (epochs, n))
-    for i, rng in enumerate(rngs):
-        orders[i] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
-    orders += (np.arange(c, dtype=np.int32) * n)[:, None, None]
-
-    def task(lo: int, hi: int) -> None:
-        rows = None if pull is None else (pull[0][lo:hi], pull[1][lo:hi])
-        _train_rows(spec, w[lo:hi], features, labels, orders[lo:hi], rows, batch_size, lr)
-        if _finite(w[lo:hi]):
-            own = Dataset(test.features[lo:hi], test.labels[lo:hi], test.num_classes)
-            right[lo:hi, 0] = _right_counts(spec, w[lo:hi], own)
-            if each:
-                right[lo:hi, 1] = _right_counts(spec, w[lo:hi], union)
-
+    inputs = _Inputs(spec, x.reshape(c * n, -1), labels, test, union if each else None)
     scored = test_y.shape[1] + (len(union) if each else 0)
     steps = epochs * -(-n // batch_size) + scored / _SAMPLES_PER_STEP
     parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
-    _split_rows(task, c, parts, [w, right])
+    if parts == 1:
+        orders = np.empty((c, epochs, n), dtype=np.int32)
+        _draw_orders(rngs, 0, orders)
+        inputs.solve(0, w, orders, pull, batch_size, lr, right)
+    else:
+        once = helpers is None or not helpers.owns(spec, train, test)
+        if once:
+            helpers = Helpers(spec, train, test)
+        try:
+            helpers.split(inputs, parts, w, pull, epochs, batch_size, lr, rngs, right)
+        finally:
+            if once:
+                helpers.close()
     if not each and _finite(w):
         right[:, 1] = _right_counts(spec, w, union)
     return right
+
+
+def _draw_orders(rngs: Sequence, first: int, out: np.ndarray) -> None:
+    """Fill the (rows, epochs, n) `out` with the batch orders of clients
+    first, first + 1, ...: client i's order in epoch e is its rng's e-th
+    successive permutation(n), shifted to its rows of the stacked set."""
+    rows, epochs, n = out.shape
+    every_epoch = np.broadcast_to(np.arange(n), (epochs, n))
+    for row, rng in zip(out, rngs):
+        row[...] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
+    out += (np.arange(first, first + rows, dtype=np.int32) * n)[:, None, None]
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What every process of a solve reads and no solve changes: the
+    training stack read as one set, the test stack and, if each process
+    scores its rows on it, the collective set."""
+
+    spec: ModelSpec
+    features: np.ndarray
+    labels: np.ndarray
+    test: Dataset
+    union: Dataset | None
+
+    def solve(self, lo, w, orders, pull, batch_size, lr, right) -> None:
+        """Train the clients of `w`, rows lo, lo + 1, ... of the block, on
+        their (rows, epochs, n) orders and rows of the pull, then write their
+        counts into `right`, zeros for a range with a non-finite row."""
+        _train_rows(self.spec, w, self.features, self.labels, orders, pull, batch_size, lr)
+        right[...] = 0
+        if _finite(w):
+            hi, test = lo + len(w), self.test
+            own = Dataset(test.features[lo:hi], test.labels[lo:hi], test.num_classes)
+            right[:, 0] = _right_counts(self.spec, w, own)
+            if self.union is not None:
+                right[:, 1] = _right_counts(self.spec, w, self.union)
 
 
 def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None:
@@ -566,61 +606,167 @@ def _processes(rows: int, work: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows, rows * work // _MIN_WORK))
 
 
-def _split_rows(task, rows: int, parts: int, results: list[np.ndarray]) -> None:
-    """`task(lo, hi)` over `parts` contiguous ranges of `rows`: forked
-    children run all but the last, which this process runs, and pass their
-    rows of each (rows, ...) array of `results` back through one anonymous
-    shared mapping.  One part is `task(0, rows)` in this process."""
-    if parts == 1:
-        task(0, rows)
-        return
-    # imported here, so that a run that never splits does not load them (~60 KB)
-    import mmap
-    import signal
+class _Helper(NamedTuple):
+    pid: int
+    wake: int  # the write end of the pipe the helper waits on
+    status: BinaryIO  # the read end of the pipe it answers on
+    lo: int
+    hi: int
 
-    edges = [rows * p // parts for p in range(parts + 1)]
-    split = edges[-2]
-    sizes = [a[:split].nbytes for a in results]
-    mapping, offsets = mmap.mmap(-1, sum(sizes)), np.cumsum([0, *sizes]).tolist()
-    shared = [
-        np.frombuffer(mapping, a.dtype, a[:split].size, o).reshape(a[:split].shape)
-        for a, o in zip(results, offsets)
-    ]
-    read, write = os.pipe()  # the children's error messages
-    with open(read, "rb") as errors, open(write, "wb", buffering=0) as pipe:
-        children = []  # (pid, lo, hi) of every child not yet reaped
+
+class Helpers:
+    """Forked helper processes that train and score all but the last range
+    of rows of `local_solve`s on one spec and one pair of train and test
+    stacks, such as every solve of a run.
+
+    The set forks its P - 1 helpers at its first split solve, and each
+    inherits the stacks, which must not change while the set is open.  A
+    solve copies only the helpers' rows of the block, of the pull's (s, A)
+    and of the batch orders into one anonymous shared map, wakes each helper
+    with one byte on its pipe, and trains and scores its own range; then it
+    reads each helper's status line and takes the helpers' rows and counts
+    from the map.  A solve with another P or epoch count forks the set
+    anew.  A failure kills and reaps the helpers; `close`, or leaving a
+    `with` block, closes their pipes, on whose EOF each exits, and reaps
+    them.
+    """
+
+    def __init__(self, spec: ModelSpec, train: Dataset, test: Dataset) -> None:
+        self.spec, self.train, self.test = spec, train, test
+        self._helpers: list[_Helper] = []
+        self._layout = None  # the (P, epochs) the helpers were forked for
+        self._shared: list[np.ndarray] = []
+
+    def __enter__(self) -> Helpers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def owns(self, spec: ModelSpec, train: Dataset, test: Dataset) -> bool:
+        return spec == self.spec and train is self.train and test is self.test
+
+    def close(self) -> None:
+        """End the helpers: each exits on EOF of its pipe, and is reaped."""
+        self._end(kill=False)
+
+    def _end(self, kill: bool) -> None:
+        import signal
+
+        helpers, self._helpers = self._helpers, []
+        self._layout, self._shared = None, []
+        for helper in helpers:
+            if kill:
+                os.kill(helper.pid, signal.SIGKILL)
+            os.close(helper.wake)
+        for helper in helpers:
+            helper.status.close()
+            os.waitpid(helper.pid, 0)
+
+    def split(self, inputs: _Inputs, parts, w, pull, epochs, batch_size, lr, rngs, right) -> None:
+        """`local_solve`'s solve and scoring of the block `w` over `parts`
+        processes, the counts written into `right`."""
         try:
-            for lo, hi in zip(edges, edges[1:-1]):
-                pid = os.fork()
-                if pid == 0:  # the child never returns
-                    try:
-                        task(lo, hi)
-                        for out, a in zip(shared, results):
-                            out[lo:hi] = a[lo:hi]
-                        os._exit(0)
-                    except BaseException as exc:
-                        pipe.write(f"{type(exc).__name__}: {exc}\n".encode())
-                    finally:
-                        os._exit(1)
-                children.append((pid, lo, hi))
-            pipe.close()
-            task(split, rows)
-            # read to EOF, which comes once every child has exited
-            message = "; ".join(errors.read().decode(errors="replace").splitlines())
-            failed = []
-            while children:
-                pid, lo, hi = children[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.pop(0)
-                if code:
-                    failed.append(f"{lo}-{hi - 1} (exit code {code})")
-            if failed:
-                rows_named = ", ".join(failed)
-                raise RuntimeError(f"the forked solve of client rows {rows_named} failed: {message or 'no message'}")
+            if self._layout != (parts, epochs):
+                self._end(kill=False)
+                self._start(inputs, parts, epochs)
+            header, block, s, target, counts, orders = self._shared
+            k = len(block)  # the helpers' rows
+            # the helpers' rows first, so that they start before this range
+            _draw_orders(rngs[:k], 0, orders)
+            np.copyto(block, w[:k])
+            if pull is not None:
+                np.copyto(s, pull[0][:k])
+                np.copyto(target, pull[1][:k])
+            header[:] = lr, batch_size, pull is not None
+            for helper in self._helpers:
+                try:
+                    os.write(helper.wake, b"\0")
+                except BrokenPipeError:  # a dead helper: its exit code tells
+                    pass
+            own = np.empty((len(w) - k, *orders.shape[1:]), dtype=np.int32)
+            _draw_orders(rngs[k:], k, own)
+            own_pull = None if pull is None else (pull[0][k:], pull[1][k:])
+            inputs.solve(k, w[k:], own, own_pull, batch_size, lr, right[k:])
+            self._answers()
+            w[:k] = block
+            right[:k] = counts
         except BaseException:
-            for pid, _, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            self._end(kill=True)
             raise
-    for out, a in zip(shared, results):
-        a[:split] = out
+
+    def _start(self, inputs: _Inputs, parts: int, epochs: int) -> None:
+        # imported here, so that a run that never splits does not load it
+        import mmap
+
+        c, n = len(self.train.labels), self.train.labels.shape[1]
+        edges = [c * p // parts for p in range(parts + 1)]
+        k, m = edges[-2], self.spec.param_count
+        # the call's lr, batch size and whether it pulls; the helpers' rows
+        # of the block, of s and of A; their counts and their orders
+        layout = [((3,), np.float64), ((k, m), np.float64), ((k, 1), np.float64),
+                  ((k, m), np.float64), ((k, 2), np.intp), ((k, epochs, n), np.int32)]
+        sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout]
+        mapping, offsets = mmap.mmap(-1, sum(sizes)), np.cumsum([0, *sizes]).tolist()
+        self._shared = [
+            np.frombuffer(mapping, dtype, int(np.prod(shape)), o).reshape(shape)
+            for (shape, dtype), o in zip(layout, offsets)
+        ]
+        self._layout = parts, epochs
+        for lo, hi in zip(edges, edges[1:-1]):
+            wake, woken = os.pipe()
+            status, answer = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                for fd in (wake, woken, status, answer):
+                    os.close(fd)
+                raise
+            if pid == 0:  # the helper never returns
+                # this process's ends of its pipes and of the earlier helpers'
+                ends = [woken, status, *(fd for h in self._helpers for fd in (h.wake, h.status.fileno()))]
+                _serve(inputs, self._shared, lo, hi, wake, answer, ends)
+            os.close(wake)
+            os.close(answer)
+            self._helpers.append(_Helper(pid, woken, open(status, "rb"), lo, hi))
+
+    def _answers(self) -> None:
+        """Read each helper's status line, and raise naming the rows of
+        every helper that failed, which has exited and is reaped."""
+        failed, lines = [], []
+        for helper in list(self._helpers):
+            line = helper.status.readline()
+            if line == b"\n":
+                continue
+            # an error's text, read to EOF, or nothing from a helper killed
+            lines += (line + helper.status.read()).decode(errors="replace").splitlines()
+            self._helpers.remove(helper)
+            os.close(helper.wake)
+            helper.status.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(helper.pid, 0)[1])
+            failed.append(f"{helper.lo}-{helper.hi - 1} (exit code {code})")
+        if failed:
+            rows, message = ", ".join(failed), "; ".join(lines)
+            raise RuntimeError(f"the forked solve of client rows {rows} failed: {message or 'no message'}")
+
+
+def _serve(inputs: _Inputs, shared: list, lo: int, hi: int, wake: int, answer: int, ends: list[int]) -> None:
+    """A helper's life, once it has closed the caller's pipe `ends`: solve
+    rows lo..hi - 1 from the shared map each time a byte arrives on `wake`,
+    and answer each with an empty status line; on an error, answer its text
+    and exit 1; on EOF, exit 0."""
+    header, block, s, target, counts, orders = shared
+    code = 1
+    try:
+        for fd in ends:
+            os.close(fd)
+        while os.read(wake, 1):
+            lr, batch_size, pulls = header
+            pull = (s[lo:hi], target[lo:hi]) if pulls else None
+            inputs.solve(lo, block[lo:hi], orders[lo:hi], pull, int(batch_size), lr, counts[lo:hi])
+            os.write(answer, b"\n")
+        code = 0
+    except BaseException as exc:
+        os.write(answer, f"{type(exc).__name__}: {exc}\n".encode())
+    finally:
+        os._exit(code)

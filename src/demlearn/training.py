@@ -15,8 +15,9 @@ stacks that the shard partition deals, and of every tree level.  One call
 of the lockstep solver `models.local_solve` trains every client of a
 round and counts each trained model's right labels for C-SPE and C-GEN.
 On a host with several CPUs a long solve of many clients trains and scores
-ranges of them in forked processes (no split while another thread runs);
-no output byte depends on the CPU count.
+ranges of them in helper processes, which `run` forks once, at round 0's
+solve, and ends when it returns or raises (no fork while another thread
+runs); no output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
 once, naming the client, the round, lr and mu; so does a re-clustering
@@ -37,7 +38,7 @@ from .clustering import GRADIENT_METRIC, WEIGHT_METRIC, Dendrogram
 from .data import ConfigurationError, Dataset, load_idx, partition_shards, synthetic_dataset
 from .hierarchy import HierarchyTree, build_tree, generalized_blend, propagate_up
 from .metrics import RoundMetrics, round_metrics
-from .models import LOGISTIC, MLP, ModelSpec, init_params, local_solve
+from .models import LOGISTIC, MLP, Helpers, ModelSpec, init_params, local_solve
 
 ALGORITHMS = ("demlearn", "demlearn-p", "fedavg", "fedprox")
 HIERARCHICAL = ("demlearn", "demlearn-p")
@@ -224,11 +225,12 @@ def _rebuild_structure(
     return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
 
-def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
+def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None) -> RoundState:
     """One global round of any algorithm.
 
     Order: client restart and local proximal solve, delta recording, periodic
-    restructuring, bottom-up model propagation, metrics.
+    restructuring, bottom-up model propagation, metrics.  A split solve uses
+    the helper processes of `helpers`, or forks its own.
     """
     n = len(state.model_block)
     hierarchical = cfg.algorithm in HIERARCHICAL
@@ -257,6 +259,7 @@ def run_round(state: RoundState, cfg: RunConfig) -> RoundState:
         cfg.lr,
         [_client_rng(cfg, i, state.t) for i in range(n)],
         state.test,
+        helpers,
     )
     # a model whose squared norm overflows has diverged even if every entry is
     # finite: its distances and averages are no longer meaningful numbers
@@ -342,17 +345,19 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute the configured number of rounds and collect the metric history.
 
     A hierarchical run also keeps each round's dendrogram (if it re-clustered)
-    and a snapshot of its tree.
+    and a snapshot of its tree.  The helper processes of a split solve fork
+    in round 0's solve and end with the run, whether it returns or raises.
     """
     state = initial_state(cfg)
     result = RunResult([], state)
     record = cfg.algorithm in HIERARCHICAL
-    for _ in range(cfg.rounds):
-        t = state.t
-        run_round(state, cfg)
-        result.metrics.append(state.metrics)
-        if record:
-            if state.dendrogram is not None:
-                result.dendrograms.append((t, state.dendrogram))
-            result.tree_snapshots.append((t, hierarchy.format_tree(state.tree)))
+    with Helpers(state.spec, state.train, state.test) as helpers:
+        for _ in range(cfg.rounds):
+            t = state.t
+            run_round(state, cfg, helpers)
+            result.metrics.append(state.metrics)
+            if record:
+                if state.dendrogram is not None:
+                    result.dendrograms.append((t, state.dendrogram))
+                result.tree_snapshots.append((t, hierarchy.format_tree(state.tree)))
     return result

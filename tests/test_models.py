@@ -19,6 +19,7 @@ from demlearn.hierarchy import AnchorLevel, HierarchyTree, anchor_pull
 from demlearn.models import (
     LOGISTIC,
     MLP,
+    Helpers,
     ModelSpec,
     forward,
     grad,
@@ -714,10 +715,12 @@ def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts, lat
 @pytest.mark.parametrize("late", [False, True])
 def test_a_range_with_a_diverged_row_is_not_scored(late):
     spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
-    w[1] = 1e200  # finite entries whose squared norm overflows
     test = scoring_stack(MLP_SPEC, 5, 0, m=4)
-    with split_solves(2, min_work=1) as forks, collective_scoring(late):  # a child scores rows 0-1
-        right = local_solve(MLP_SPEC, w, train, None, 1, 2, 0.0, list(range(5)), test)
+    with split_solves(2, min_work=1) as forks, collective_scoring(late), Helpers(spec, train, test) as helpers:
+        # a helper scores rows 0-1, first where they are finite
+        assert local_solve(MLP_SPEC, w.copy(), train, None, 1, 2, 0.0, list(range(5)), test, helpers).any()
+        w[1] = 1e200  # finite entries whose squared norm overflows
+        right = local_solve(MLP_SPEC, w, train, None, 1, 2, 0.0, list(range(5)), test, helpers)
     assert len(forks) == 1
     assert right[:2].tolist() == [[0, 0]] * 2
     own, collective = metrics._right_counts(spec, w[2:], rows(test, slice(2, 5))), metrics._right_counts(spec, w[2:], test.union())
@@ -757,9 +760,11 @@ def guard_problem(spec, clients, n, epochs, batch_size):
 
 def edge_spec(rows, steps):
     """The smallest 2-class logistic model with which `rows` clients of
-    `steps` steps reach `models._MIN_WORK`, one process's least work:
-    rows x steps x (param_count + `_STEP_COST`).  Scoring on one sample a
-    client adds under one step."""
+    `steps` steps, in a solve of 2 * rows clients scored on one sample
+    each, reach `models._MIN_WORK`, one process's least work:
+    rows x (steps + scored / `_SAMPLES_PER_STEP`) x (param_count +
+    `_STEP_COST`), where a row scores 1 + 2 * rows samples."""
+    steps += (1 + 2 * rows) / models._SAMPLES_PER_STEP
     d = 1
     while rows * steps * (2 * (d + 1) + models._STEP_COST) < models._MIN_WORK:
         d += 1
@@ -767,19 +772,21 @@ def edge_spec(rows, steps):
 
 
 # 2 * ROWS clients of EDGE are the fewest to split
-ROWS, STEPS = 16, 80
+ROWS, STEPS = 8, 80
 EDGE = edge_spec(ROWS, STEPS)
 SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
 PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
 
 
+# The rows on real shapes come from split and whole rounds of real runs on
+# 2 CPUs, the helpers forked once per run (see `models._MIN_WORK`).
 @pytest.mark.parametrize(
     "cpus, spec, clients, n, epochs, batch_size, m, forks",
     [
-        (2, SERVER_120, 120, 64, 1, 16, 1, 0),  # server-120's solve: 4 steps
-        # and its round's scoring, on 16 + 1,920 samples a client, which a
-        # split does not speed up
-        (2, SERVER_120, 120, 64, 1, 16, 16, 0),
+        # server-120's round: 4 steps, scored on 1 + 120 or 16 + 1,920
+        # samples a client; a split speeds up both
+        (2, SERVER_120, 120, 64, 1, 16, 1, 1),
+        (2, SERVER_120, 120, 64, 1, 16, 16, 1),
         (2, EDGE, 2 * ROWS - 1, STEPS, 1, 1, 1, 0),
         (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 1, 0),
         (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 4, 1),  # its scoring tips it
@@ -789,17 +796,21 @@ PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
         (3, EDGE, 3 * ROWS - 1, STEPS, 1, 1, 1, 1),
         (4, EDGE, 3 * ROWS, STEPS, 1, 1, 1, 2),
         # logistic solves of 40 steps, scored on 1 or 16 samples a client: a
-        # split slows 32 clients, is within noise of break-even at 64 and
-        # speeds up 128
+        # split slows 16 clients, is within noise of break-even at 32 and
+        # speeds up 64 and 128
+        (2, SERVER_120, 16, 640, 1, 16, 1, 0),
+        (2, SERVER_120, 16, 640, 1, 16, 16, 0),
         (2, SERVER_120, 32, 640, 1, 16, 1, 0),
-        (2, SERVER_120, 32, 640, 1, 16, 16, 0),
-        (2, SERVER_120, 64, 640, 1, 16, 1, 0),
-        (2, SERVER_120, 64, 640, 1, 16, 16, 0),
+        (2, SERVER_120, 32, 640, 1, 16, 16, 1),
+        (2, SERVER_120, 64, 640, 1, 16, 1, 1),
+        (2, SERVER_120, 64, 640, 1, 16, 16, 1),
         (2, SERVER_120, 128, 640, 1, 16, 1, 1),
         (2, SERVER_120, 128, 640, 1, 16, 16, 1),
-        # MLP-32 rounds of 80 steps: a split slows 12 clients and speeds up
-        # 32 and the protocol's 50
-        (2, PROTOCOL, 12, 64, 20, 16, 16, 0),
+        # MLP-32 rounds of 80 steps: a split slows 4 clients, is within noise
+        # of break-even at 8 and speeds up 12, 32 and the protocol's 50
+        (2, PROTOCOL, 4, 64, 20, 16, 16, 0),
+        (2, PROTOCOL, 8, 64, 20, 16, 16, 1),
+        (2, PROTOCOL, 12, 64, 20, 16, 16, 1),
         (2, PROTOCOL, 32, 64, 20, 16, 16, 1),
         (2, PROTOCOL, 50, 64, 20, 16, 16, 1),
     ],
@@ -900,6 +911,59 @@ def test_a_failing_parent_kills_and_reaps_its_children(error):
     assert raised.value is error
     assert len(forks) == 2
     assert time.monotonic() - started < 30
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_solves_through_one_helper_set_are_whole_solves_bit_for_bit(parts):
+    # each solve starts from another block, with another pull (or none), lr
+    # and batch size, and ends on a partial batch of the 5 samples: a
+    # helper that read a stale row of the shared map would differ
+    spec, w, train, levels, mu, *_ = guard_problem(MLP_SPEC, 7, 5, 2, 2)
+    test = scoring_stack(spec, 7, 0, m=4)
+    other = np.random.default_rng(5)
+    calls = [
+        (fold(levels, mu), 2, 0.1),
+        (None, 3, 0.05),
+        ((other.uniform(0.0, 1.0, (7, 1)), other.normal(0.0, 1.0, w.shape)), 2, 0.2),
+    ]
+
+    def solves(helpers):
+        block, noise, out = w.copy(), np.random.default_rng(6), []
+        for i, (pull, batch_size, lr) in enumerate(calls):
+            block += noise.normal(0.0, 0.1, block.shape)
+            rngs = [np.random.default_rng([i, row]) for row in range(7)]
+            right = local_solve(spec, block, train, pull, 2, batch_size, lr, rngs, test, helpers)
+            out.append((block.tobytes(), right.tolist()))
+        return out
+
+    with split_solves(1):
+        alone = solves(None)
+    with split_solves(parts, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+        split = solves(helpers)
+    assert forks == [os.getpid()] * (parts - 1)  # forked at the first solve only
+    assert split == alone
+
+
+def test_a_solve_on_other_stacks_does_not_use_the_sets_helpers():
+    spec, w, train, levels, mu, epochs, batch_size, lr, _ = guard_problem(MLP_SPEC, 6, 5, 2, 2)
+    test = scoring_stack(spec, 6, 0)
+    other = rows(train, np.arange(6)[::-1])  # the same sets in reverse order
+
+    def solve(stack, helpers=None):
+        block = w.copy()
+        right = local_solve(spec, block, stack, fold(levels, mu), epochs, batch_size, lr, list(range(6)), test, helpers)
+        return block.tobytes(), right.tolist()
+
+    with split_solves(1):
+        alone = solve(train), solve(other)
+    with split_solves(2, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+        assert solve(train, helpers) == alone[0]
+        assert len(forks) == 1
+        # the set's helpers hold `train`, not `other`: a set forked for the call solves it
+        assert solve(other, helpers) == alone[1]
+        assert len(forks) == 2
+        assert solve(train, helpers) == alone[0]
+    assert len(forks) == 2
 
 
 # -------------------------------------------- the solver's class-major softmax

@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from demlearn import clustering, training
+from demlearn import clustering, models, training
 from demlearn.data import ConfigurationError
 from demlearn.harness import metrics_csv_lines
 from demlearn.hierarchy import build_tree, members
+from demlearn.models import Helpers
 from demlearn.training import (
     RunConfig,
     beta_schedule,
@@ -259,7 +262,7 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         assert row.tobytes() == model.tobytes()
 
 
-def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs, test):
+def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs, test, helpers=None):
     """`models.local_solve` as a loop of one-client solves, row by row, each
     on its row (s_i, A_i) of the pull, and scored by the softmax argmax on
     its own split and on the splits joined."""
@@ -337,6 +340,81 @@ def test_a_client_diverged_in_a_forked_range_is_named_by_the_caller(capfd):
             run_round(state, cfg)
     assert len(forks) == 1
     assert capfd.readouterr().err == ""
+
+
+def test_a_run_forks_its_helpers_once_and_writes_what_one_cpu_writes():
+    cfg = RunConfig(algorithm="demlearn-p", mu=0.005, model_kind="mlp-1hidden", rounds=3)  # the protocol's shape
+    with split_solves(1) as forks:
+        alone = run(cfg)
+    assert forks == []
+    with split_solves(2) as forks:
+        split = run(cfg)
+    assert forks == [os.getpid()]
+    assert metrics_csv_lines("r", split) == metrics_csv_lines("r", alone)
+    assert split.tree_snapshots == alone.tree_snapshots
+
+
+def fail_in_round_1(monkeypatch, error):
+    """Make this process raise `error` as it trains its rows in round 1,
+    while the helpers train theirs."""
+    caller, train_rows, calls = os.getpid(), models._train_rows, []
+
+    def failing(*args):
+        if os.getpid() == caller:
+            calls.append(None)
+            if len(calls) == 2:
+                raise error
+        train_rows(*args)
+
+    monkeypatch.setattr(models, "_train_rows", failing)
+
+
+def fail_metrics_of_round_1(monkeypatch, error):
+    round_metrics = training.round_metrics
+
+    def failing(spec, t, *args):
+        if t == 1:
+            raise error
+        return round_metrics(spec, t, *args)
+
+    monkeypatch.setattr(training, "round_metrics", failing)
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        (fail_in_round_1, KeyboardInterrupt()),
+        (fail_in_round_1, ValueError("the caller's rows failed")),
+        (fail_metrics_of_round_1, ValueError("no metrics")),
+    ],
+)
+def test_a_run_that_fails_in_the_caller_leaves_no_child(monkeypatch, fail, error):
+    fail(monkeypatch, error)
+    with split_solves(2, min_work=1) as forks:
+        with pytest.raises(type(error)) as raised:
+            run(tiny_cfg())
+    assert raised.value is error
+    assert len(forks) == 1  # and `split_solves` found every child reaped
+
+
+def test_a_divergent_split_run_leaves_no_child():
+    cfg = tiny_cfg(algorithm="demlearn-p", mu=1e-170, lr=1e160)
+    with split_solves(2, min_work=1) as forks:
+        with pytest.raises(FloatingPointError, match="client 0 diverged in round 0"):
+            run(cfg)
+    assert len(forks) == 1
+
+
+def test_a_helper_killed_between_rounds_fails_the_next_round_naming_its_rows():
+    cfg = tiny_cfg()
+    state = initial_state(cfg)
+    message = rf"^the forked solve of client rows 0-1 \(exit code -{signal.SIGKILL:d}\) failed: no message$"
+    with split_solves(2, min_work=1) as forks, Helpers(state.spec, state.train, state.test) as helpers:
+        run_round(state, cfg, helpers)
+        os.kill(helpers._helpers[0].pid, signal.SIGKILL)  # as the kernel's out-of-memory killer would
+        with pytest.raises(RuntimeError, match=message):
+            run_round(state, cfg, helpers)
+    assert len(forks) == 1
 
 
 def test_run_round_fixed_point_when_nothing_moves():
