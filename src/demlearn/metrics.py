@@ -20,8 +20,8 @@ read as one set.  C-SPE and C-GEN come from the right counts that
 (`propagate_up` scales it by 1.0), so it takes the child's counts; for the
 other groups, G-SPE is one stacked predict of each member's group model on
 the member's split, with the right labels summed per group, and G-GEN runs
-a model at a time on the collective set.  `evaluate` alone keeps the full
-softmax, for the cross-entropy.
+a model at a time on the collective set, in `models.predict_block`'s chunks
+of samples.  `evaluate` alone keeps the full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations

@@ -28,18 +28,18 @@ array.  A step's activations are batch-major, (B, C, width), and its
 softmax runs on a class-major copy, so no reduction runs along a short
 axis.  The solve also counts each row's right labels on the test splits,
 for C-SPE and C-GEN.  A solve with enough work trains and scores ranges of
-its rows in forked processes, one per CPU, but leaves a large collective
-set to the caller.  A `Helpers` set forks those processes once and serves
-every later solve on the same stacks, such as a run's; a solve without
-one forks a set for its one call.  A row depends only on its own data,
-orders and pull, so no bit depends on the split.
+its rows in forked processes, one per CPU.  A `Helpers` set forks those
+processes once and serves every later solve on the same stacks, such as a
+run's; a solve without one forks a set for its one call.  A row depends
+only on its own data, orders and pull, so no bit depends on the split.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
 where a second class lies within `_TIE_MARGIN` of the max logit.  On a
 stack of C sets, row i runs on set i, all in one stacked product; on one
-shared set, a row at a time.  `forward`, the solver and `predict_block`
-share one logits kernel.
+shared set, a row at a time, in chunks of samples whose layer products stay
+within `_SPLIT_SCORING` multiply-adds.  `forward`, the solver and
+`predict_block` share one logits kernel.
 
 Inputs are validated where they enter: `forward`, `predict_block`
 and `local_solve` check the parameter length, the data layout and feature
@@ -81,11 +81,11 @@ _TIE_MARGIN = 2.0**-40
 _MIN_WORK = 350_000
 _STEP_COST = 300
 _SAMPLES_PER_STEP = 10
-# Each process of a split scores its rows on the collective set only while a
-# layer's product on that set has at most this many multiply-adds.  From
-# ~1M, numpy's OpenBLAS runs the product on several threads, and split
-# processes that each did so ran 2-4x slower than one process on 2 CPUs
-# (MLP-32 on 1,800 samples, 0.92M, gained; on 2,000, 1.02M, it did not).
+# `predict_block` runs a shared set in chunks whose layer products have at
+# most this many multiply-adds.  From ~1M, numpy's OpenBLAS runs a product
+# on several threads, and split processes that each did so ran 2-4x slower
+# than one process on 2 CPUs (MLP-32 on 1,800 samples, 0.92M, gained; on
+# 2,000, 1.02M, it did not).
 _SPLIT_SCORING = 800_000
 
 
@@ -274,14 +274,14 @@ def _logits(
 
 
 class _PredictWork:
-    """Scratch arrays for `_predict` on n samples in all, which the rows on
-    a shared set reuse one after another."""
+    """Scratch arrays for `_predict` on up to n samples in all, which the
+    chunks of the rows on a shared set reuse one after another."""
 
     def __init__(self, spec: ModelSpec, n: int) -> None:
         k = spec.num_classes
         self.logits = np.empty(n * k)
         self.hidden = np.empty(n * spec.hidden_dim)
-        self.by_class = np.empty((k, n))
+        self.by_class = np.empty(k * n)
         # rows of ones and of class indices: `tally @ near` counts each
         # sample's near classes and sums their indices in one product
         self.tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
@@ -291,10 +291,11 @@ def _predict(spec: ModelSpec, w: np.ndarray, x: np.ndarray, work: _PredictWork) 
     """`predict_block` on checked inputs for a stack: Q models (Q, M) on Q
     sets of m samples each (Q, m, input_dim); returns (Q, m) labels."""
     q, m = x.shape[:2]
-    z = work.logits.reshape(q, m, spec.num_classes)
-    _logits(spec, _views(spec, w), x, z, work.hidden.reshape(q, m, spec.hidden_dim))
-    d = work.by_class  # (classes, q * m): each reduction over classes runs along the samples
-    np.copyto(d, z.reshape(q * m, -1).T)
+    k, n = spec.num_classes, q * m
+    z = work.logits[: n * k].reshape(q, m, k)
+    _logits(spec, _views(spec, w), x, z, work.hidden[: n * spec.hidden_dim].reshape(q, m, spec.hidden_dim))
+    d = work.by_class[: k * n].reshape(k, n)  # each reduction over classes runs along the samples
+    np.copyto(d, z.reshape(n, k).T)
     d -= d.max(axis=0)  # the subtraction `_softmax` makes, element for element
     near = d >= -_TIE_MARGIN  # never true of NaN
     count, index_sum = work.tally @ near
@@ -329,7 +330,9 @@ def predict_block(spec: ModelSpec, block: np.ndarray, data: Dataset) -> Iterable
     `np.argmax(forward(...), axis=1)`: on a stack of C sets, row i's labels
     on set i, as one (C, m) array from one stacked product; on one shared
     set, a generator that runs a row at a time, so that the C rows' labels
-    are never held together.
+    are never held together, in chunks of at most `_SPLIT_SCORING` //
+    (the widest fan_in x fan_out) samples, so that no product is large
+    enough for BLAS to run it on several threads.
 
     A sample where only the max logit's class lies within `_TIE_MARGIN` of
     the max takes that class; the softmax is finished only on the others.
@@ -341,8 +344,9 @@ def predict_block(spec: ModelSpec, block: np.ndarray, data: Dataset) -> Iterable
         if len(x) != len(w):
             raise ValueError(f"{len(w)} models need {len(w)} data sets, got {len(x)}")
         return _predict(spec, w, x, _PredictWork(spec, y.size))
-    work = _PredictWork(spec, len(x))
-    return (_predict(spec, row[None], x[None], work)[0] for row in w)
+    chunk = max(1, _SPLIT_SCORING // max(a * b for a, b in _layers(spec)))
+    work, starts = _PredictWork(spec, min(chunk, len(x))), range(0, len(x), chunk)
+    return (np.concatenate([_predict(spec, row[None], x[None, i : i + chunk], work)[0] for i in starts]) for row in w)
 
 
 def grad(spec: ModelSpec, x: np.ndarray, y: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -462,11 +466,8 @@ def local_solve(
     processes (see `_processes` for P): this one runs the last range, and
     the helpers of `helpers`, a `Helpers` set of this spec and these two
     stacks, the others; without such a set, one forked for this call.
-    Where a layer's product on the collective set exceeds `_SPLIT_SCORING`,
-    this process scores every row on that set after the split instead, as
-    one range.  Every rng is drawn in this process, and no output bit
-    depends on P.  A helper's failure raises a RuntimeError that names its
-    client rows.
+    Every rng is drawn in this process, and no output bit depends on P.
+    A helper's failure raises a RuntimeError that names its client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -488,17 +489,14 @@ def local_solve(
     test_y = _check_data(spec, test, ndims=(3,))[1]
     if len(test_y) != c:
         raise ValueError(f"{c} models need {c} test sets, got {len(test_y)}")
-    right, union = np.zeros((c, 2), dtype=np.intp), test.union()
-    # past `_SPLIT_SCORING`, this process scores every row on the collective
-    # set once they all have trained
-    each = len(union) * max(a * b for a, b in _layers(spec)) <= _SPLIT_SCORING
+    right = np.zeros((c, 2), dtype=np.intp)
 
     # client i's samples are rows i*n .. (i+1)*n - 1 of the stack read as one set
     n = x.shape[1]
     labels = y.reshape(-1).astype(np.intp, copy=False)
-    inputs = _Inputs(spec, x.reshape(c * n, -1), labels, test, union if each else None)
-    scored = test_y.shape[1] + (len(union) if each else 0)
-    steps = epochs * -(-n // batch_size) + scored / _SAMPLES_PER_STEP
+    inputs = _Inputs(spec, x.reshape(c * n, -1), labels, test)
+    # a row is scored on its own split and on the collective set
+    steps = epochs * -(-n // batch_size) + (test_y.shape[1] + test_y.size) / _SAMPLES_PER_STEP
     parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
     if parts == 1:
         orders = np.empty((c, epochs, n), dtype=np.int32)
@@ -513,8 +511,6 @@ def local_solve(
         finally:
             if once:
                 helpers.close()
-    if not each and _finite(w):
-        right[:, 1] = _right_counts(spec, w, union)
     return right
 
 
@@ -532,14 +528,12 @@ def _draw_orders(rngs: Sequence, first: int, out: np.ndarray) -> None:
 @dataclass(frozen=True)
 class _Inputs:
     """What every process of a solve reads and no solve changes: the
-    training stack read as one set, the test stack and, if each process
-    scores its rows on it, the collective set."""
+    training stack read as one set, and the test stack."""
 
     spec: ModelSpec
     features: np.ndarray
     labels: np.ndarray
     test: Dataset
-    union: Dataset | None
 
     def solve(self, lo, w, orders, pull, batch_size, lr, right) -> None:
         """Train the clients of `w`, rows lo, lo + 1, ... of the block, on
@@ -551,8 +545,7 @@ class _Inputs:
             hi, test = lo + len(w), self.test
             own = Dataset(test.features[lo:hi], test.labels[lo:hi], test.num_classes)
             right[:, 0] = _right_counts(self.spec, w, own)
-            if self.union is not None:
-                right[:, 1] = _right_counts(self.spec, w, self.union)
+            right[:, 1] = _right_counts(self.spec, w, test.union())
 
 
 def _train_rows(spec, w, features, labels, orders, pull, batch_size, lr) -> None:

@@ -4,10 +4,16 @@ Each case runs `cli.main` in-process on its argv, writing into a fresh
 directory, and is recorded as its exit code plus one digest each of its
 stdout, its stderr and every file it wrote.  `digests.json` holds those
 records and the host they were made on: the numpy version, the BLAS name and
-version, numpy's SIMD dispatch targets and the number of CPUs the process may
-run on.  The last bits of `tanh`, `exp` and a gemm can differ with any of
-these, so on a host whose record differs the tests skip and name the fields
-that differ; they never pass against another host's bytes.
+version, a fingerprint of the BLAS kernel, numpy's SIMD dispatch targets and
+the number of CPUs the process may run on.  The last bits of `tanh`, `exp`
+and a gemm can differ with any of these, so on a host whose record differs
+the tests skip and name the fields that differ; they never pass against
+another host's bytes.  A field that reads "unknown" matches nothing, not
+even another host's "unknown".
+
+One more test re-runs the path-equality tests, whose bits must not depend
+on the kernel, in a child process under another OpenBLAS kernel, where the
+digest cases must skip, naming the fingerprint.
 
 A change that moves output bytes on purpose regenerates the manifest,
 
@@ -59,6 +65,30 @@ CASES = {
 }
 # repeated in a child process that may run on one CPU only
 ONE_CPU_CASE = "fork"
+# tests whose bits must be equal on every kernel: split and whole solves,
+# chunked and whole predictions, the class-major and the plain softmax, and
+# the lockstep and the scalar solver; with one digest case, which skips on
+# a kernel other than the manifest's
+KERNEL_TESTS = [
+    "tests/test_models.py::test_a_split_solve_is_the_unsplit_solve_bit_for_bit",
+    "tests/test_models.py::test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_products",
+    "tests/test_models.py::test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit",
+    "tests/test_models.py::test_the_class_major_softmax_is_the_softmax_bit_for_bit",
+    "tests/test_models.py::test_lockstep_rows_match_the_scalar_solver_bitwise",
+    "tests/test_digests.py::test_outputs_match_the_digest_manifest[k1]",
+]
+
+
+def blas_fingerprint() -> str:
+    """The SHA-256 of a few fixed products of odd shapes: a gemm, a gemv, a
+    1-D dot and a stacked matmul.  Their last bits tell apart kernels that
+    one BLAS library chooses among at run time, such as OpenBLAS's SkylakeX
+    and Haswell kernels, which its name and version do not."""
+    rng = np.random.default_rng(0)
+    a, b, v = rng.normal(size=(37, 53)), rng.normal(size=(53, 29)), rng.normal(size=53)
+    products = [a @ b, a @ v, np.dot(rng.normal(size=101), rng.normal(size=101)),
+                rng.normal(size=(5, 7, 13)) @ rng.normal(size=(5, 13, 11))]
+    return _sha(b"".join(np.asarray(p).tobytes() for p in products))
 
 
 def host_record() -> dict[str, object]:
@@ -70,10 +100,11 @@ def host_record() -> dict[str, object]:
         simd = config["SIMD Extensions"]
         targets = [*simd["baseline"], *simd["found"]]
     except (TypeError, KeyError):  # a numpy without show_config(mode="dicts")
-        blas_name, targets = "unknown", ["unknown"]
+        blas_name, targets = "unknown", "unknown"
     return {
         "numpy": np.__version__,
         "blas": blas_name,
+        "blas_fingerprint": blas_fingerprint(),
         "simd_targets": targets,
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
     }
@@ -101,7 +132,7 @@ def run_case(name: str) -> dict[str, object]:
 def _manifest() -> dict:
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     here = host_record()
-    differs = [key for key in manifest["host"] if manifest["host"][key] != here.get(key)]
+    differs = [key for key, want in manifest["host"].items() if want == "unknown" or want != here.get(key)]
     if differs:
         pytest.skip(
             "the digest manifest was made on another host: "
@@ -147,6 +178,24 @@ def test_a_one_cpu_child_writes_the_same_bytes():
         capture_output=True, text=True, env=env, check=True,
     )
     _assert_same(ONE_CPU_CASE, json.loads(proc.stdout), manifest["cases"][ONE_CPU_CASE])
+
+
+@pytest.mark.skipif("openblas" not in host_record()["blas"].lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_paths_are_equal_bit_for_bit_under_another_openblas_kernel():
+    root = Path(__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider", *KERNEL_TESTS],
+        cwd=root, capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    # the digest case passes where the manifest was made under Haswell, and
+    # otherwise skips and names the fingerprint
+    assert "skipped" not in proc.stdout or "blas_fingerprint" in proc.stdout
 
 
 def _main(argv: list[str]) -> int:

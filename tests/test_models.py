@@ -689,22 +689,12 @@ def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
     assert split_states == alone_states  # the orders are drawn before any fork
 
 
-@contextlib.contextmanager
-def collective_scoring(late):
-    """Solves whose split processes each score their rows on the collective
-    set, or, if `late`, in which the caller scores all rows on it."""
-    with pytest.MonkeyPatch.context() as mp:
-        if late:
-            mp.setattr(models, "_SPLIT_SCORING", 0)
-        yield
-
-
 @settings(max_examples=40, deadline=None)
-@given(lockstep_problems(clients=st.integers(4, 9)), st.sampled_from([1, 2, 3]), st.booleans())
-def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts, late):
+@given(lockstep_problems(clients=st.integers(4, 9)), st.sampled_from([1, 2, 3]))
+def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts):
     assume(parts == 1 or len(problem[1]) % parts)  # unequal ranges
     spec = problem[0]
-    with split_solves(parts, min_work=1) as forks, collective_scoring(late):
+    with split_solves(parts, min_work=1) as forks:
         block, right, _ = solved(problem)
     assert len(forks) == parts - 1
     test = scoring_stack(spec, len(block), problem[-1])
@@ -712,11 +702,10 @@ def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts, lat
     assert right.tolist() == np.stack([own, collective], axis=1).tolist()
 
 
-@pytest.mark.parametrize("late", [False, True])
-def test_a_range_with_a_diverged_row_is_not_scored(late):
+def test_a_range_with_a_diverged_row_is_not_scored():
     spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
     test = scoring_stack(MLP_SPEC, 5, 0, m=4)
-    with split_solves(2, min_work=1) as forks, collective_scoring(late), Helpers(spec, train, test) as helpers:
+    with split_solves(2, min_work=1) as forks, Helpers(spec, train, test) as helpers:
         # a helper scores rows 0-1, first where they are finite
         assert local_solve(MLP_SPEC, w.copy(), train, None, 1, 2, 0.0, list(range(5)), test, helpers).any()
         w[1] = 1e200  # finite entries whose squared norm overflows
@@ -724,28 +713,32 @@ def test_a_range_with_a_diverged_row_is_not_scored(late):
     assert len(forks) == 1
     assert right[:2].tolist() == [[0, 0]] * 2
     own, collective = metrics._right_counts(spec, w[2:], rows(test, slice(2, 5))), metrics._right_counts(spec, w[2:], test.union())
-    # scored late, the collective set waits for the whole block, which has diverged
-    assert right[2:].tolist() == np.stack([own, np.zeros_like(collective) if late else collective], axis=1).tolist()
+    assert right[2:].tolist() == np.stack([own, collective], axis=1).tolist()
 
 
-@pytest.mark.parametrize("clients, rows", [(50, 25), (97, 49), (98, 98), (200, 200)])
-def test_the_split_scores_the_collective_set_in_each_process_while_its_products_are_small(clients, rows):
-    # PROTOCOL's widest product is 16 x 32 a sample: 97 clients of 16 test
-    # samples keep it at or below `_SPLIT_SCORING` and 98 do not
+@pytest.mark.parametrize(
+    "clients, rows, chunks", [(50, 25, [800]), (97, 49, [1552]), (98, 49, [1562, 6]), (200, 100, [1562, 1562, 76])]
+)
+def test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_products(clients, rows, chunks):
+    # PROTOCOL's widest product is 16 x 32 a sample, so a chunk of the
+    # collective set, 16 test samples a client, holds at most
+    # `_SPLIT_SCORING` // 512 = 1,562 samples
     problem = guard_problem(PROTOCOL, clients, 2, 1, 2)
-    scored = []  # the rows this process scores on the collective set, per call
-    right_counts = models._right_counts
+    shapes = []  # the (models, samples) of each of this process's predicts
+    predict = models._predict
 
-    def counted(spec, block, data):
-        if data.labels.ndim == 1:
-            scored.append(len(block))
-        return right_counts(spec, block, data)
+    def counted(spec, w, x, work):
+        shapes.append(x.shape[:2])
+        return predict(spec, w, x, work)
 
     with split_solves(2, min_work=1) as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "_right_counts", counted)
-        solved(problem, m=16)
+        mp.setattr(models, "_predict", counted)
+        block, right, _ = solved(problem, m=16)
     assert len(forks) == 1
-    assert scored == [rows]
+    # its rows on their own splits in one stack, then each on the collective set
+    assert shapes == [(rows, 16)] + [(1, size) for size in chunks] * rows
+    union = scoring_stack(PROTOCOL, clients, problem[-1], m=16).union()
+    assert right[:, 1].tolist() == [np.count_nonzero(softmax_predict(PROTOCOL, w, union) == union.labels) for w in block]
 
 
 def guard_problem(spec, clients, n, epochs, batch_size):
@@ -1145,13 +1138,24 @@ def prediction_blocks(draw):
     return spec, block, data_, sets
 
 
+@contextlib.contextmanager
+def chunks_of(spec, samples):
+    """Predictions on a shared set in chunks of `samples` samples, by a
+    `_SPLIT_SCORING` patched to that many of `spec`'s widest products; with
+    `samples` None, in the chunks of the bound as it is."""
+    with pytest.MonkeyPatch.context() as patch:
+        if samples is not None:
+            patch.setattr(models, "_SPLIT_SCORING", samples * max(a * b for a, b in models._layers(spec)))
+        yield
+
+
 @settings(max_examples=150, deadline=None)
-@given(prediction_blocks())
-def test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit(case):
+@given(prediction_blocks(), st.none() | st.integers(1, 7))
+def test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit(case, chunk):
     spec, block, data_, sets = case
     expected = [softmax_predict(spec, w, ds).tobytes() for w, ds in zip(block, sets)]
-    assert [p.tobytes() for p in predict_block(spec, block, data_)] == expected
-    with pytest.MonkeyPatch.context() as patch:
+    with chunks_of(spec, chunk), pytest.MonkeyPatch.context() as patch:
+        assert [p.tobytes() for p in predict_block(spec, block, data_)] == expected
         patch.setattr(models, "_TIE_MARGIN", np.inf)  # every row takes the fallback
         assert [p.tobytes() for p in predict_block(spec, block, data_)] == expected
 
