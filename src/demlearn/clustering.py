@@ -58,17 +58,38 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC) -> np.ndarray:
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of `x`, as the cosine metric takes it."""
+    return np.sqrt(_dots(x, x))
+
+
+def distance_rows(x: np.ndarray, norms: np.ndarray | None, lo: int, hi: int, out: np.ndarray) -> None:
+    """Fill rows lo..hi - 1 of the (n, n) `out` above the diagonal with the
+    distances between the rows of the (n, M) block `x`: Euclidean, or 1 -
+    cosine given the `row_norms` of all of `x`.  One stacked matmul a row,
+    whose bits do not depend on the other rows."""
+    for i in range(lo, min(hi, len(x) - 1)):
+        if norms is None:
+            diff = x[i + 1 :] - x[i]
+            out[i, i + 1 :] = np.sqrt(_dots(diff, diff))
+        else:
+            out[i, i + 1 :] = 1.0 - _dots(x[i + 1 :], x[i]) / (norms[i] * norms[i + 1 :])
+
+
+def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC, helpers=None) -> np.ndarray:
     """Symmetric pairwise dissimilarity between the rows of a (C, M) block.
 
     `weights` takes the model block and uses Euclidean distance; `gradients`
     takes the update-delta block and uses 1 - cosine (every row must have a
-    nonzero norm).  Row i is client i.
+    nonzero norm).  Row i is client i.  A `models.Helpers` set that has
+    forked for C clients of M parameters fills ranges of the rows in its
+    helpers, the same bits.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 clients to build a distance matrix")
+    norms = None
     if metric == GRADIENT_METRIC:
-        norms = np.sqrt(_dots(x, x))
+        norms = row_norms(x)
         if np.any(norms == 0.0):
             cid = int(np.argmax(norms == 0.0))
             raise ValueError(f"client {cid} has a zero-norm update delta; cosine is undefined")
@@ -76,14 +97,11 @@ def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC) -> np.ndar
         raise ValueError(f"unknown clustering metric {metric!r}")
 
     n = len(x)
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        if metric == WEIGHT_METRIC:
-            diff = x[i + 1 :] - x[i]
-            row = np.sqrt(_dots(diff, diff))
-        else:
-            row = 1.0 - _dots(x[i + 1 :], x[i]) / (norms[i] * norms[i + 1 :])
-        d[i, i + 1 :] = d[i + 1 :, i] = row
+    d = None if helpers is None else helpers.distances(x, norms)
+    if d is None:
+        d = np.zeros((n, n))
+        distance_rows(x, norms, 0, n, d)
+    np.copyto(d, d.T, where=np.tri(n, k=-1, dtype=bool))  # below the diagonal, the rows above
     return d
 
 

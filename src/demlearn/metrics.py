@@ -20,8 +20,11 @@ read as one set.  C-SPE and C-GEN come from the right counts that
 (`propagate_up` scales it by 1.0), so it takes the child's counts; for the
 other groups, G-SPE is one stacked predict of each member's group model on
 the member's split, with the right labels summed per group, and G-GEN runs
-a model at a time on the collective set, in `models.predict_block`'s chunks
-of samples.  `evaluate` alone keeps the full softmax, for the cross-entropy.
+the predicting group models of every level in one call, a model at a time
+on the collective set, in `models.predict_block`'s chunks of samples.  Once
+a run's `models.Helpers` have forked, they split G-GEN's rows among them
+while the calling process counts G-SPE.  `evaluate` alone keeps the full
+softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .hierarchy import HierarchyTree
-from .models import ModelSpec, _right_counts, cross_entropy, forward
+from .models import Helpers, ModelSpec, _right_counts, cross_entropy, forward
 
 
 @dataclass
@@ -58,56 +61,94 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
 
 
 def g_metrics(
-    spec: ModelSpec, tree: HierarchyTree, test: Dataset, union: Dataset, right: np.ndarray
+    spec: ModelSpec,
+    tree: HierarchyTree,
+    test: Dataset,
+    union: Dataset,
+    right: np.ndarray,
+    helpers: Helpers | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-level group accuracies for levels 1..K-1 (the root is reported
     globally), given the clients' (C, 2) right counts `right` on their own
-    splits and on the collective set.
+    splits and on the collective set `union`.
 
     A group's own data is its members' test splits: its right labels summed
     over them, divided by size * m, as on the splits joined.  A group of one
     child (a client at level 1) is that child's model bit for bit, so it
-    takes the child's counts; only the other groups predict.  Returns
-    (g_spe, g_gen), each indexed by level-1.
+    takes the child's counts; only the other groups predict.  The
+    predicting groups of every level are scored on `union` in one call.
+    Where a `models.Helpers` set has forked for this spec and `test`, its
+    helpers score them, in ranges of rows, on `test` read as one set, which
+    `union` must then be, while this process scores the members' splits.
+    Returns (g_spe, g_gen), each indexed by level-1.
     """
-    spe, gen = [], []
-    m, n = test.labels.shape[1], len(union)
-    below, group = right, np.arange(len(right))  # the clients: one-member groups
-    for level in tree.levels[:-1]:
-        groups = len(level.models)
-        parent = np.empty(len(below), dtype=np.intp)
+    levels = tree.levels[:-1]
+    # each level's parent of each group below it, and its groups that predict
+    parents, rests = [], []
+    n_below, group = len(right), np.arange(len(right))  # the clients: one-member groups
+    for level in levels:
+        parent = np.empty(n_below, dtype=np.intp)
         parent[group] = level.group
-        lone = np.bincount(parent, minlength=groups) == 1
-        counts = np.empty((groups, 2), dtype=np.intp)
-        copies = lone[parent]
-        counts[parent[copies]] = below[copies]
-        rest = ~lone
-        if rest.any():  # each member's group model on its split, each model on the union
+        parents.append(parent)
+        rests.append(np.bincount(parent, minlength=len(level.models)) != 1)
+        n_below, group = len(level.models), level.group
+    m, n = test.labels.shape[1], len(union)
+    # each level's right labels of its predicting groups on their members' splits
+    members = [np.empty(0, dtype=np.intp)] * len(levels)
+
+    def score_members() -> None:  # each member's group model on its split
+        for i, (level, rest) in enumerate(zip(levels, rests)):
             rows = np.flatnonzero(rest[level.group])
-            own = Dataset(test.features[rows], test.labels[rows], test.num_classes)
-            members = _right_counts(spec, level.models[level.group[rows]], own)
-            counts[rest, 0] = np.bincount(level.group[rows], members, groups)[rest]
-            counts[rest, 1] = _right_counts(spec, level.models[rest], union)
+            if rows.size:
+                own = Dataset(test.features[rows], test.labels[rows], test.num_classes)
+                counts = _right_counts(spec, level.models[level.group[rows]], own)
+                members[i] = np.bincount(level.group[rows], counts, len(level.models))[rest]
+
+    sizes = [np.count_nonzero(rest) for rest in rests]
+    scores = np.empty(0, dtype=np.intp)
+    if sum(sizes):
+        block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)])
+        split = None if helpers is None else helpers.scores(spec, block, test, score_members)
+        if split is None:
+            score_members()
+        scores = _right_counts(spec, block, union) if split is None else split
+    scores = np.split(scores, np.cumsum(sizes)[:-1])
+
+    spe, gen = [], []
+    below = right
+    for level, parent, rest, level_members, level_scores in zip(levels, parents, rests, members, scores):
+        groups = len(level.models)
+        counts = np.empty((groups, 2), dtype=np.intp)
+        copies = ~rest[parent]
+        counts[parent[copies]] = below[copies]
+        counts[rest, 0] = level_members
+        counts[rest, 1] = level_scores
         size = np.bincount(level.group, minlength=groups)
         spe.append(float(np.mean(counts[:, 0] / (size * m))))
         gen.append(float(np.mean(counts[:, 1] / n)))
-        below, group = counts, level.group
+        below = counts
     return tuple(spe), tuple(gen)
 
 
 def round_metrics(
-    spec: ModelSpec, t: int, right: np.ndarray, test: Dataset, tree: HierarchyTree
+    spec: ModelSpec,
+    t: int,
+    right: np.ndarray,
+    test: Dataset,
+    tree: HierarchyTree,
+    helpers: Helpers | None = None,
 ) -> RoundMetrics:
     """Assemble the full metric record for one round from the (C, 2) counts
     of the labels each client's model gets right on its own split and on the
     collective set, as `models.local_solve` returns them; client i is row i
     of `right` and of the `test` stack.
 
-    Group metrics cover levels 1..K-1 (none when K = 1) and the global score
-    comes from the root, on the collective test set.
+    Group metrics cover levels 1..K-1 (none when K = 1), their collective
+    scores split over the processes of `helpers` where it has forked, and
+    the global score comes from the root, on the collective test set.
     """
     union = test.union()
-    g_spe, g_gen = g_metrics(spec, tree, test, union, right)
+    g_spe, g_gen = g_metrics(spec, tree, test, union, right, helpers)
     global_acc, global_loss = evaluate(spec, tree.root, union)
     return RoundMetrics(
         t=t,

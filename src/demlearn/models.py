@@ -23,15 +23,19 @@ which `hierarchy.anchor_pull` folds the penalties toward a client's tree
 ancestors, three passes over the block a step whatever the level count.
 It takes the C training sets as one (C, n, input_dim) stack, reads
 it as one (C * n, input_dim) set, draws each client's orders for all epochs
-in one call of its rng, and cuts every step's C batches with one gather per
-array.  A step's activations are batch-major, (B, C, width), and its
-softmax runs on a class-major copy, so no reduction runs along a short
-axis.  The solve also counts each row's right labels on the test splits,
-for C-SPE and C-GEN.  A solve with enough work trains and scores ranges of
-its rows in forked processes, one per CPU.  A `Helpers` set forks those
-processes once and serves every later solve on the same stacks, such as a
-run's; a solve without one forks a set for its one call.  A row depends
-only on its own data, orders and pull, so no bit depends on the split.
+in one call of the rng of its integer seed row, and cuts every step's C
+batches with one gather per array.  A step's activations are batch-major,
+(B, C, width), and its softmax runs on a class-major copy, so no reduction
+runs along a short axis.  The solve also counts each row's right labels on
+the test splits, for C-SPE and C-GEN.  A solve with enough work trains and
+scores ranges of its rows in forked processes, one per CPU, each of which
+seeds and orders its own rows.  A `Helpers` set forks those processes once
+and serves every later solve on the same stacks, such as a run's, and,
+once forked, the distance rows of `clustering.build_distance_matrix` and
+the group models' collective scores of `metrics.g_metrics` too, each task
+through one wake with its tag and one answer; a solve without a set forks
+one for its one call.  A row depends only on its own data, seed row and
+pull, so no bit depends on the split.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -55,10 +59,11 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
+from .clustering import distance_rows, row_norms
 from .data import Dataset
 
 LOGISTIC = "multinomial-logistic"
@@ -437,7 +442,7 @@ def local_solve(
     epochs: int,
     batch_size: int,
     lr: float,
-    rngs: Sequence,
+    seeds: np.ndarray,
     test: Dataset,
     helpers: Helpers | None = None,
 ) -> np.ndarray:
@@ -449,12 +454,13 @@ def local_solve(
 
     `w` is the C-contiguous (C, M) block of starting models and is updated
     in place; row i trains on set i of the (C, n, input_dim) stack `train`,
-    shuffled by `rngs[i]`.  Each client's index order is reshuffled once per
-    epoch from its own rng (its e-th successive `permutation(n)`, all epochs
-    drawn in one `permuted` call), and each step moves every client on its
-    next batch; the trailing partial batch is kept.  Row i ends bitwise
-    equal to the same solve of client i alone, deterministic given its rng
-    seed.  lr == 0 walks the schedule without moving.
+    shuffled by the rng `np.random.default_rng(seeds[i].tolist())` of row i
+    of the integer (C, S) array `seeds`.  Each client's index order is
+    reshuffled once per epoch from its own rng (its e-th successive
+    `permutation(n)`, all epochs drawn in one `permuted` call), and each
+    step moves every client on its next batch; the trailing partial batch
+    is kept.  Row i ends bitwise equal to the same solve of client i alone,
+    a function of its seed row.  lr == 0 walks the schedule without moving.
 
     The solve also scores each trained row on the (C, m, input_dim) stack
     `test` and returns the (C, 2) counts of the labels it gets right (the
@@ -466,8 +472,9 @@ def local_solve(
     processes (see `_processes` for P): this one runs the last range, and
     the helpers of `helpers`, a `Helpers` set of this spec and these two
     stacks, the others; without such a set, one forked for this call.
-    Every rng is drawn in this process, and no output bit depends on P.
-    A helper's failure raises a RuntimeError that names its client rows.
+    Each process draws the orders of its own rows, and no output bit
+    depends on P.  A helper's failure raises a RuntimeError that names its
+    client rows.
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -478,10 +485,9 @@ def local_solve(
     _check_block(spec, w)
     c = w.shape[0]
     x, y = _check_data(spec, train, ndims=(3,))  # rejects empty sets
-    if len(x) != c or len(rngs) != c:
-        raise ValueError(
-            f"{c} models need {c} training sets and rngs, got {len(x)} and {len(rngs)}"
-        )
+    if len(x) != c:
+        raise ValueError(f"{c} models need {c} training sets, got {len(x)}")
+    seeds = _check_seeds(seeds, c)
     if pull is not None and (pull[0].shape != (c, 1) or pull[1].shape != w.shape):
         raise ValueError(
             f"pull has shapes {pull[0].shape} and {pull[1].shape}, expected ({c}, 1) and {w.shape}"
@@ -499,30 +505,43 @@ def local_solve(
     steps = epochs * -(-n // batch_size) + (test_y.shape[1] + test_y.size) / _SAMPLES_PER_STEP
     parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
     if parts == 1:
-        orders = np.empty((c, epochs, n), dtype=np.int32)
-        _draw_orders(rngs, 0, orders)
-        inputs.solve(0, w, orders, pull, batch_size, lr, right)
+        inputs.solve(0, w, seeds, epochs, pull, batch_size, lr, right)
     else:
         once = helpers is None or not helpers.owns(spec, train, test)
         if once:
             helpers = Helpers(spec, train, test)
         try:
-            helpers.split(inputs, parts, w, pull, epochs, batch_size, lr, rngs, right)
+            helpers.split(inputs, parts, w, pull, epochs, batch_size, lr, seeds, right)
         finally:
             if once:
                 helpers.close()
     return right
 
 
-def _draw_orders(rngs: Sequence, first: int, out: np.ndarray) -> None:
-    """Fill the (rows, epochs, n) `out` with the batch orders of clients
-    first, first + 1, ...: client i's order in epoch e is its rng's e-th
+def _check_seeds(seeds, c: int) -> np.ndarray:
+    """The seed rows of C clients as an int64 (C, S) array, S >= 1, each in
+    [0, 2**63 - 1]: the width at which they cross to a helper."""
+    s = np.asarray(seeds)
+    if s.dtype.kind not in "iu" or s.ndim != 2 or len(s) != c or s.shape[1] < 1:
+        raise ValueError(
+            f"seeds have shape {s.shape} and dtype {s.dtype}, expected an integer ({c}, S) array with S >= 1"
+        )
+    if s.min() < 0 or s.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"seeds must lie in [0, {np.iinfo(np.int64).max}]")
+    return s.astype(np.int64, copy=False)
+
+
+def _draw_orders(seeds: np.ndarray, first: int, epochs: int, n: int) -> np.ndarray:
+    """The (rows, epochs, n) batch orders of clients first, first + 1, ...
+    from their seed rows: client i's order in epoch e is its rng's e-th
     successive permutation(n), shifted to its rows of the stacked set."""
-    rows, epochs, n = out.shape
+    out = np.empty((len(seeds), epochs, n), dtype=np.int32)
     every_epoch = np.broadcast_to(np.arange(n), (epochs, n))
-    for row, rng in zip(out, rngs):
-        row[...] = np.random.default_rng(rng).permuted(every_epoch, axis=1)
-    out += (np.arange(first, first + rows, dtype=np.int32) * n)[:, None, None]
+    # a row of Python ints seeds an rng ~10% faster than an int64 row
+    for row, seed in zip(out, seeds.tolist()):
+        row[...] = np.random.default_rng(seed).permuted(every_epoch, axis=1)
+    out += (np.arange(first, first + len(out), dtype=np.int32) * n)[:, None, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -535,10 +554,13 @@ class _Inputs:
     labels: np.ndarray
     test: Dataset
 
-    def solve(self, lo, w, orders, pull, batch_size, lr, right) -> None:
-        """Train the clients of `w`, rows lo, lo + 1, ... of the block, on
-        their (rows, epochs, n) orders and rows of the pull, then write their
-        counts into `right`, zeros for a range with a non-finite row."""
+    def solve(self, lo, w, seeds, epochs, pull, batch_size, lr, right) -> None:
+        """Train the clients of `w`, rows lo, lo + 1, ... of the block, for
+        `epochs` epochs on the orders of their seed rows and on rows of the
+        pull, then write their counts into `right`, zeros for a range with a
+        non-finite row."""
+        n = len(self.labels) // len(self.test.labels)  # each client's training samples
+        orders = _draw_orders(seeds, lo, epochs, n)
         _train_rows(self.spec, w, self.features, self.labels, orders, pull, batch_size, lr)
         right[...] = 0
         if _finite(w):
@@ -603,32 +625,64 @@ class _Helper(NamedTuple):
     pid: int
     wake: int  # the write end of the pipe the helper waits on
     status: BinaryIO  # the read end of the pipe it answers on
-    lo: int
+    lo: int  # the client rows it solves
     hi: int
 
 
+class _Map(NamedTuple):
+    """The arrays of a set's shared map, for C clients of M parameters, of
+    which the helpers solve the first k, with seed rows of width S."""
+
+    header: np.ndarray  # a solve's lr, batch size, whether it pulls and epochs; a scoring's rows
+    block: np.ndarray  # (C, M): the helpers' rows of a solve, the points of distances, or models to score
+    s: np.ndarray  # (k, 1) and (k, M): the helpers' rows of a solve's pull
+    target: np.ndarray
+    counts: np.ndarray  # (C, 2): the helpers' rows of a solve's counts; a scoring's in column 1
+    seeds: np.ndarray  # (k, S)
+    distances: np.ndarray  # (C, C): the rows of a distance matrix, above the diagonal
+
+
+def _edges(rows: int, parts: int) -> list[int]:
+    """The edges of `parts` contiguous ranges of about equal numbers of rows."""
+    return [rows * p // parts for p in range(parts + 1)]
+
+
+def _pair_edges(n: int, parts: int) -> list[int]:
+    """The edges of `parts` contiguous ranges of the rows of an (n, n)
+    distance matrix with about equal numbers of pairs above the diagonal,
+    n - i - 1 in row i: range p starts at the first row before which lie
+    at least p / parts of them."""
+    before = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
+    cuts = np.searchsorted(before, [before[-1] * p // parts for p in range(1, parts)])
+    return [0, *cuts.tolist(), n]
+
+
 class Helpers:
-    """Forked helper processes that train and score all but the last range
-    of rows of `local_solve`s on one spec and one pair of train and test
-    stacks, such as every solve of a run.
+    """Forked helper processes that share the per-client work of rounds on
+    one spec and one pair of train and test stacks, such as every round of
+    a run: all but the last range of rows of the solve and of the distance
+    matrix of a rebuild, and the group models' scores on the collective set.
 
     The set forks its P - 1 helpers at its first split solve, and each
-    inherits the stacks, which must not change while the set is open.  A
-    solve copies only the helpers' rows of the block, of the pull's (s, A)
-    and of the batch orders into one anonymous shared map, wakes each helper
-    with one byte on its pipe, and trains and scores its own range; then it
-    reads each helper's status line and takes the helpers' rows and counts
-    from the map.  A solve with another P or epoch count forks the set
-    anew.  A failure kills and reaps the helpers; `close`, or leaving a
-    `with` block, closes their pipes, on whose EOF each exits, and reaps
-    them.
+    inherits the stacks, which must not change while the set is open.  Each
+    task copies what the helpers read into one anonymous shared map, wakes
+    each helper with its one-byte tag on the helper's pipe, does its own
+    part, reads each helper's status line and takes the helpers' results
+    from the map.  A solve copies the helpers' rows of the block, of the
+    pull's (s, A) and of the seeds; a distance matrix, the whole (C, M)
+    block of points; a scoring, its models, which only the helpers score
+    while this process does other work.  A solve with another P or seed
+    width forks the set anew.  Distances and scores split exactly when the
+    set has forked.  A failure kills and reaps the helpers; `close`, or
+    leaving a `with` block, closes their pipes, on whose EOF each exits,
+    and reaps them.
     """
 
     def __init__(self, spec: ModelSpec, train: Dataset, test: Dataset) -> None:
         self.spec, self.train, self.test = spec, train, test
         self._helpers: list[_Helper] = []
-        self._layout = None  # the (P, epochs) the helpers were forked for
-        self._shared: list[np.ndarray] = []
+        self._layout = None  # the (P, seed width) the helpers were forked for
+        self._map: _Map | None = None
 
     def __enter__(self) -> Helpers:
         return self
@@ -647,7 +701,7 @@ class Helpers:
         import signal
 
         helpers, self._helpers = self._helpers, []
-        self._layout, self._shared = None, []
+        self._layout, self._map = None, None
         for helper in helpers:
             if kill:
                 os.kill(helper.pid, signal.SIGKILL)
@@ -656,76 +710,111 @@ class Helpers:
             helper.status.close()
             os.waitpid(helper.pid, 0)
 
-    def split(self, inputs: _Inputs, parts, w, pull, epochs, batch_size, lr, rngs, right) -> None:
+    def split(self, inputs: _Inputs, parts, w, pull, epochs, batch_size, lr, seeds, right) -> None:
         """`local_solve`'s solve and scoring of the block `w` over `parts`
         processes, the counts written into `right`."""
+        if self._layout != (parts, seeds.shape[1]):
+            self._end(kill=False)
+            self._start(inputs, parts, seeds.shape[1])
+        m = self._map
+        k = len(m.seeds)  # the helpers' rows
+        np.copyto(m.seeds, seeds[:k])
+        np.copyto(m.block[:k], w[:k])
+        if pull is not None:
+            np.copyto(m.s, pull[0][:k])
+            np.copyto(m.target, pull[1][:k])
+        m.header[:4] = lr, batch_size, pull is not None, epochs
+        own_pull = None if pull is None else (pull[0][k:], pull[1][k:])
+        self._run(b"s", lambda: inputs.solve(k, w[k:], seeds[k:], epochs, own_pull, batch_size, lr, right[k:]))
+        w[:k] = m.block[:k]
+        right[:k] = m.counts[:k]
+
+    def distances(self, x: np.ndarray, norms: np.ndarray | None) -> np.ndarray | None:
+        """`distance_rows` of all rows of the (C, M) points `x`, with
+        `norms` for the cosine metric or None for the Euclidean, in ranges
+        of rows of about equal pairs, one per process: the (C, C) matrix,
+        zero on and below the diagonal.  None where the set has not forked
+        or `x` is not a float64 (C, M) array."""
+        m = self._map
+        if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype:
+            return None
+        np.copyto(m.block, x)
+        lo, hi = _pair_edges(len(x), len(self._helpers) + 1)[-2:]
+        self._run(b"e" if norms is None else b"c", lambda: distance_rows(x, norms, lo, hi, m.distances))
+        return m.distances.copy()
+
+    def scores(self, spec: ModelSpec, block: np.ndarray, test: Dataset, meanwhile) -> np.ndarray | None:
+        """`_right_counts` of each row of the models `block` on the stack
+        `test` read as one set, in ranges of about equal rows, one per
+        helper, while this process runs `meanwhile()`; None, running
+        nothing, where the set has not forked for this spec and test stack,
+        or `block` has more rows than the stack has sets."""
+        m = self._map
+        if not self._helpers or spec != self.spec or test is not self.test or len(block) > len(m.block):
+            return None
+        q = len(block)
+        np.copyto(m.block[:q], block)
+        m.header[4] = q
+        self._run(b"g", meanwhile)
+        return m.counts[:q, 1].copy()
+
+    def _run(self, tag: bytes, own) -> None:
+        """Wake every helper on the task `tag`, do this process's part,
+        `own()`, and take every helper's answer; a failure kills and reaps
+        the helpers."""
         try:
-            if self._layout != (parts, epochs):
-                self._end(kill=False)
-                self._start(inputs, parts, epochs)
-            header, block, s, target, counts, orders = self._shared
-            k = len(block)  # the helpers' rows
-            # the helpers' rows first, so that they start before this range
-            _draw_orders(rngs[:k], 0, orders)
-            np.copyto(block, w[:k])
-            if pull is not None:
-                np.copyto(s, pull[0][:k])
-                np.copyto(target, pull[1][:k])
-            header[:] = lr, batch_size, pull is not None
             for helper in self._helpers:
                 try:
-                    os.write(helper.wake, b"\0")
+                    os.write(helper.wake, tag)
                 except BrokenPipeError:  # a dead helper: its exit code tells
                     pass
-            own = np.empty((len(w) - k, *orders.shape[1:]), dtype=np.int32)
-            _draw_orders(rngs[k:], k, own)
-            own_pull = None if pull is None else (pull[0][k:], pull[1][k:])
-            inputs.solve(k, w[k:], own, own_pull, batch_size, lr, right[k:])
-            self._answers()
-            w[:k] = block
-            right[:k] = counts
+            own()
+            self._answers(tag)
         except BaseException:
             self._end(kill=True)
             raise
 
-    def _start(self, inputs: _Inputs, parts: int, epochs: int) -> None:
+    def _start(self, inputs: _Inputs, parts: int, width: int) -> None:
         # imported here, so that a run that never splits does not load it
         import mmap
 
-        c, n = len(self.train.labels), self.train.labels.shape[1]
-        edges = [c * p // parts for p in range(parts + 1)]
-        k, m = edges[-2], self.spec.param_count
-        # the call's lr, batch size and whether it pulls; the helpers' rows
-        # of the block, of s and of A; their counts and their orders
-        layout = [((3,), np.float64), ((k, m), np.float64), ((k, 1), np.float64),
-                  ((k, m), np.float64), ((k, 2), np.intp), ((k, epochs, n), np.int32)]
+        c, m = len(self.train.labels), self.spec.param_count
+        edges = _edges(c, parts)
+        k = edges[-2]
+        layout = [((5,), np.float64), ((c, m), np.float64), ((k, 1), np.float64), ((k, m), np.float64),
+                  ((c, 2), np.intp), ((k, width), np.int64), ((c, c), np.float64)]
         sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout]
         mapping, offsets = mmap.mmap(-1, sum(sizes)), np.cumsum([0, *sizes]).tolist()
-        self._shared = [
+        self._map = _Map(*(
             np.frombuffer(mapping, dtype, int(np.prod(shape)), o).reshape(shape)
             for (shape, dtype), o in zip(layout, offsets)
-        ]
-        self._layout = parts, epochs
-        for lo, hi in zip(edges, edges[1:-1]):
-            wake, woken = os.pipe()
-            status, answer = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                for fd in (wake, woken, status, answer):
-                    os.close(fd)
-                raise
-            if pid == 0:  # the helper never returns
-                # this process's ends of its pipes and of the earlier helpers'
-                ends = [woken, status, *(fd for h in self._helpers for fd in (h.wake, h.status.fileno()))]
-                _serve(inputs, self._shared, lo, hi, wake, answer, ends)
-            os.close(wake)
-            os.close(answer)
-            self._helpers.append(_Helper(pid, woken, open(status, "rb"), lo, hi))
+        ))
+        self._layout = parts, width
+        try:
+            for p, (lo, hi) in enumerate(zip(edges, edges[1:-1])):
+                wake, woken = os.pipe()
+                status, answer = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    for fd in (wake, woken, status, answer):
+                        os.close(fd)
+                    raise
+                if pid == 0:  # the helper never returns
+                    # this process's ends of its pipes and of the earlier helpers'
+                    ends = [woken, status, *(fd for h in self._helpers for fd in (h.wake, h.status.fileno()))]
+                    _serve(inputs, self._map, p, parts, wake, answer, ends)
+                os.close(wake)
+                os.close(answer)
+                self._helpers.append(_Helper(pid, woken, open(status, "rb"), lo, hi))
+        except BaseException:
+            self._end(kill=True)
+            raise
 
-    def _answers(self) -> None:
-        """Read each helper's status line, and raise naming the rows of
-        every helper that failed, which has exited and is reaped."""
+    def _answers(self, tag: bytes) -> None:
+        """Read each helper's status line, and raise naming the task and
+        the rows of every helper that failed, which has exited and is
+        reaped."""
         failed, lines = [], []
         for helper in list(self._helpers):
             line = helper.status.readline()
@@ -739,24 +828,38 @@ class Helpers:
             code = os.waitstatus_to_exitcode(os.waitpid(helper.pid, 0)[1])
             failed.append(f"{helper.lo}-{helper.hi - 1} (exit code {code})")
         if failed:
+            task = {b"s": "solve", b"g": "group scoring"}.get(tag, "distance rows")
             rows, message = ", ".join(failed), "; ".join(lines)
-            raise RuntimeError(f"the forked solve of client rows {rows} failed: {message or 'no message'}")
+            raise RuntimeError(f"the forked {task} of client rows {rows} failed: {message or 'no message'}")
 
 
-def _serve(inputs: _Inputs, shared: list, lo: int, hi: int, wake: int, answer: int, ends: list[int]) -> None:
-    """A helper's life, once it has closed the caller's pipe `ends`: solve
-    rows lo..hi - 1 from the shared map each time a byte arrives on `wake`,
-    and answer each with an empty status line; on an error, answer its text
-    and exit 1; on EOF, exit 0."""
-    header, block, s, target, counts, orders = shared
+def _serve(inputs: _Inputs, m: _Map, p: int, parts: int, wake: int, answer: int, ends: list[int]) -> None:
+    """Helper p's life, once it has closed the caller's pipe `ends`: each
+    time a tag arrives on `wake`, do its range of that task from the shared
+    map `m` and answer with an empty status line; on an error, answer its
+    text and exit 1; on EOF, exit 0.  The tags: b"s" solves the helper's
+    client rows, b"e" and b"c" fill its Euclidean or cosine distance rows,
+    and b"g" scores its range of the group models, which the P - 1 helpers
+    share."""
     code = 1
     try:
         for fd in ends:
             os.close(fd)
-        while os.read(wake, 1):
-            lr, batch_size, pulls = header
-            pull = (s[lo:hi], target[lo:hi]) if pulls else None
-            inputs.solve(lo, block[lo:hi], orders[lo:hi], pull, int(batch_size), lr, counts[lo:hi])
+        c = len(m.block)
+        lo, hi = _edges(c, parts)[p : p + 2]
+        while tag := os.read(wake, 1):
+            if tag == b"s":
+                lr, batch_size, pulls, epochs, _ = m.header
+                pull = (m.s[lo:hi], m.target[lo:hi]) if pulls else None
+                inputs.solve(lo, m.block[lo:hi], m.seeds[lo:hi], int(epochs), pull, int(batch_size), lr, m.counts[lo:hi])
+            elif tag == b"g":
+                q = int(m.header[4])
+                a, b = _edges(q, parts - 1)[p : p + 2]
+                if b > a:
+                    m.counts[a:b, 1] = _right_counts(inputs.spec, m.block[a:b], inputs.test.union())
+            else:
+                a, b = _pair_edges(c, parts)[p : p + 2]
+                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, a, b, m.distances)
             os.write(answer, b"\n")
         code = 0
     except BaseException as exc:

@@ -14,10 +14,12 @@ delta, allocated once per run and updated in place, of the train and test
 stacks that the shard partition deals, and of every tree level.  One call
 of the lockstep solver `models.local_solve` trains every client of a
 round and counts each trained model's right labels for C-SPE and C-GEN.
+Client i's rng in round t is seeded by the row [run.seed, 1, i, t].
 On a host with several CPUs a long solve of many clients trains and scores
 ranges of them in helper processes, which `run` forks once, at round 0's
 solve, and ends when it returns or raises (no fork while another thread
-runs); no output byte depends on the CPU count.
+runs); once forked, they also fill ranges of a rebuild's distance rows and
+score ranges of the group models.  No output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
 once, naming the client, the round, lr and mu; so does a re-clustering
@@ -83,7 +85,8 @@ class RunConfig:
     fedavg_weighting: str = _key(
         "run.fedavg_weighting", "--fedavg-weighting", "sample", choices=("sample", "agent")
     )
-    seed: int = _key("run.seed", "--seed", 42, low=0)
+    # a client's rng seed row crosses to a helper process as int64
+    seed: int = _key("run.seed", "--seed", 42, low=0, high=2**63 - 1)
     model_kind: str = _key("model.kind", "--model-kind", LOGISTIC, choices=(LOGISTIC, MLP))
     hidden_dim: int = _key("model.hidden_dim", "--hidden-dim", 32)
     data_source: str = _key(
@@ -112,10 +115,10 @@ class RunConfig:
             if choices and value not in choices:
                 words = ", ".join(choices)
                 raise ConfigurationError(f"{key} must be one of {words}, got {value!r}")
-            if high is not None and not low <= value <= high:
-                raise ConfigurationError(f"{key} must lie in [{low}, {high}], got {value}")
             if low is not None and value < low:
                 raise ConfigurationError(f"{key} must be at least {low}, got {value}")
+            if high is not None and value > high:
+                raise ConfigurationError(f"{key} must lie in [{low}, {high}], got {value}")
         # strict bounds: at 0 every class sits on the same point, and a
         # client needs both a train and a test split
         if self.class_separation <= 0.0:
@@ -196,12 +199,16 @@ def beta_schedule(t: int, cfg: RunConfig) -> float:
     return max(cfg.beta_min, cfg.beta0 * cfg.beta_decay**t)
 
 
-def _client_rng(cfg: RunConfig, client_id: int, t: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, _CLIENT_STREAM, client_id, t])
+def _client_seeds(cfg: RunConfig, n: int, t: int) -> np.ndarray:
+    """The (n, 4) seed rows of the clients' rngs in round t: client i's is
+    [run.seed, _CLIENT_STREAM, i, t]."""
+    seeds = np.full((n, 4), [cfg.seed, _CLIENT_STREAM, 0, t], dtype=np.int64)
+    seeds[:, 2] = np.arange(n)
+    return seeds
 
 
 def _rebuild_structure(
-    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int
+    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int, helpers: Helpers | None = None
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
     """Cluster the clients by their models or their update deltas, and cut
     the dendrogram into a K-level tree.
@@ -209,7 +216,8 @@ def _rebuild_structure(
     With K = 1 or a lone client there is nothing to cluster: the tree is one
     group of all clients at every level, and no dendrogram is built.  A zero
     update has no cosine distance, so under metric=gradients it fails naming
-    the client and round t.
+    the client and round t.  The distance rows split over the processes of
+    `helpers` where it has forked.
     """
     if cfg.k_levels == 1 or len(models) == 1:
         return build_tree(np.zeros((cfg.k_levels, len(models)), dtype=np.intp), models), None
@@ -221,7 +229,7 @@ def _rebuild_structure(
                 f"client {np.flatnonzero(still)[0]} made a zero update in round {t}: "
                 f"metric=gradients needs a nonzero update delta for its cosine distance (lr={cfg.lr})"
             )
-    dend = clustering.agglomerate(clustering.build_distance_matrix(x, cfg.metric))
+    dend = clustering.agglomerate(clustering.build_distance_matrix(x, cfg.metric, helpers))
     return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
 
@@ -230,7 +238,8 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
 
     Order: client restart and local proximal solve, delta recording, periodic
     restructuring, bottom-up model propagation, metrics.  A split solve uses
-    the helper processes of `helpers`, or forks its own.
+    the helper processes of `helpers`, or forks its own; once they have
+    forked, the distance rows and the group scores split over them too.
     """
     n = len(state.model_block)
     hierarchical = cfg.algorithm in HIERARCHICAL
@@ -257,7 +266,7 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
         cfg.epochs,
         cfg.batch_size,
         cfg.lr,
-        [_client_rng(cfg, i, state.t) for i in range(n)],
+        _client_seeds(cfg, n, state.t),
         state.test,
         helpers,
     )
@@ -280,10 +289,10 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
     # initial models) so group membership is constant across all rounds
     state.dendrogram = None
     if hierarchical and not cfg.fixed_structure and state.t % cfg.tau == 0:
-        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t)
+        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t, helpers)
     propagate_up(state.tree, w)
 
-    state.metrics = round_metrics(state.spec, state.t, right, state.test, state.tree)
+    state.metrics = round_metrics(state.spec, state.t, right, state.test, state.tree, helpers)
     state.t += 1
     return state
 

@@ -15,6 +15,7 @@ from demlearn.clustering import (
     truncate,
 )
 from demlearn.hierarchy import build_tree, members
+from demlearn.models import MLP, ModelSpec
 
 from oracles import (
     brute_force_upgma,
@@ -28,6 +29,7 @@ from oracles import (
     recursive_format_dendrogram,
     weight_distance,
 )
+from test_models import forked_helpers, random_data, stack
 
 
 def random_distance_matrix(n, rng):
@@ -113,9 +115,9 @@ def test_distance_matrix_names_the_first_zero_norm_client():
 
 
 @st.composite
-def blocks(draw):
+def blocks(draw, min_m=1):
     n = draw(st.integers(2, 30))
-    m = draw(st.integers(1, 60))
+    m = draw(st.integers(min_m, 60))
     scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.normal(0.0, scale, (n, m))
@@ -128,6 +130,22 @@ def blocks(draw):
 @given(blocks(), st.sampled_from(["weights", "gradients"]))
 def test_distance_matrix_equals_the_pair_loop_bit_for_bit(x, metric):
     got = build_distance_matrix(x, metric)
+    assert got.tobytes() == pairwise_distance_matrix(x, metric).tobytes()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@settings(max_examples=30, deadline=None)
+# rows 0-1 and 2 of 3 points in 3 processes: the first range holds 2 of 3 pairs
+@example(np.arange(18.0).reshape(3, 6) ** 2, "weights")
+@given(blocks(min_m=6), st.sampled_from(["weights", "gradients"]))
+def test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit(parts, x, metric):
+    # a (C, M) block splits over helpers forked for C clients of M
+    # parameters: an MLP of M - 5 inputs, 1 hidden unit and 2 classes
+    spec = ModelSpec(MLP, x.shape[1] - 5, 2, hidden_dim=1)
+    rng = np.random.default_rng(0)
+    train = stack([random_data(spec, 1, rng) for _ in range(len(x))])
+    with forked_helpers(spec, train, train, parts) as helpers:
+        got = build_distance_matrix(x, metric, helpers)
     assert got.tobytes() == pairwise_distance_matrix(x, metric).tobytes()
 
 

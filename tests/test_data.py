@@ -263,7 +263,7 @@ def test_synthetic_separable_limit_trains_to_full_accuracy():
     spec = ModelSpec(LOGISTIC, 8, 4)
     w = init_params(spec, 0)[None]
     stacked = Dataset(ds.features[None], ds.labels[None], 4)
-    right = local_solve(spec, w, stacked, None, 60, 16, 0.1, [1], stacked)
+    right = local_solve(spec, w, stacked, None, 60, 16, 0.1, [[1]], stacked)
     assert right.tolist() == [[len(ds), len(ds)]]  # every training sample right
 
 

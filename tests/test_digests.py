@@ -11,9 +11,10 @@ the tests skip and name the fields that differ; they never pass against
 another host's bytes.  A field that reads "unknown" matches nothing, not
 even another host's "unknown".
 
-One more test re-runs the path-equality tests, whose bits must not depend
-on the kernel, in a child process under another OpenBLAS kernel, where the
-digest cases must skip, naming the fingerprint.
+Two more tests re-run the path-equality tests, whose bits must not depend
+on the kernel, in a child process under another kernel, where the digest
+cases must skip, naming what differs: OpenBLAS's Haswell kernel (the
+fingerprint), and numpy's X86_V3 dispatch (the SIMD targets).
 
 A change that moves output bytes on purpose regenerates the manifest,
 
@@ -66,11 +67,13 @@ CASES = {
 # repeated in a child process that may run on one CPU only
 ONE_CPU_CASE = "fork"
 # tests whose bits must be equal on every kernel: split and whole solves,
-# chunked and whole predictions, the class-major and the plain softmax, and
-# the lockstep and the scalar solver; with one digest case, which skips on
-# a kernel other than the manifest's
+# distance matrices and group scores, chunked and whole predictions, the
+# class-major and the plain softmax, and the lockstep and the scalar solver;
+# with one digest case, which skips on a kernel other than the manifest's
 KERNEL_TESTS = [
     "tests/test_models.py::test_a_split_solve_is_the_unsplit_solve_bit_for_bit",
+    "tests/test_clustering.py::test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit",
+    "tests/test_metrics.py::test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit",
     "tests/test_models.py::test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_products",
     "tests/test_models.py::test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit",
     "tests/test_models.py::test_the_class_major_softmax_is_the_softmax_bit_for_bit",
@@ -180,12 +183,14 @@ def test_a_one_cpu_child_writes_the_same_bytes():
     _assert_same(ONE_CPU_CASE, json.loads(proc.stdout), manifest["cases"][ONE_CPU_CASE])
 
 
-@pytest.mark.skipif("openblas" not in host_record()["blas"].lower(), reason="numpy's BLAS is not OpenBLAS")
-def test_paths_are_equal_bit_for_bit_under_another_openblas_kernel():
+def _kernel_child(env: dict[str, str], record_field: str) -> None:
+    """Run `KERNEL_TESTS` in a child pytest under the environment `env`,
+    which selects another kernel; the digest case there skips, naming the
+    host record's `record_field`, unless the manifest was made under it."""
     root = Path(__file__).resolve().parents[1]
     env = {
         **os.environ,
-        "OPENBLAS_CORETYPE": "Haswell",
+        **env,
         "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
     }
     proc = subprocess.run(
@@ -193,9 +198,18 @@ def test_paths_are_equal_bit_for_bit_under_another_openblas_kernel():
         cwd=root, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-    # the digest case passes where the manifest was made under Haswell, and
-    # otherwise skips and names the fingerprint
-    assert "skipped" not in proc.stdout or "blas_fingerprint" in proc.stdout
+    assert "skipped" not in proc.stdout or record_field in proc.stdout
+
+
+@pytest.mark.skipif("openblas" not in host_record()["blas"].lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_paths_are_equal_bit_for_bit_under_another_openblas_kernel():
+    _kernel_child({"OPENBLAS_CORETYPE": "Haswell"}, "blas_fingerprint")
+
+
+@pytest.mark.skipif("X86_V4" not in host_record()["simd_targets"], reason="numpy dispatches no X86_V4 kernels here")
+def test_paths_are_equal_bit_for_bit_under_numpys_x86_v3_dispatch():
+    # numpy's float64 tanh and exp, among others, then run their AVX2 kernels
+    _kernel_child({"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}, "simd_targets")
 
 
 def _main(argv: list[str]) -> int:

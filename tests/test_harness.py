@@ -437,6 +437,9 @@ def test_cli_non_finite_lr_or_mu_exits_1_before_any_round(tmp_path, capsys, argv
             "model.hidden_dim must be at least 1 for model.kind = mlp-1hidden, got 0",
         ),
         (["--seed", "-1"], "run.seed must be at least 0, got -1"),
+        # a client's seed row crosses to a helper process as int64, and must not wrap
+        (["--seed", "9223372036854775808"], "run.seed must lie in [0, 9223372036854775807], got 9223372036854775808"),
+        (["--seed", "18446744073709551616"], "run.seed must lie in [0, 9223372036854775807], got 18446744073709551616"),
         (["--data-seed", "-1"], "data.seed must be at least 0, got -1"),
         # the partition used to refuse these inside the run, under the run's name
         (["--test-frac", "0"], "data.test_frac must lie strictly between 0 and 1, got 0.0"),

@@ -15,7 +15,7 @@ from demlearn.models import LOGISTIC, MLP, ModelSpec
 
 from oracles import client_sets, concat_datasets, concat_g_metrics, labels_of, softmax_round_metrics
 from test_hierarchy import laminar_assignments
-from test_models import chunks_of, near_tie_bias, stack
+from test_models import chunks_of, forked_helpers, near_tie_bias, stack
 
 SPEC = ModelSpec(LOGISTIC, 2, 3)
 
@@ -281,9 +281,11 @@ def test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit(case, kind, d
     copy_lone_groups(tree, block)
     union = test.union()
     # G-GEN runs on the collective set in the chunks of the bound, or in
-    # chunks of a few samples with a partial last one
-    with chunks_of(spec, drawn.draw(st.none() | st.integers(1, 7))):
-        got = g_metrics(spec, tree, test, union, counts(spec, block, test))
+    # chunks of a few samples with a partial last one, in this process or
+    # split over 2 or 3
+    parts = drawn.draw(st.sampled_from([1, 2, 3]))
+    with chunks_of(spec, drawn.draw(st.none() | st.integers(1, 7))), forked_helpers(spec, test, test, parts) as helpers:
+        got = g_metrics(spec, tree, test, union, counts(spec, block, test), helpers)
     expected = concat_g_metrics(spec, tree, client_sets(test), union)
     assert [[v.hex() for v in series] for series in got] == [
         [v.hex() for v in series] for series in expected

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from demlearn import metrics, models
+from demlearn import clustering, metrics, models
+from demlearn.clustering import build_distance_matrix
 from demlearn.data import Dataset
 from demlearn.hierarchy import AnchorLevel, HierarchyTree, anchor_pull
 from demlearn.models import (
@@ -99,11 +100,13 @@ def prox_objective1(spec, w, batch, levels, mu):
     return prox_objective(spec, w[None], [batch], levels, mu)[0]
 
 
-def solve1(spec, w, train, pull, epochs, batch_size, lr, rng):
-    """`local_solve` on a stack of one, scored on its training set; returns
-    the new model, w untouched."""
+def solve1(spec, w, train, pull, epochs, batch_size, lr, seed, seeds=None):
+    """`local_solve` on a stack of one, with the seed row [seed] unless
+    `seeds` is given, scored on its training set; returns the new model, w
+    untouched."""
     block = np.array(w, dtype=np.float64)[None]
-    local_solve(spec, block, stack([train]), pull, epochs, batch_size, lr, [rng], stack([train]))
+    seeds = [[seed]] if seeds is None else seeds
+    local_solve(spec, block, stack([train]), pull, epochs, batch_size, lr, seeds, stack([train]))
     return block[0]
 
 
@@ -366,7 +369,7 @@ def test_local_solve_lr_zero_returns_init():
     rng = np.random.default_rng(13)
     w = rng.normal(0, 0.5, LOG10.param_count)
     train = random_data(LOG10, 8, rng)
-    out = solve1(LOG10, w, train, None, 3, 4, 0.0, rng)
+    out = solve1(LOG10, w, train, None, 3, 4, 0.0, 13)
     assert np.array_equal(out, w)
 
 
@@ -375,7 +378,7 @@ def test_local_solve_descends_on_full_batches():
     w = init_params(LOG10, rng)
     train = random_data(LOG10, 16, rng)
     before = prox_objective1(LOG10, w, train, [], 0.0)
-    out = solve1(LOG10, w, train, None, 20, 16, 0.05, rng)
+    out = solve1(LOG10, w, train, None, 20, 16, 0.05, 14)
     after = prox_objective1(LOG10, out, train, [], 0.0)
     assert after <= before
 
@@ -425,7 +428,7 @@ def test_local_solve_result_is_finite():
     rng = np.random.default_rng(17)
     w = init_params(MLP_SPEC, rng)
     train = random_data(MLP_SPEC, 12, rng)
-    out = solve1(MLP_SPEC, w, train, None, 5, 4, 0.1, rng)
+    out = solve1(MLP_SPEC, w, train, None, 5, 4, 0.1, 17)
     assert np.all(np.isfinite(out))
 
 
@@ -436,8 +439,8 @@ def test_local_solve_rejects_bad_inputs_at_entry():
     x, y = train.features, train.labels
     pull = fold(anchored((np.zeros(LOG10.param_count), 0.5)), 0.1)
 
-    def solve(w=w, train=train, pull=pull, lr=0.1):
-        return solve1(LOG10, w, train, pull, 2, 4, lr, 0)
+    def solve(w=w, train=train, pull=pull, lr=0.1, seeds=((0,),)):
+        return solve1(LOG10, w, train, pull, 2, 4, lr, None, seeds)
 
     solve()  # the unaltered inputs are accepted
     m = LOG10.param_count
@@ -454,6 +457,14 @@ def test_local_solve_rejects_bad_inputs_at_entry():
         ("lr must be finite and non-negative, got nan", dict(lr=math.nan)),
         ("lr must be finite and non-negative, got inf", dict(lr=math.inf)),
         ("lr must be finite and non-negative, got -0.1", dict(lr=-0.1)),
+        # seed rows cross to a helper process as int64: nothing may wrap
+        (r"seeds have shape \(2,\) and dtype int64, expected an integer \(1, S\) array", dict(seeds=[0, 1])),
+        (r"seeds have shape \(2, 1\) and dtype int64, expected an integer \(1, S\) array", dict(seeds=[[0], [1]])),
+        (r"seeds have shape \(1, 0\) and dtype float64, expected an integer \(1, S\) array", dict(seeds=[[]])),
+        (r"seeds have shape \(1, 1\) and dtype float64", dict(seeds=[[0.5]])),
+        (r"seeds have shape \(1, 2\) and dtype object", dict(seeds=[[2**64, 1]])),
+        (rf"seeds must lie in \[0, {2**63 - 1}\]", dict(seeds=np.array([[2**63, 1]], dtype=np.uint64))),
+        (rf"seeds must lie in \[0, {2**63 - 1}\]", dict(seeds=[[-1, 1]])),
     ]
     for message, kwargs in bad_inputs:
         with warnings.catch_warnings():
@@ -509,11 +520,11 @@ def test_local_solve_takes_only_a_stack_of_one_set_per_client():
     bad_trains = [
         # one set, not a stack of one set per client
         (r"feature matrix has shape \(6, 4\), expected \(C, B, 4\)", client_sets(train)[0]),
-        ("3 models need 3 training sets and rngs, got 2 and 3", rows(train, slice(2))),
+        ("3 models need 3 training sets, got 2", rows(train, slice(2))),
     ]
     for message, bad in bad_trains:
         with pytest.raises(ValueError, match=message):
-            local_solve(LOG10, w, bad, None, 1, 4, 0.1, [0, 1, 2], train)
+            local_solve(LOG10, w, bad, None, 1, 4, 0.1, [[0], [1], [2]], train)
     assert not w.any()  # rejected before any step
 
 
@@ -523,18 +534,18 @@ def test_local_solve_rejects_mismatched_stacks():
     w = np.zeros((2, LOG10.param_count))
     one_client_pull = fold(anchored((np.zeros(LOG10.param_count), 0.5)), 0.1)
     bad_calls = [
-        ("training sets and rngs", dict(train=rows(train, slice(1)))),
-        ("training sets and rngs", dict(rngs=[0])),
+        ("2 models need 2 training sets, got 1", dict(train=rows(train, slice(1)))),
+        (r"seeds have shape \(1, 1\) and dtype int64, expected an integer \(2, S\) array", dict(seeds=[[0]])),
         (r"pull has shapes \(1, 1\) and \(1, 50\), expected \(2, 1\) and \(2, 50\)", dict(pull=one_client_pull)),
         ("model block", dict(w=np.zeros((2, LOG10.param_count), dtype=np.float32))),
         ("model block", dict(w=np.zeros((LOG10.param_count, 2)).T)),
         ("2 models need 2 test sets, got 1", dict(test=rows(train, slice(1)))),
     ]
     for message, kwargs in bad_calls:
-        args = dict(w=w, train=train, pull=None, rngs=[0, 1], test=train)
+        args = dict(w=w, train=train, pull=None, seeds=[[0], [1]], test=train)
         args.update(kwargs)
         with pytest.raises(ValueError, match=message):
-            local_solve(LOG10, args["w"], args["train"], args["pull"], 1, 4, 0.1, args["rngs"], args["test"])
+            local_solve(LOG10, args["w"], args["train"], args["pull"], 1, 4, 0.1, args["seeds"], args["test"])
 
 
 @st.composite
@@ -595,8 +606,8 @@ def width_problem(spec, seed=5):
 def test_lockstep_rows_match_the_scalar_solver_bitwise(problem):
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
-    rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
-    local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs, train)
+    seeds = [[seed, i] for i in range(len(w))]
+    local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, seeds, train)
     trains = client_sets(train)
     for i in range(len(w)):
         alone = scalar_local_solve(
@@ -625,8 +636,8 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
     def solve(index):
         block = w[index].copy()
         permuted = [AnchorLevel(lv.models, lv.group[index], lv.coeff[index]) for lv in levels]
-        rngs = [np.random.default_rng([seed, i]) for i in index]
-        local_solve(spec, block, rows(train, index), fold(permuted, mu), epochs, batch_size, lr, rngs, rows(train, index))
+        seeds = [[seed, i] for i in index]
+        local_solve(spec, block, rows(train, index), fold(permuted, mu), epochs, batch_size, lr, seeds, rows(train, index))
         return block
 
     assert solve(order).tobytes() == solve(np.arange(len(w)))[order].tobytes()
@@ -656,6 +667,18 @@ def split_solves(cpus, min_work=None):
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def forked_helpers(spec, train, test, parts):
+    """A `Helpers` set of `spec` and the stacks, whose helpers a split solve
+    on the stacks forked for min(`parts`, clients) processes."""
+    clients = len(train.labels)
+    with split_solves(parts, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+        block = np.zeros((clients, spec.param_count))
+        local_solve(spec, block, train, None, 1, 1, 0.0, np.zeros((clients, 1), dtype=int), test, helpers)
+        assert len(forks) == min(parts, clients) - 1
+        yield helpers
+
+
 def scoring_stack(spec, clients, seed, m=3):
     """A stack of m-sample test sets, one per client."""
     rng = np.random.default_rng([seed, 1])
@@ -663,14 +686,14 @@ def scoring_stack(spec, clients, seed, m=3):
 
 
 def solved(problem, m=3):
-    """The problem's block after `local_solve`, the counts it scored on a
-    stack of m-sample test sets, and its rngs' states."""
+    """The problem's block after `local_solve`, with client i's seed row
+    [seed, i], and the counts it scored on a stack of m-sample test sets."""
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
-    rngs = [np.random.default_rng([seed, i]) for i in range(len(w))]
+    seeds = [[seed, i] for i in range(len(w))]
     test = scoring_stack(spec, len(w), seed, m)
-    right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, rngs, test)
-    return block, right, [rng.bit_generator.state for rng in rngs]
+    right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, seeds, test)
+    return block, right
 
 
 @settings(max_examples=60, deadline=None)
@@ -679,14 +702,13 @@ def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
     # ranges of unequal length, e.g. rows 0-1, 2-4 and 5-7 of 8
     assume(len(problem[1]) % parts)
     with split_solves(1, min_work=1) as forks:
-        alone, alone_right, alone_states = solved(problem)
+        alone, alone_right = solved(problem)
     assert forks == []
     with split_solves(parts, min_work=1) as forks:
-        split, split_right, split_states = solved(problem)
+        split, split_right = solved(problem)
     assert forks == [os.getpid()] * (parts - 1)
     assert split.tobytes() == alone.tobytes()
     assert split_right.tolist() == alone_right.tolist()
-    assert split_states == alone_states  # the orders are drawn before any fork
 
 
 @settings(max_examples=40, deadline=None)
@@ -695,11 +717,37 @@ def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts):
     assume(parts == 1 or len(problem[1]) % parts)  # unequal ranges
     spec = problem[0]
     with split_solves(parts, min_work=1) as forks:
-        block, right, _ = solved(problem)
+        block, right = solved(problem)
     assert len(forks) == parts - 1
     test = scoring_stack(spec, len(block), problem[-1])
     own, collective = metrics._right_counts(spec, block, test), metrics._right_counts(spec, block, test.union())
     assert right.tolist() == np.stack([own, collective], axis=1).tolist()
+
+
+def test_each_process_seeds_and_draws_the_orders_of_its_own_rows_only(monkeypatch):
+    problem = guard_problem(MLP_SPEC, 7, 5, 2, 2)
+    caller, seeded, drawn = os.getpid(), [], []
+    default_rng, draw_orders = np.random.default_rng, models._draw_orders
+
+    def counted_rng(seed):
+        if os.getpid() == caller:
+            seeded.append(seed)
+        return default_rng(seed)
+
+    def counted_orders(seeds, first, epochs, n):
+        if os.getpid() == caller:
+            drawn.append((first, len(seeds)))
+        return draw_orders(seeds, first, epochs, n)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(models, "_draw_orders", counted_orders)
+    with split_solves(2, min_work=1) as forks:
+        solved(problem)
+    assert len(forks) == 1
+    # the helper solves rows 0-2; this process seeds and orders rows 3-6,
+    # after the rng of the problem's test stack
+    assert drawn == [(3, 4)]
+    assert seeded == [[23, 1], *([23, i] for i in range(3, 7))]
 
 
 def test_a_range_with_a_diverged_row_is_not_scored():
@@ -707,9 +755,9 @@ def test_a_range_with_a_diverged_row_is_not_scored():
     test = scoring_stack(MLP_SPEC, 5, 0, m=4)
     with split_solves(2, min_work=1) as forks, Helpers(spec, train, test) as helpers:
         # a helper scores rows 0-1, first where they are finite
-        assert local_solve(MLP_SPEC, w.copy(), train, None, 1, 2, 0.0, list(range(5)), test, helpers).any()
+        assert local_solve(MLP_SPEC, w.copy(), train, None, 1, 2, 0.0, np.arange(5)[:, None], test, helpers).any()
         w[1] = 1e200  # finite entries whose squared norm overflows
-        right = local_solve(MLP_SPEC, w, train, None, 1, 2, 0.0, list(range(5)), test, helpers)
+        right = local_solve(MLP_SPEC, w, train, None, 1, 2, 0.0, np.arange(5)[:, None], test, helpers)
     assert len(forks) == 1
     assert right[:2].tolist() == [[0, 0]] * 2
     own, collective = metrics._right_counts(spec, w[2:], rows(test, slice(2, 5))), metrics._right_counts(spec, w[2:], test.union())
@@ -733,7 +781,7 @@ def test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_
 
     with split_solves(2, min_work=1) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_predict", counted)
-        block, right, _ = solved(problem, m=16)
+        block, right = solved(problem, m=16)
     assert len(forks) == 1
     # its rows on their own splits in one stack, then each on the collective set
     assert shapes == [(rows, 16)] + [(1, size) for size in chunks] * rows
@@ -813,7 +861,7 @@ def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, ba
     with split_solves(1):
         alone = solved(problem, m)
     with split_solves(cpus) as made:
-        block, right, _ = solved(problem, m)
+        block, right = solved(problem, m)
     assert block.tobytes() == alone[0].tobytes()
     assert right.tolist() == alone[1].tolist()
     assert len(made) == forks
@@ -924,8 +972,8 @@ def test_solves_through_one_helper_set_are_whole_solves_bit_for_bit(parts):
         block, noise, out = w.copy(), np.random.default_rng(6), []
         for i, (pull, batch_size, lr) in enumerate(calls):
             block += noise.normal(0.0, 0.1, block.shape)
-            rngs = [np.random.default_rng([i, row]) for row in range(7)]
-            right = local_solve(spec, block, train, pull, 2, batch_size, lr, rngs, test, helpers)
+            seeds = [[i, row] for row in range(7)]
+            right = local_solve(spec, block, train, pull, 2, batch_size, lr, seeds, test, helpers)
             out.append((block.tobytes(), right.tolist()))
         return out
 
@@ -944,7 +992,7 @@ def test_a_solve_on_other_stacks_does_not_use_the_sets_helpers():
 
     def solve(stack, helpers=None):
         block = w.copy()
-        right = local_solve(spec, block, stack, fold(levels, mu), epochs, batch_size, lr, list(range(6)), test, helpers)
+        right = local_solve(spec, block, stack, fold(levels, mu), epochs, batch_size, lr, np.arange(6)[:, None], test, helpers)
         return block.tobytes(), right.tolist()
 
     with split_solves(1):
@@ -957,6 +1005,42 @@ def test_a_solve_on_other_stacks_does_not_use_the_sets_helpers():
         assert len(forks) == 2
         assert solve(train, helpers) == alone[0]
     assert len(forks) == 2
+
+
+def raise_in_distance_rows(x, norms, lo, hi, out):
+    raise ValueError(f"no good at rows {lo}-{hi - 1}")
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_helper_failing_in_its_distance_rows_is_named_and_reaped(monkeypatch, parts):
+    rng = np.random.default_rng(24)
+    spec = ModelSpec(LOGISTIC, 3, 2)
+    train = stack([random_data(spec, 1, rng) for _ in range(6)])
+    x = rng.normal(0.0, 1.0, (6, spec.param_count))
+    # the helpers fork with the failing rows; this process keeps its own
+    caller, rows = os.getpid(), clustering.distance_rows
+    monkeypatch.setattr(models, "distance_rows", lambda *a: rows(*a) if os.getpid() == caller else raise_in_distance_rows(*a))
+    message = {2: r"client rows 0-2 \(exit code 1\) failed: ValueError: no good at rows 0-1$",
+               3: r"client rows 0-1 \(exit code 1\), 2-3 \(exit code 1\) failed: ValueError: no good at rows 0-0; "
+                  r"ValueError: no good at rows 1-2$"}[parts]
+    with forked_helpers(spec, train, train, parts) as helpers:
+        with pytest.raises(RuntimeError, match=r"^the forked distance rows of " + message):
+            build_distance_matrix(x, "weights", helpers)
+        assert helpers._helpers == []  # killed and reaped; the next task forks none
+        assert build_distance_matrix(x, "weights", helpers).tobytes() == build_distance_matrix(x).tobytes()
+
+
+@pytest.mark.parametrize("task", ["distance rows", "group scoring"])
+def test_a_helper_killed_before_a_task_fails_it_naming_its_rows(task):
+    spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
+    test = scoring_stack(spec, 5, 0)
+    with forked_helpers(spec, train, test, 2) as helpers:
+        os.kill(helpers._helpers[0].pid, signal.SIGKILL)  # as the kernel's out-of-memory killer would
+        with pytest.raises(RuntimeError, match=rf"^the forked {task} of client rows 0-1 \(exit code -{signal.SIGKILL:d}\) failed: no message$"):
+            if task == "distance rows":
+                build_distance_matrix(w, "weights", helpers)
+            else:
+                helpers.scores(spec, w, test, lambda: None)
 
 
 # -------------------------------------------- the solver's class-major softmax

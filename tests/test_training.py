@@ -197,8 +197,8 @@ def test_fedavg_identical_clients_symmetry(monkeypatch):
         labels=np.repeat(train.labels[:1], len(train), axis=0),
     )
     # same rng per client requires same (seed, id, t); force the stream of id 0
-    client_rng = training._client_rng
-    monkeypatch.setattr(training, "_client_rng", lambda cfg, cid, t: client_rng(cfg, 0, t))
+    client_seeds = training._client_seeds
+    monkeypatch.setattr(training, "_client_seeds", lambda cfg, n, t: client_seeds(cfg, n, t) * [1, 1, 0, 1])
     run_round(state, cfg)
     first = state.model_block[0]
     for row in state.model_block[1:]:
@@ -254,7 +254,7 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         cfg.epochs,
         cfg.batch_size,
         cfg.lr,
-        lambda cid, t: training._client_rng(cfg, cid, t),
+        lambda cid, t: np.random.default_rng([cfg.seed, 1, cid, t]),
     )
     result = run(cfg)
     assert result.state.tree.root.tobytes() == w_global.tobytes()
@@ -262,13 +262,13 @@ def test_flat_run_matches_plain_reference_bitwise(algorithm, mu, model_kind):
         assert row.tobytes() == model.tobytes()
 
 
-def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, rngs, test, helpers=None):
+def per_client_local_solve(spec, w, train, pull, epochs, batch_size, lr, seeds, test, helpers=None):
     """`models.local_solve` as a loop of one-client solves, row by row, each
-    on its row (s_i, A_i) of the pull, and scored by the softmax argmax on
-    its own split and on the splits joined."""
-    for i, (ds, rng) in enumerate(zip(client_sets(train), rngs, strict=True)):
+    on its row (s_i, A_i) of the pull and the rng of its seed row, and
+    scored by the softmax argmax on its own split and on the splits joined."""
+    for i, (ds, seed) in enumerate(zip(client_sets(train), seeds, strict=True)):
         row = None if pull is None else (pull[0][i, 0], pull[1][i])
-        w[i] = scalar_pull_solve(spec, w[i], ds, row, epochs, batch_size, lr, rng)
+        w[i] = scalar_pull_solve(spec, w[i], ds, row, epochs, batch_size, lr, np.random.default_rng(seed.tolist()))
     tests = client_sets(test)
     union = concat_datasets(tests)
     right = [
@@ -520,8 +520,8 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert skipped.dendrograms == []
     assert [m.tolist() for m in members(skipped.state.tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
 
-    def clustered(models, deltas, cfg, t):
-        dend = clustering.agglomerate(clustering.build_distance_matrix(models, cfg.metric))
+    def clustered(models, deltas, cfg, t, helpers=None):
+        dend = clustering.agglomerate(clustering.build_distance_matrix(models, cfg.metric, helpers))
         return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
     monkeypatch.setattr(training, "_rebuild_structure", clustered)
