@@ -23,8 +23,8 @@ the member's split, with the right labels summed per group, and G-GEN runs
 the predicting group models of every level in one call, a model at a time
 on the collective set, in `models.predict_block`'s chunks of samples.  Once
 a run's `models.Helpers` have forked, they split G-GEN's rows among them
-while the calling process counts G-SPE.  `evaluate` alone keeps the full
-softmax, for the cross-entropy.
+while the calling process evaluates the root and counts G-SPE.  `evaluate`
+alone keeps the full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ def g_metrics(
     union: Dataset,
     right: np.ndarray,
     helpers: Helpers | None = None,
+    meanwhile=lambda: None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-level group accuracies for levels 1..K-1 (the root is reported
     globally), given the clients' (C, 2) right counts `right` on their own
@@ -79,8 +80,10 @@ def g_metrics(
     predicting groups of every level are scored on `union` in one call.
     Where a `models.Helpers` set has forked for this spec and `test`, its
     helpers score them, in ranges of rows, on `test` read as one set, which
-    `union` must then be, while this process scores the members' splits.
-    Returns (g_spe, g_gen), each indexed by level-1.
+    `union` must then be, while this process runs `meanwhile()`, the
+    caller's own work, and scores the members' splits; without the
+    helpers, it does all three in turn.  Returns (g_spe, g_gen), each
+    indexed by level-1.
     """
     levels = tree.levels[:-1]
     # each level's parent of each group below it, and its groups that predict
@@ -96,7 +99,8 @@ def g_metrics(
     # each level's right labels of its predicting groups on their members' splits
     members = [np.empty(0, dtype=np.intp)] * len(levels)
 
-    def score_members() -> None:  # each member's group model on its split
+    def own_part() -> None:  # `meanwhile()`, then each member's group model on its split
+        meanwhile()
         for i, (level, rest) in enumerate(zip(levels, rests)):
             rows = np.flatnonzero(rest[level.group])
             if rows.size:
@@ -105,13 +109,13 @@ def g_metrics(
                 members[i] = np.bincount(level.group[rows], counts, len(level.models))[rest]
 
     sizes = [np.count_nonzero(rest) for rest in rests]
-    scores = np.empty(0, dtype=np.intp)
-    if sum(sizes):
-        block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)])
-        split = None if helpers is None else helpers.scores(spec, block, test, score_members)
-        if split is None:
-            score_members()
-        scores = _right_counts(spec, block, union) if split is None else split
+    block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)] or [np.empty((0, spec.param_count))])
+    scores = None
+    if len(block) and helpers is not None:
+        scores = helpers.scores(spec, block, test, own_part)
+    if scores is None:
+        own_part()
+        scores = _right_counts(spec, block, union) if len(block) else np.empty(0, dtype=np.intp)
     scores = np.split(scores, np.cumsum(sizes)[:-1])
 
     spe, gen = [], []
@@ -144,12 +148,14 @@ def round_metrics(
     of `right` and of the `test` stack.
 
     Group metrics cover levels 1..K-1 (none when K = 1), their collective
-    scores split over the processes of `helpers` where it has forked, and
-    the global score comes from the root, on the collective test set.
+    scores split over the helpers of `helpers` where it has forked, and
+    the global score comes from the root, on the collective test set,
+    evaluated in this process meanwhile.
     """
     union = test.union()
-    g_spe, g_gen = g_metrics(spec, tree, test, union, right, helpers)
-    global_acc, global_loss = evaluate(spec, tree.root, union)
+    root = []  # the root's accuracy and loss, evaluated while the helpers score the groups
+    g_spe, g_gen = g_metrics(spec, tree, test, union, right, helpers, lambda: root.extend(evaluate(spec, tree.root, union)))
+    global_acc, global_loss = root
     return RoundMetrics(
         t=t,
         # exact counts over each denominator: the bits of np.mean, a lot sooner
