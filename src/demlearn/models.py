@@ -734,9 +734,10 @@ class Helpers:
         `norms` for the cosine metric or None for the Euclidean, in ranges
         of rows of about equal pairs, one per process: the (C, C) matrix,
         zero on and below the diagonal.  None where the set has not forked
-        or `x` is not a float64 (C, M) array."""
+        or `x` is not a C-contiguous float64 (C, M) array, the layout of
+        its copy in the map."""
         m = self._map
-        if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype:
+        if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype or not x.flags.c_contiguous:
             return None
         np.copyto(m.block, x)
         lo, hi = _pair_edges(len(x), len(self._helpers) + 1)[-2:]
