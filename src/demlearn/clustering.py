@@ -63,12 +63,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(x, x))
 
 
-def distance_rows(x: np.ndarray, norms: np.ndarray | None, lo: int, hi: int, out: np.ndarray) -> None:
-    """Fill rows lo..hi - 1 of the (n, n) `out` above the diagonal with the
+def distance_rows(x: np.ndarray, norms: np.ndarray | None, rows: range, out: np.ndarray) -> None:
+    """Fill the `rows` of the (n, n) `out` above the diagonal with the
     distances between the rows of the (n, M) block `x`: Euclidean, or 1 -
     cosine given the `row_norms` of all of `x`.  One stacked matmul a row,
     whose bits do not depend on the other rows."""
-    for i in range(lo, min(hi, len(x) - 1)):
+    for i in rows:
         if norms is None:
             diff = x[i + 1 :] - x[i]
             out[i, i + 1 :] = np.sqrt(_dots(diff, diff))
@@ -82,7 +82,7 @@ def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC, helpers=No
     `weights` takes the model block and uses Euclidean distance; `gradients`
     takes the update-delta block and uses 1 - cosine (every row must have a
     nonzero norm).  Row i is client i.  A `models.Helpers` set that has
-    forked for C clients of M parameters fills ranges of the rows in its
+    forked for C clients of M parameters fills stripes of the rows in its
     helpers, the same bits.
     """
     if len(x) < 2:
@@ -100,7 +100,7 @@ def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC, helpers=No
     d = None if helpers is None else helpers.distances(x, norms)
     if d is None:
         d = np.zeros((n, n))
-        distance_rows(x, norms, 0, n, d)
+        distance_rows(x, norms, range(n - 1), d)
     np.copyto(d, d.T, where=np.tri(n, k=-1, dtype=bool))  # below the diagonal, the rows above
     return d
 

@@ -27,15 +27,15 @@ in one call of the rng of its integer seed row, and cuts every step's C
 batches with one gather per array.  A step's activations are batch-major,
 (B, C, width), and its softmax runs on a class-major copy, so no reduction
 runs along a short axis.  The solve also counts each row's right labels on
-the test splits, for C-SPE and C-GEN.  A solve with enough work trains and
-scores ranges of its rows in forked processes, one per CPU, each of which
-seeds and orders its own rows.  A `Helpers` set forks those processes once
-and serves every later solve on the same stacks, such as a run's, and,
-once forked, the distance rows of `clustering.build_distance_matrix` and
-the group models' collective scores of `metrics.g_metrics` too, each task
-through one wake with its tag and one answer; a solve without a set forks
-one for its one call.  A row depends only on its own data, seed row and
-pull, so no bit depends on the split.
+the test splits, for C-SPE and C-GEN.  A solve given a `Helpers` set of
+its stacks, such as a run's, trains and scores ranges of its rows in
+processes that the set forks once, one per CPU, each of which seeds and
+orders its own rows; the set's helpers then also fill the distance rows of
+`clustering.build_distance_matrix` and the group models' collective scores
+of `metrics.g_metrics`, each task through one wake with its tag and one
+answer.  A solve without such a set runs whole in the calling process.  A
+row depends only on its own data, seed row and pull, so no bit depends on
+the split.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -76,16 +76,6 @@ _LOG_FLOOR = 1e-12
 # every other class has d = z - max < -2**-40, so exp(d) <= 1 - 2**-41 and,
 # divided by the same row sum s, rounds strictly below fl(1 / s).
 _TIE_MARGIN = 2.0**-40
-# A solve is split only with this much work per process.  A row's work is
-# (steps + samples scored / _SAMPLES_PER_STEP) x (param_count + _STEP_COST),
-# fitted to split and whole rounds of real runs on 2 CPUs, with helpers
-# forked once per run: a split slowed 4 MLP-32 clients of 80 steps and 16
-# logistic clients of 40, broke even at 8 and 32, and sped up 12 and 64;
-# it sped up server-120's 120 logistic clients of 4 steps, scored on
-# 16 + 1,920 samples or on 1 + 120.
-_MIN_WORK = 350_000
-_STEP_COST = 300
-_SAMPLES_PER_STEP = 10
 # `predict_block` runs a shared set in chunks whose layer products have at
 # most this many multiply-adds.  From ~1M, numpy's OpenBLAS runs a product
 # on several threads, and split processes that each did so ran 2-4x slower
@@ -468,10 +458,10 @@ def local_solve(
     collective set, the stack read as one set.  A range of rows in which a
     model's squared norm is not finite is not scored, and its counts read 0.
 
-    With enough work, P contiguous ranges of rows train and score in P
-    processes (see `_processes` for P): this one runs the last range, and
-    the helpers of `helpers`, a `Helpers` set of this spec and these two
-    stacks, the others; without such a set, one forked for this call.
+    Given `helpers`, a `Helpers` set of this spec and these two stacks, P
+    contiguous ranges of rows train and score in P processes (see
+    `_processes` for P): this one runs the last range, and the set's
+    helpers the others.  Without such a set, the solve runs whole here.
     Each process draws the orders of its own rows, and no output bit
     depends on P.  A helper's failure raises a RuntimeError that names its
     client rows.
@@ -501,20 +491,11 @@ def local_solve(
     n = x.shape[1]
     labels = y.reshape(-1).astype(np.intp, copy=False)
     inputs = _Inputs(spec, x.reshape(c * n, -1), labels, test)
-    # a row is scored on its own split and on the collective set
-    steps = epochs * -(-n // batch_size) + (test_y.shape[1] + test_y.size) / _SAMPLES_PER_STEP
-    parts = _processes(c, int(steps * (spec.param_count + _STEP_COST)))
+    parts = 1 if helpers is None or not helpers.owns(spec, train, test) else _processes(c)
     if parts == 1:
         inputs.solve(0, w, seeds, epochs, pull, batch_size, lr, right)
     else:
-        once = helpers is None or not helpers.owns(spec, train, test)
-        if once:
-            helpers = Helpers(spec, train, test)
-        try:
-            helpers.split(inputs, parts, w, pull, epochs, batch_size, lr, seeds, right)
-        finally:
-            if once:
-                helpers.close()
+        helpers.split(inputs, parts, w, pull, epochs, batch_size, lr, seeds, right)
     return right
 
 
@@ -609,16 +590,16 @@ def _right_counts(spec: ModelSpec, block: np.ndarray, data: Dataset) -> np.ndarr
     return np.array([np.count_nonzero(p == data.labels) for p in preds], dtype=np.intp)
 
 
-def _processes(rows: int, work: int) -> int:
-    """How many processes share `rows` rows of `work` each (see
-    `local_solve`): one per CPU it may run on, each with at least one row
-    and `_MIN_WORK`; one where the platform cannot fork, or while another
-    thread is alive (a child could inherit its locks)."""
+def _processes(rows: int) -> int:
+    """How many processes share a split solve of `rows` rows: one per CPU
+    it may run on, each with at least one row; one where the platform
+    cannot fork, or while another thread is alive (a child could inherit
+    its locks)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows, rows * work // _MIN_WORK))
+    return min(len(os.sched_getaffinity(0)), rows)
 
 
 class _Helper(NamedTuple):
@@ -647,28 +628,19 @@ def _edges(rows: int, parts: int) -> list[int]:
     return [rows * p // parts for p in range(parts + 1)]
 
 
-def _pair_edges(n: int, parts: int) -> list[int]:
-    """The edges of `parts` contiguous ranges of the rows of an (n, n)
-    distance matrix with about equal numbers of pairs above the diagonal,
-    n - i - 1 in row i: range p starts at the first row before which lie
-    at least p / parts of them."""
-    before = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
-    cuts = np.searchsorted(before, [before[-1] * p // parts for p in range(1, parts)])
-    return [0, *cuts.tolist(), n]
-
-
 class Helpers:
     """Forked helper processes that share the per-client work of rounds on
     one spec and one pair of train and test stacks, such as every round of
-    a run: all but the last range of rows of the solve and of the distance
-    matrix of a rebuild, and the group models' scores on the collective set.
+    a run: all but the last range of rows of the solve, all but the last
+    stripe of the distance rows of a rebuild, and the group models' scores
+    on the collective set.
 
-    The set forks its P - 1 helpers at its first split solve, and each
-    inherits the stacks, which must not change while the set is open.  Each
-    task copies what the helpers read into one anonymous shared map, wakes
-    each helper with its one-byte tag on the helper's pipe, does its own
-    part, reads each helper's status line and takes the helpers' results
-    from the map.  A solve copies the helpers' rows of the block, of the
+    The set forks its P - 1 helpers at the first solve it is given where
+    P > 1 (see `_processes`), and each inherits the stacks, which must not
+    change while the set is open.  Each task copies what the helpers read
+    into one anonymous shared map, wakes each helper with its one-byte tag
+    on the helper's pipe, does its own part, reads each helper's status
+    line and takes the helpers' results from the map.  A solve copies the helpers' rows of the block, of the
     pull's (s, A) and of the seeds; a distance matrix, the whole (C, M)
     block of points; a scoring, its models, which only the helpers score
     while this process does other work.  A solve with another P or seed
@@ -731,17 +703,19 @@ class Helpers:
 
     def distances(self, x: np.ndarray, norms: np.ndarray | None) -> np.ndarray | None:
         """`distance_rows` of all rows of the (C, M) points `x`, with
-        `norms` for the cosine metric or None for the Euclidean, in ranges
-        of rows of about equal pairs, one per process: the (C, C) matrix,
-        zero on and below the diagonal.  None where the set has not forked
-        or `x` is not a C-contiguous float64 (C, M) array, the layout of
-        its copy in the map."""
+        `norms` for the cosine metric or None for the Euclidean, striped
+        over the P processes: process p fills rows p, p + P, ..., and this
+        one the last stripe, so each gets long and short rows alike.  The
+        (C, C) matrix, zero on and below the diagonal; None where the set
+        has not forked or `x` is not a C-contiguous float64 (C, M) array,
+        the layout of its copy in the map."""
         m = self._map
         if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype or not x.flags.c_contiguous:
             return None
         np.copyto(m.block, x)
-        lo, hi = _pair_edges(len(x), len(self._helpers) + 1)[-2:]
-        self._run(b"e" if norms is None else b"c", lambda: distance_rows(x, norms, lo, hi, m.distances))
+        parts = len(self._helpers) + 1
+        own = range(parts - 1, len(x) - 1, parts)
+        self._run(b"e" if norms is None else b"c", lambda: distance_rows(x, norms, own, m.distances))
         return m.distances.copy()
 
     def scores(self, spec: ModelSpec, block: np.ndarray, test: Dataset, meanwhile) -> np.ndarray | None:
@@ -839,9 +813,9 @@ def _serve(inputs: _Inputs, m: _Map, p: int, parts: int, wake: int, answer: int,
     time a tag arrives on `wake`, do its range of that task from the shared
     map `m` and answer with an empty status line; on an error, answer its
     text and exit 1; on EOF, exit 0.  The tags: b"s" solves the helper's
-    client rows, b"e" and b"c" fill its Euclidean or cosine distance rows,
-    and b"g" scores its range of the group models, which the P - 1 helpers
-    share."""
+    client rows, b"e" and b"c" fill its stripe of Euclidean or cosine
+    distance rows, p, p + P, ..., and b"g" scores its range of the group
+    models, which the P - 1 helpers share."""
     code = 1
     try:
         for fd in ends:
@@ -859,8 +833,7 @@ def _serve(inputs: _Inputs, m: _Map, p: int, parts: int, wake: int, answer: int,
                 if b > a:
                     m.counts[a:b, 1] = _right_counts(inputs.spec, m.block[a:b], inputs.test.union())
             else:
-                a, b = _pair_edges(c, parts)[p : p + 2]
-                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, a, b, m.distances)
+                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, range(p, c - 1, parts), m.distances)
             os.write(answer, b"\n")
         code = 0
     except BaseException as exc:

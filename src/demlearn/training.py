@@ -15,11 +15,12 @@ stacks that the shard partition deals, and of every tree level.  One call
 of the lockstep solver `models.local_solve` trains every client of a
 round and counts each trained model's right labels for C-SPE and C-GEN.
 Client i's rng in round t is seeded by the row [run.seed, 1, i, t].
-On a host with several CPUs a long solve of many clients trains and scores
-ranges of them in helper processes, which `run` forks once, at round 0's
-solve, and ends when it returns or raises (no fork while another thread
-runs); once forked, they also fill ranges of a rebuild's distance rows and
-score ranges of the group models.  No output byte depends on the CPU count.
+On a host with several CPUs every solve of a run trains and scores ranges
+of its clients in helper processes, one per CPU up to one per client,
+which `run` forks once, at round 0's solve, and ends when it returns or
+raises (no fork while another thread runs); they also fill stripes of a
+rebuild's distance rows and score ranges of the group models.  No output
+byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
 once, naming the client, the round, lr and mu; so does a re-clustering
@@ -237,9 +238,10 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
     """One global round of any algorithm.
 
     Order: client restart and local proximal solve, delta recording, periodic
-    restructuring, bottom-up model propagation, metrics.  A split solve uses
-    the helper processes of `helpers`, or forks its own; once they have
-    forked, the distance rows and the group scores split over them too.
+    restructuring, bottom-up model propagation, metrics.  The solve splits
+    over the helper processes of `helpers`, if given, and runs whole
+    without; once they have forked, the distance rows and the group scores
+    split over them too.
     """
     n = len(state.model_block)
     hierarchical = cfg.algorithm in HIERARCHICAL
@@ -354,8 +356,9 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute the configured number of rounds and collect the metric history.
 
     A hierarchical run also keeps each round's dendrogram (if it re-clustered)
-    and a snapshot of its tree.  The helper processes of a split solve fork
-    in round 0's solve and end with the run, whether it returns or raises.
+    and a snapshot of its tree.  The helper processes of the split solves
+    fork in round 0's solve and end with the run, whether it returns or
+    raises.
     """
     state = initial_state(cfg)
     result = RunResult([], state)

@@ -135,7 +135,7 @@ def test_distance_matrix_equals_the_pair_loop_bit_for_bit(x, metric):
 
 @pytest.mark.parametrize("parts", [2, 3])
 @settings(max_examples=30, deadline=None)
-# rows 0-1 and 2 of 3 points in 3 processes: the first range holds 2 of 3 pairs
+# 3 points in 3 processes: the helpers' stripes are rows 0 and 1, the caller's none
 @example(np.arange(18.0).reshape(3, 6) ** 2, "weights")
 @given(blocks(min_m=6), st.sampled_from(["weights", "gradients"]))
 def test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit(parts, x, metric):

@@ -44,6 +44,7 @@ from oracles import (
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
 MLP_SPEC = ModelSpec(MLP, 3, 4, hidden_dim=5)
+PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
 
 
 def predict(spec, w, data):
@@ -647,9 +648,9 @@ def test_lockstep_solve_is_independent_of_client_order(problem, drawn):
 
 
 @contextlib.contextmanager
-def split_solves(cpus, min_work=None):
-    """Solves as if this process could run on `cpus` CPUs, optionally with
-    another cutoff; yields the list of pids that called `os.fork`."""
+def split_solves(cpus):
+    """Solves as if this process could run on `cpus` CPUs; yields the list
+    of pids that called `os.fork`."""
     forks = []
     fork = os.fork
 
@@ -660,8 +661,6 @@ def split_solves(cpus, min_work=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mp.setattr(os, "fork", counted_fork)
-        if min_work is not None:
-            mp.setattr(models, "_MIN_WORK", min_work)
         yield forks
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -672,7 +671,7 @@ def forked_helpers(spec, train, test, parts):
     """A `Helpers` set of `spec` and the stacks, whose helpers a split solve
     on the stacks forked for min(`parts`, clients) processes."""
     clients = len(train.labels)
-    with split_solves(parts, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+    with split_solves(parts) as forks, Helpers(spec, train, test) as helpers:
         block = np.zeros((clients, spec.param_count))
         local_solve(spec, block, train, None, 1, 1, 0.0, np.zeros((clients, 1), dtype=int), test, helpers)
         assert len(forks) == min(parts, clients) - 1
@@ -685,14 +684,17 @@ def scoring_stack(spec, clients, seed, m=3):
     return stack([random_data(spec, m, rng) for _ in range(clients)])
 
 
-def solved(problem, m=3):
+def solved(problem, m=3, owned=True):
     """The problem's block after `local_solve`, with client i's seed row
-    [seed, i], and the counts it scored on a stack of m-sample test sets."""
+    [seed, i], and the counts it scored on a stack of m-sample test sets;
+    the solve is given a `Helpers` set of its stacks, or none if not
+    `owned`."""
     spec, w, train, levels, mu, epochs, batch_size, lr, seed = problem
     block = w.copy()
     seeds = [[seed, i] for i in range(len(w))]
     test = scoring_stack(spec, len(w), seed, m)
-    right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, seeds, test)
+    with Helpers(spec, train, test) as helpers:
+        right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, seeds, test, helpers if owned else None)
     return block, right
 
 
@@ -701,10 +703,10 @@ def solved(problem, m=3):
 def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
     # ranges of unequal length, e.g. rows 0-1, 2-4 and 5-7 of 8
     assume(len(problem[1]) % parts)
-    with split_solves(1, min_work=1) as forks:
+    with split_solves(1) as forks:
         alone, alone_right = solved(problem)
     assert forks == []
-    with split_solves(parts, min_work=1) as forks:
+    with split_solves(parts) as forks:
         split, split_right = solved(problem)
     assert forks == [os.getpid()] * (parts - 1)
     assert split.tobytes() == alone.tobytes()
@@ -716,7 +718,7 @@ def test_a_split_solve_is_the_unsplit_solve_bit_for_bit(problem, parts):
 def test_each_process_scores_its_rows_as_the_predicting_path(problem, parts):
     assume(parts == 1 or len(problem[1]) % parts)  # unequal ranges
     spec = problem[0]
-    with split_solves(parts, min_work=1) as forks:
+    with split_solves(parts) as forks:
         block, right = solved(problem)
     assert len(forks) == parts - 1
     test = scoring_stack(spec, len(block), problem[-1])
@@ -741,7 +743,7 @@ def test_each_process_seeds_and_draws_the_orders_of_its_own_rows_only(monkeypatc
 
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
     monkeypatch.setattr(models, "_draw_orders", counted_orders)
-    with split_solves(2, min_work=1) as forks:
+    with split_solves(2) as forks:
         solved(problem)
     assert len(forks) == 1
     # the helper solves rows 0-2; this process seeds and orders rows 3-6,
@@ -753,7 +755,7 @@ def test_each_process_seeds_and_draws_the_orders_of_its_own_rows_only(monkeypatc
 def test_a_range_with_a_diverged_row_is_not_scored():
     spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
     test = scoring_stack(MLP_SPEC, 5, 0, m=4)
-    with split_solves(2, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+    with split_solves(2) as forks, Helpers(spec, train, test) as helpers:
         # a helper scores rows 0-1, first where they are finite
         assert local_solve(MLP_SPEC, w.copy(), train, None, 1, 2, 0.0, np.arange(5)[:, None], test, helpers).any()
         w[1] = 1e200  # finite entries whose squared norm overflows
@@ -779,7 +781,7 @@ def test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_
         shapes.append(x.shape[:2])
         return predict(spec, w, x, work)
 
-    with split_solves(2, min_work=1) as forks, pytest.MonkeyPatch.context() as mp:
+    with split_solves(2) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_predict", counted)
         block, right = solved(problem, m=16)
     assert len(forks) == 1
@@ -799,76 +801,22 @@ def guard_problem(spec, clients, n, epochs, batch_size):
     return spec, w, train, levels, 0.1, epochs, batch_size, 0.1, 23
 
 
-def edge_spec(rows, steps):
-    """The smallest 2-class logistic model with which `rows` clients of
-    `steps` steps, in a solve of 2 * rows clients scored on one sample
-    each, reach `models._MIN_WORK`, one process's least work:
-    rows x (steps + scored / `_SAMPLES_PER_STEP`) x (param_count +
-    `_STEP_COST`), where a row scores 1 + 2 * rows samples."""
-    steps += (1 + 2 * rows) / models._SAMPLES_PER_STEP
-    d = 1
-    while rows * steps * (2 * (d + 1) + models._STEP_COST) < models._MIN_WORK:
-        d += 1
-    return ModelSpec(LOGISTIC, d, 2)
-
-
-# 2 * ROWS clients of EDGE are the fewest to split
-ROWS, STEPS = 8, 80
-EDGE = edge_spec(ROWS, STEPS)
-SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
-PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
-
-
-# The rows on real shapes come from split and whole rounds of real runs on
-# 2 CPUs, the helpers forked once per run (see `models._MIN_WORK`).
-@pytest.mark.parametrize(
-    "cpus, spec, clients, n, epochs, batch_size, m, forks",
-    [
-        # server-120's round: 4 steps, scored on 1 + 120 or 16 + 1,920
-        # samples a client; a split speeds up both
-        (2, SERVER_120, 120, 64, 1, 16, 1, 1),
-        (2, SERVER_120, 120, 64, 1, 16, 16, 1),
-        (2, EDGE, 2 * ROWS - 1, STEPS, 1, 1, 1, 0),
-        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 1, 0),
-        (2, EDGE, 2 * ROWS, STEPS - 1, 1, 1, 4, 1),  # its scoring tips it
-        (1, EDGE, 3 * ROWS, STEPS, 1, 1, 1, 0),
-        (2, EDGE, 2 * ROWS, STEPS, 1, 1, 1, 1),
-        (2, EDGE, 5 * ROWS, STEPS, 1, 1, 1, 1),
-        (3, EDGE, 3 * ROWS - 1, STEPS, 1, 1, 1, 1),
-        (4, EDGE, 3 * ROWS, STEPS, 1, 1, 1, 2),
-        # logistic solves of 40 steps, scored on 1 or 16 samples a client: a
-        # split slows 16 clients, is within noise of break-even at 32 and
-        # speeds up 64 and 128
-        (2, SERVER_120, 16, 640, 1, 16, 1, 0),
-        (2, SERVER_120, 16, 640, 1, 16, 16, 0),
-        (2, SERVER_120, 32, 640, 1, 16, 1, 0),
-        (2, SERVER_120, 32, 640, 1, 16, 16, 1),
-        (2, SERVER_120, 64, 640, 1, 16, 1, 1),
-        (2, SERVER_120, 64, 640, 1, 16, 16, 1),
-        (2, SERVER_120, 128, 640, 1, 16, 1, 1),
-        (2, SERVER_120, 128, 640, 1, 16, 16, 1),
-        # MLP-32 rounds of 80 steps: a split slows 4 clients, is within noise
-        # of break-even at 8 and speeds up 12, 32 and the protocol's 50
-        (2, PROTOCOL, 4, 64, 20, 16, 16, 0),
-        (2, PROTOCOL, 8, 64, 20, 16, 16, 1),
-        (2, PROTOCOL, 12, 64, 20, 16, 16, 1),
-        (2, PROTOCOL, 32, 64, 20, 16, 16, 1),
-        (2, PROTOCOL, 50, 64, 20, 16, 16, 1),
-    ],
-)
-def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, m, forks):
-    problem = guard_problem(spec, clients, n, epochs, batch_size)
-    with split_solves(1):
-        alone = solved(problem, m)
+@pytest.mark.parametrize("clients", [1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_a_solve_forks_one_helper_per_extra_process_only_through_its_set(cpus, clients):
+    problem = guard_problem(MLP_SPEC, clients, 5, 2, 2)
+    with split_solves(4) as made:  # no set: whole in this process
+        alone = solved(problem, owned=False)
+    assert made == []
     with split_solves(cpus) as made:
-        block, right = solved(problem, m)
+        block, right = solved(problem)
+    assert len(made) == min(cpus, clients) - 1
     assert block.tobytes() == alone[0].tobytes()
     assert right.tolist() == alone[1].tolist()
-    assert len(made) == forks
 
 
 def test_a_solve_does_not_fork_while_another_thread_is_alive():
-    problem = guard_problem(EDGE, 2 * ROWS, STEPS, 1, 1)
+    problem = guard_problem(MLP_SPEC, 4, 5, 1, 2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -887,7 +835,7 @@ def test_a_solve_does_not_fork_while_another_thread_is_alive():
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_a_solve_does_not_split_where_the_platform_cannot(missing):
-    problem = guard_problem(EDGE, 4 * ROWS, STEPS, 1, 1)
+    problem = guard_problem(MLP_SPEC, 4, 5, 1, 2)
     with split_solves(1):
         alone = solved(problem)
     with split_solves(2) as forks, pytest.MonkeyPatch.context() as mp:
@@ -925,7 +873,7 @@ def test_a_failing_child_is_named_and_quoted_in_the_error(fail, message):
             fail()
         train_rows(spec, w, features, labels, orders, *rest)
 
-    with split_solves(3, min_work=1) as forks:
+    with split_solves(3) as forks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_train_rows", failing)
             with pytest.raises(RuntimeError, match=f"the forked solve of client {message}"):
@@ -944,7 +892,7 @@ def test_a_failing_parent_kills_and_reaps_its_children(error):
         time.sleep(60)  # a child outlives the call unless it is killed
 
     started = time.monotonic()
-    with split_solves(3, min_work=1) as forks:
+    with split_solves(3) as forks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_train_rows", failing)
             with pytest.raises(type(error)) as raised:
@@ -979,7 +927,7 @@ def test_solves_through_one_helper_set_are_whole_solves_bit_for_bit(parts):
 
     with split_solves(1):
         alone = solves(None)
-    with split_solves(parts, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+    with split_solves(parts) as forks, Helpers(spec, train, test) as helpers:
         split = solves(helpers)
     assert forks == [os.getpid()] * (parts - 1)  # forked at the first solve only
     assert split == alone
@@ -997,18 +945,18 @@ def test_a_solve_on_other_stacks_does_not_use_the_sets_helpers():
 
     with split_solves(1):
         alone = solve(train), solve(other)
-    with split_solves(2, min_work=1) as forks, Helpers(spec, train, test) as helpers:
+    with split_solves(2) as forks, Helpers(spec, train, test) as helpers:
         assert solve(train, helpers) == alone[0]
         assert len(forks) == 1
-        # the set's helpers hold `train`, not `other`: a set forked for the call solves it
+        # the set's helpers hold `train`, not `other`, which is solved whole
         assert solve(other, helpers) == alone[1]
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert solve(train, helpers) == alone[0]
-    assert len(forks) == 2
+    assert len(forks) == 1
 
 
-def raise_in_distance_rows(x, norms, lo, hi, out):
-    raise ValueError(f"no good at rows {lo}-{hi - 1}")
+def raise_in_distance_rows(x, norms, rows, out):
+    raise ValueError(f"no good at rows {list(rows)}")
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -1020,9 +968,11 @@ def test_a_helper_failing_in_its_distance_rows_is_named_and_reaped(monkeypatch, 
     # the helpers fork with the failing rows; this process keeps its own
     caller, rows = os.getpid(), clustering.distance_rows
     monkeypatch.setattr(models, "distance_rows", lambda *a: rows(*a) if os.getpid() == caller else raise_in_distance_rows(*a))
-    message = {2: r"client rows 0-2 \(exit code 1\) failed: ValueError: no good at rows 0-1$",
-               3: r"client rows 0-1 \(exit code 1\), 2-3 \(exit code 1\) failed: ValueError: no good at rows 0-0; "
-                  r"ValueError: no good at rows 1-2$"}[parts]
+    # the helpers' stripes of the 5 rows with pairs: 0, 2, 4 of 2 processes;
+    # 0, 3 and 1, 4 of 3
+    message = {2: r"client rows 0-2 \(exit code 1\) failed: ValueError: no good at rows \[0, 2, 4\]$",
+               3: r"client rows 0-1 \(exit code 1\), 2-3 \(exit code 1\) failed: ValueError: no good at rows \[0, 3\]; "
+                  r"ValueError: no good at rows \[1, 4\]$"}[parts]
     with forked_helpers(spec, train, train, parts) as helpers:
         with pytest.raises(RuntimeError, match=r"^the forked distance rows of " + message):
             build_distance_matrix(x, "weights", helpers)

@@ -335,15 +335,19 @@ def test_a_client_diverged_in_a_forked_range_is_named_by_the_caller(capfd):
     # a child trains rows 0-1 and the caller rows 2-4; neither scores a
     # range with a diverged row, which would warn on its non-finite logits
     state.model_block[[1, 4]] = 1e200
-    with split_solves(2, min_work=1) as forks:
+    with split_solves(2) as forks, Helpers(state.spec, state.train, state.test) as helpers:
         with pytest.raises(FloatingPointError, match=r"^client 1 diverged in round 0: "):
-            run_round(state, cfg)
+            run_round(state, cfg, helpers)
     assert len(forks) == 1
     assert capfd.readouterr().err == ""
 
 
-def test_a_run_forks_its_helpers_once_and_writes_what_one_cpu_writes():
-    cfg = RunConfig(algorithm="demlearn-p", mu=0.005, model_kind="mlp-1hidden", rounds=3)  # the protocol's shape
+@pytest.mark.parametrize(
+    "cfg",
+    [RunConfig(algorithm="demlearn-p", mu=0.005, model_kind="mlp-1hidden", rounds=3), tiny_cfg()],
+    ids=["protocol-shape", "tiny"],
+)
+def test_a_run_forks_its_helpers_once_and_writes_what_one_cpu_writes(cfg):
     with split_solves(1) as forks:
         alone = run(cfg)
     assert forks == []
@@ -390,7 +394,7 @@ def fail_metrics_of_round_1(monkeypatch, error):
 )
 def test_a_run_that_fails_in_the_caller_leaves_no_child(monkeypatch, fail, error):
     fail(monkeypatch, error)
-    with split_solves(2, min_work=1) as forks:
+    with split_solves(2) as forks:
         with pytest.raises(type(error)) as raised:
             run(tiny_cfg())
     assert raised.value is error
@@ -399,7 +403,7 @@ def test_a_run_that_fails_in_the_caller_leaves_no_child(monkeypatch, fail, error
 
 def test_a_divergent_split_run_leaves_no_child():
     cfg = tiny_cfg(algorithm="demlearn-p", mu=1e-170, lr=1e160)
-    with split_solves(2, min_work=1) as forks:
+    with split_solves(2) as forks:
         with pytest.raises(FloatingPointError, match="client 0 diverged in round 0"):
             run(cfg)
     assert len(forks) == 1
@@ -409,7 +413,7 @@ def test_a_helper_killed_between_rounds_fails_the_next_round_naming_its_rows():
     cfg = tiny_cfg()
     state = initial_state(cfg)
     message = rf"^the forked solve of client rows 0-1 \(exit code -{signal.SIGKILL:d}\) failed: no message$"
-    with split_solves(2, min_work=1) as forks, Helpers(state.spec, state.train, state.test) as helpers:
+    with split_solves(2) as forks, Helpers(state.spec, state.train, state.test) as helpers:
         run_round(state, cfg, helpers)
         os.kill(helpers._helpers[0].pid, signal.SIGKILL)  # as the kernel's out-of-memory killer would
         with pytest.raises(RuntimeError, match=message):
