@@ -44,6 +44,7 @@ from oracles import (
 LOG10 = ModelSpec(LOGISTIC, 4, 10)
 SMALL = ModelSpec(LOGISTIC, 1, 2)  # 4 parameters
 MLP_SPEC = ModelSpec(MLP, 3, 4, hidden_dim=5)
+SERVER_120 = ModelSpec(LOGISTIC, 16, 10)
 PROTOCOL = ModelSpec(MLP, 16, 10, hidden_dim=32)
 
 
@@ -813,6 +814,49 @@ def test_a_solve_forks_one_helper_per_extra_process_only_through_its_set(cpus, c
     assert len(made) == min(cpus, clients) - 1
     assert block.tobytes() == alone[0].tobytes()
     assert right.tolist() == alone[1].tolist()
+
+
+# The same rule on the shapes of real rounds: through its set, a solve forks
+# min(cpus, clients) - 1 helpers, and its block and counts are the whole
+# solve's bit for bit.
+@pytest.mark.parametrize(
+    "cpus, spec, clients, n, epochs, batch_size, m, forks",
+    [
+        # server-120's round: 4 steps, scored on 1 + 120 or 16 + 1,920
+        # samples a client
+        (2, SERVER_120, 120, 64, 1, 16, 1, 1),
+        (2, SERVER_120, 120, 64, 1, 16, 16, 1),
+        (1, SERVER_120, 120, 64, 1, 16, 1, 0),
+        (3, SERVER_120, 120, 64, 1, 16, 1, 2),
+        # logistic solves of 40 steps, scored on 1 or 16 samples a client
+        (2, SERVER_120, 16, 640, 1, 16, 1, 1),
+        (2, SERVER_120, 16, 640, 1, 16, 16, 1),
+        (2, SERVER_120, 32, 640, 1, 16, 1, 1),
+        (2, SERVER_120, 32, 640, 1, 16, 16, 1),
+        (2, SERVER_120, 64, 640, 1, 16, 1, 1),
+        (2, SERVER_120, 64, 640, 1, 16, 16, 1),
+        (2, SERVER_120, 128, 640, 1, 16, 1, 1),
+        (2, SERVER_120, 128, 640, 1, 16, 16, 1),
+        (3, SERVER_120, 2, 640, 1, 16, 1, 1),
+        # MLP-32 rounds of 80 steps, up to the protocol's 50 clients
+        (2, PROTOCOL, 4, 64, 20, 16, 16, 1),
+        (2, PROTOCOL, 8, 64, 20, 16, 16, 1),
+        (2, PROTOCOL, 12, 64, 20, 16, 16, 1),
+        (2, PROTOCOL, 32, 64, 20, 16, 16, 1),
+        (2, PROTOCOL, 50, 64, 20, 16, 16, 1),
+        (4, PROTOCOL, 3, 64, 20, 16, 16, 2),
+        (4, PROTOCOL, 50, 64, 20, 16, 16, 3),
+    ],
+)
+def test_a_solve_forks_once_per_extra_process(cpus, spec, clients, n, epochs, batch_size, m, forks):
+    problem = guard_problem(spec, clients, n, epochs, batch_size)
+    with split_solves(1):
+        alone = solved(problem, m)
+    with split_solves(cpus) as made:
+        block, right = solved(problem, m)
+    assert block.tobytes() == alone[0].tobytes()
+    assert right.tolist() == alone[1].tolist()
+    assert len(made) == forks
 
 
 def test_a_solve_does_not_fork_while_another_thread_is_alive():
