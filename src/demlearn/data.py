@@ -10,6 +10,7 @@ client i's train and test sets are row i of two `Dataset` stacks.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -62,48 +63,32 @@ def _read_bytes(path) -> bytes:
         return f.read()
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a Dataset with pixels in [0,1]."""
-    raw_img = _read_bytes(images_path)
-    if len(raw_img) < 16:
-        raise IdxFormatError(f"image file {images_path} truncated: no header")
-    magic, n, rows, cols = struct.unpack(">iiii", raw_img[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"image file {images_path} has magic {magic}, expected {IDX_IMAGE_MAGIC}"
-        )
-    expected = n * rows * cols
-    body = raw_img[16:]
+def _idx_payload(path, kind: str, magic: int, dims: int) -> tuple[list[int], bytes]:
+    """The `dims` dimensions and the payload of an IDX file of unsigned
+    bytes whose magic must be `magic`; `kind` names the file in errors."""
+    raw = _read_bytes(path)
+    header = 4 * (1 + dims)
+    if len(raw) < header:
+        raise IdxFormatError(f"{kind} file {path} truncated: no header")
+    found, *shape = struct.unpack(f">{1 + dims}i", raw[:header])
+    if found != magic:
+        raise IdxFormatError(f"{kind} file {path} has magic {found}, expected {magic}")
+    expected, body = math.prod(shape), raw[header:]
     if len(body) < expected:
         raise IdxFormatError(
-            f"image file {images_path} truncated: {len(body)} payload bytes, expected {expected}"
+            f"{kind} file {path} truncated: {len(body)} payload bytes, expected {expected}"
         )
     if len(body) > expected:
-        raise IdxFormatError(
-            f"image file {images_path} has {len(body) - expected} trailing bytes"
-        )
+        raise IdxFormatError(f"{kind} file {path} has {len(body) - expected} trailing bytes")
+    return shape, body
 
-    raw_lbl = _read_bytes(labels_path)
-    if len(raw_lbl) < 8:
-        raise IdxFormatError(f"label file {labels_path} truncated: no header")
-    lmagic, ln = struct.unpack(">ii", raw_lbl[:8])
-    if lmagic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"label file {labels_path} has magic {lmagic}, expected {IDX_LABEL_MAGIC}"
-        )
-    lbody = raw_lbl[8:]
-    if len(lbody) < ln:
-        raise IdxFormatError(
-            f"label file {labels_path} truncated: {len(lbody)} payload bytes, expected {ln}"
-        )
-    if len(lbody) > ln:
-        raise IdxFormatError(
-            f"label file {labels_path} has {len(lbody) - ln} trailing bytes"
-        )
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Parse an IDX image/label file pair into a Dataset with pixels in [0,1]."""
+    (n, rows, cols), body = _idx_payload(images_path, "image", IDX_IMAGE_MAGIC, 3)
+    (ln,), lbody = _idx_payload(labels_path, "label", IDX_LABEL_MAGIC, 1)
     if n != ln:
-        raise IdxFormatError(
-            f"image file holds {n} items but label file holds {ln}"
-        )
+        raise IdxFormatError(f"image file holds {n} items but label file holds {ln}")
 
     features = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
     features = features.reshape(n, rows * cols)

@@ -16,15 +16,16 @@ cannot be a plain argmax of the logits: the softmax rounds logits
 that class 0 wins, where the logits pick class 2.  The test splits are a
 (C, m) stack like the model block, and the collective set is that stack
 read as one set.  C-SPE and C-GEN come from the right counts that
-`models.local_solve` takes where each client trains.  A group of one child is that child's model bit for bit
-(`propagate_up` scales it by 1.0), so it takes the child's counts; for the
-other groups, G-SPE is one stacked predict of each member's group model on
-the member's split, with the right labels summed per group, and G-GEN runs
-the predicting group models of every level in one call, a model at a time
-on the collective set, in `models.predict_block`'s chunks of samples.  Once
-a run's `models.Helpers` have forked, they split G-GEN's rows among them
-while the calling process evaluates the root and counts G-SPE.  `evaluate`
-alone keeps the full softmax, for the cross-entropy.
+`models.local_solve` takes where each client trains.  G-SPE is one stacked
+predict per level of every client's group model on the client's split,
+the right labels summed per group.  G-GEN runs the group models of every
+level in one call, a model at a time on the collective set, in
+`models.predict_block`'s chunks of samples; a group of one child is that
+child's model bit for bit (`propagate_up` scales it by 1.0), so there it
+takes the child's count and does not predict.  Once a run's
+`models.Helpers` have forked, they split G-GEN's rows among them while the
+calling process evaluates the root and counts G-SPE.  `evaluate` alone
+keeps the full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -60,80 +61,6 @@ def evaluate(spec: ModelSpec, w: np.ndarray, ds: Dataset) -> tuple[float, float]
     return acc, cross_entropy(probs, ds.labels)
 
 
-def g_metrics(
-    spec: ModelSpec,
-    tree: HierarchyTree,
-    test: Dataset,
-    union: Dataset,
-    right: np.ndarray,
-    helpers: Helpers | None = None,
-    meanwhile=lambda: None,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-level group accuracies for levels 1..K-1 (the root is reported
-    globally), given the clients' (C, 2) right counts `right` on their own
-    splits and on the collective set `union`.
-
-    A group's own data is its members' test splits: its right labels summed
-    over them, divided by size * m, as on the splits joined.  A group of one
-    child (a client at level 1) is that child's model bit for bit, so it
-    takes the child's counts; only the other groups predict.  The
-    predicting groups of every level are scored on `union` in one call.
-    Where a `models.Helpers` set has forked for this spec and `test`, its
-    helpers score them, in ranges of rows, on `test` read as one set, which
-    `union` must then be, while this process runs `meanwhile()`, the
-    caller's own work, and scores the members' splits; without the
-    helpers, it does all three in turn.  Returns (g_spe, g_gen), each
-    indexed by level-1.
-    """
-    levels = tree.levels[:-1]
-    # each level's parent of each group below it, and its groups that predict
-    parents, rests = [], []
-    n_below, group = len(right), np.arange(len(right))  # the clients: one-member groups
-    for level in levels:
-        parent = np.empty(n_below, dtype=np.intp)
-        parent[group] = level.group
-        parents.append(parent)
-        rests.append(np.bincount(parent, minlength=len(level.models)) != 1)
-        n_below, group = len(level.models), level.group
-    m, n = test.labels.shape[1], len(union)
-    # each level's right labels of its predicting groups on their members' splits
-    members = [np.empty(0, dtype=np.intp)] * len(levels)
-
-    def own_part() -> None:  # `meanwhile()`, then each member's group model on its split
-        meanwhile()
-        for i, (level, rest) in enumerate(zip(levels, rests)):
-            rows = np.flatnonzero(rest[level.group])
-            if rows.size:
-                own = Dataset(test.features[rows], test.labels[rows], test.num_classes)
-                counts = _right_counts(spec, level.models[level.group[rows]], own)
-                members[i] = np.bincount(level.group[rows], counts, len(level.models))[rest]
-
-    sizes = [np.count_nonzero(rest) for rest in rests]
-    block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)] or [np.empty((0, spec.param_count))])
-    scores = None
-    if len(block) and helpers is not None:
-        scores = helpers.scores(spec, block, test, own_part)
-    if scores is None:
-        own_part()
-        scores = _right_counts(spec, block, union) if len(block) else np.empty(0, dtype=np.intp)
-    scores = np.split(scores, np.cumsum(sizes)[:-1])
-
-    spe, gen = [], []
-    below = right
-    for level, parent, rest, level_members, level_scores in zip(levels, parents, rests, members, scores):
-        groups = len(level.models)
-        counts = np.empty((groups, 2), dtype=np.intp)
-        copies = ~rest[parent]
-        counts[parent[copies]] = below[copies]
-        counts[rest, 0] = level_members
-        counts[rest, 1] = level_scores
-        size = np.bincount(level.group, minlength=groups)
-        spe.append(float(np.mean(counts[:, 0] / (size * m))))
-        gen.append(float(np.mean(counts[:, 1] / n)))
-        below = counts
-    return tuple(spe), tuple(gen)
-
-
 def round_metrics(
     spec: ModelSpec,
     t: int,
@@ -147,22 +74,57 @@ def round_metrics(
     collective set, as `models.local_solve` returns them; client i is row i
     of `right` and of the `test` stack.
 
-    Group metrics cover levels 1..K-1 (none when K = 1), their collective
-    scores split over the helpers of `helpers` where it has forked, and
-    the global score comes from the root, on the collective test set,
-    evaluated in this process meanwhile.
+    Group metrics cover levels 1..K-1 (none when K = 1).  A group's own data
+    is its members' test splits: its right labels summed over them, divided
+    by size * m, as on the splits joined.  Where `helpers` has forked for
+    this spec and `test`, its helpers score the group models on the
+    collective set while this process evaluates the root and counts G-SPE;
+    without them, it does all three in turn.
     """
     union = test.union()
-    root = []  # the root's accuracy and loss, evaluated while the helpers score the groups
-    g_spe, g_gen = g_metrics(spec, tree, test, union, right, helpers, lambda: root.extend(evaluate(spec, tree.root, union)))
+    levels = tree.levels[:-1]
+    # each level's groups that score on the collective set: those of more
+    # than one child
+    rests = []
+    n_below, group = len(right), np.arange(len(right))  # the clients: one-member groups
+    for level in levels:
+        parent = np.empty(n_below, dtype=np.intp)
+        parent[group] = level.group
+        rests.append(np.bincount(parent, minlength=len(level.models)) != 1)
+        n_below, group = len(level.models), level.group
+    block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)] or [np.empty((0, spec.param_count))])
+    m, root, g_spe = test.labels.shape[1], [], []
+
+    def own_part() -> None:  # the root on the collective set, and every client's group model on its split
+        root.extend(evaluate(spec, tree.root, union))
+        for level in levels:
+            groups = len(level.models)
+            own = np.bincount(level.group, _right_counts(spec, level.models[level.group], test), groups)
+            g_spe.append(float(np.mean(own / (np.bincount(level.group, minlength=groups) * m))))
+
+    scores = None
+    if len(block) and helpers is not None:
+        scores = helpers.scores(spec, block, test, own_part)
+    if scores is None:
+        own_part()
+        scores = _right_counts(spec, block, union) if len(block) else np.empty(0, dtype=np.intp)
+
+    g_gen, below = [], right[:, 1]  # each client's count one level down: its own model's at first
+    for level, rest in zip(levels, rests):
+        counts = np.empty(len(level.models), dtype=np.intp)
+        counts[level.group] = below  # right for a group of one child, whose members all share its count
+        k = np.count_nonzero(rest)
+        counts[rest], scores = scores[:k], scores[k:]  # the others' scores
+        g_gen.append(float(np.mean(counts / len(union))))
+        below = counts[level.group]
     global_acc, global_loss = root
     return RoundMetrics(
         t=t,
         # exact counts over each denominator: the bits of np.mean, a lot sooner
-        c_spe=float(np.mean(right[:, 0] / test.labels.shape[1])),
+        c_spe=float(np.mean(right[:, 0] / m)),
         c_gen=float(np.mean(right[:, 1] / len(union))),
-        g_spe=g_spe,
-        g_gen=g_gen,
+        g_spe=tuple(g_spe),
+        g_gen=tuple(g_gen),
         global_acc=global_acc,
         global_loss=global_loss,
     )

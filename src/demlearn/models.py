@@ -32,7 +32,7 @@ its stacks, such as a run's, trains and scores ranges of its rows in
 processes that the set forks once, one per CPU, each of which seeds and
 orders its own rows; the set's helpers then also fill the distance rows of
 `clustering.build_distance_matrix` and the group models' collective scores
-of `metrics.g_metrics`, each task through one wake with its tag and one
+of `metrics.round_metrics`, each task through one wake with its tag and one
 answer.  A solve without such a set runs whole in the calling process.  A
 row depends only on its own data, seed row and pull, so no bit depends on
 the split.
@@ -606,8 +606,6 @@ class _Helper(NamedTuple):
     pid: int
     wake: int  # the write end of the pipe the helper waits on
     status: BinaryIO  # the read end of the pipe it answers on
-    lo: int  # the client rows it solves
-    hi: int
 
 
 class _Map(NamedTuple):
@@ -626,6 +624,18 @@ class _Map(NamedTuple):
 def _edges(rows: int, parts: int) -> list[int]:
     """The edges of `parts` contiguous ranges of about equal numbers of rows."""
     return [rows * p // parts for p in range(parts + 1)]
+
+
+def _rows(tag: bytes, p: int, parts: int, m: _Map) -> range:
+    """The rows of the task `tag` that process p of `parts`, the caller
+    last, runs: a range of the clients for a solve (b"s"), a stripe p, p + P,
+    ... of the distance rows (b"e", b"c"), or a range of the group models,
+    which the P - 1 helpers share, for a scoring (b"g")."""
+    if tag == b"s":
+        return range(*_edges(len(m.block), parts)[p : p + 2])
+    if tag == b"g":
+        return range(*_edges(int(m.header[4]), parts - 1)[p : p + 2])
+    return range(p, len(m.block) - 1, parts)
 
 
 class Helpers:
@@ -713,15 +723,16 @@ class Helpers:
         if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype or not x.flags.c_contiguous:
             return None
         np.copyto(m.block, x)
-        parts = len(self._helpers) + 1
-        own = range(parts - 1, len(x) - 1, parts)
+        parts = self._layout[0]
+        own = _rows(b"e", parts - 1, parts, m)
         self._run(b"e" if norms is None else b"c", lambda: distance_rows(x, norms, own, m.distances))
         return m.distances.copy()
 
-    def scores(self, spec: ModelSpec, block: np.ndarray, test: Dataset, meanwhile) -> np.ndarray | None:
+    def scores(self, spec: ModelSpec, block: np.ndarray, test: Dataset, own) -> np.ndarray | None:
         """`_right_counts` of each row of the models `block` on the stack
         `test` read as one set, in ranges of about equal rows, one per
-        helper, while this process runs `meanwhile()`; None, running
+        helper, while this process runs `own()`, the caller's own work
+        (for `metrics.round_metrics`, the root and G-SPE); None, running
         nothing, where the set has not forked for this spec and test stack,
         or `block` has more rows than the stack has sets."""
         m = self._map
@@ -730,7 +741,7 @@ class Helpers:
         q = len(block)
         np.copyto(m.block[:q], block)
         m.header[4] = q
-        self._run(b"g", meanwhile)
+        self._run(b"g", own)
         return m.counts[:q, 1].copy()
 
     def _run(self, tag: bytes, own) -> None:
@@ -754,8 +765,7 @@ class Helpers:
         import mmap
 
         c, m = len(self.train.labels), self.spec.param_count
-        edges = _edges(c, parts)
-        k = edges[-2]
+        k = _edges(c, parts)[-2]
         layout = [((5,), np.float64), ((c, m), np.float64), ((k, 1), np.float64), ((k, m), np.float64),
                   ((c, 2), np.intp), ((k, width), np.int64), ((c, c), np.float64)]
         sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout]
@@ -766,7 +776,7 @@ class Helpers:
         ))
         self._layout = parts, width
         try:
-            for p, (lo, hi) in enumerate(zip(edges, edges[1:-1])):
+            for p in range(parts - 1):
                 wake, woken = os.pipe()
                 status, answer = os.pipe()
                 try:
@@ -781,17 +791,17 @@ class Helpers:
                     _serve(inputs, self._map, p, parts, wake, answer, ends)
                 os.close(wake)
                 os.close(answer)
-                self._helpers.append(_Helper(pid, woken, open(status, "rb"), lo, hi))
+                self._helpers.append(_Helper(pid, woken, open(status, "rb")))
         except BaseException:
             self._end(kill=True)
             raise
 
     def _answers(self, tag: bytes) -> None:
         """Read each helper's status line, and raise naming the task and
-        the rows of every helper that failed, which has exited and is
+        the rows of it of every helper that failed, which has exited and is
         reaped."""
         failed, lines = [], []
-        for helper in list(self._helpers):
+        for p, helper in enumerate(list(self._helpers)):  # in process order: a failure ends them all
             line = helper.status.readline()
             if line == b"\n":
                 continue
@@ -801,39 +811,38 @@ class Helpers:
             os.close(helper.wake)
             helper.status.close()
             code = os.waitstatus_to_exitcode(os.waitpid(helper.pid, 0)[1])
-            failed.append(f"{helper.lo}-{helper.hi - 1} (exit code {code})")
+            rows = _rows(tag, p, self._layout[0], self._map)
+            named = f"{rows.start}-{rows.stop - 1}" if rows.step == 1 and rows else str(list(rows))
+            failed.append(f"{named} (exit code {code})")
         if failed:
-            task = {b"s": "solve", b"g": "group scoring"}.get(tag, "distance rows")
+            task = {b"s": "solve of client", b"g": "group scoring of group-model"}.get(tag, "distance rows of client")
             rows, message = ", ".join(failed), "; ".join(lines)
-            raise RuntimeError(f"the forked {task} of client rows {rows} failed: {message or 'no message'}")
+            raise RuntimeError(f"the forked {task} rows {rows} failed: {message or 'no message'}")
 
 
 def _serve(inputs: _Inputs, m: _Map, p: int, parts: int, wake: int, answer: int, ends: list[int]) -> None:
     """Helper p's life, once it has closed the caller's pipe `ends`: each
-    time a tag arrives on `wake`, do its range of that task from the shared
-    map `m` and answer with an empty status line; on an error, answer its
-    text and exit 1; on EOF, exit 0.  The tags: b"s" solves the helper's
-    client rows, b"e" and b"c" fill its stripe of Euclidean or cosine
-    distance rows, p, p + P, ..., and b"g" scores its range of the group
-    models, which the P - 1 helpers share."""
+    time a tag arrives on `wake`, do its rows of that task (see `_rows`)
+    from the shared map `m` and answer with an empty status line; on an
+    error, answer its text and exit 1; on EOF, exit 0.  The tags: b"s"
+    solves, b"e" and b"c" fill Euclidean or cosine distance rows, and b"g"
+    scores group models."""
     code = 1
     try:
         for fd in ends:
             os.close(fd)
-        c = len(m.block)
-        lo, hi = _edges(c, parts)[p : p + 2]
         while tag := os.read(wake, 1):
+            rows = _rows(tag, p, parts, m)
+            lo, hi = rows.start, rows.stop
             if tag == b"s":
                 lr, batch_size, pulls, epochs, _ = m.header
                 pull = (m.s[lo:hi], m.target[lo:hi]) if pulls else None
                 inputs.solve(lo, m.block[lo:hi], m.seeds[lo:hi], int(epochs), pull, int(batch_size), lr, m.counts[lo:hi])
             elif tag == b"g":
-                q = int(m.header[4])
-                a, b = _edges(q, parts - 1)[p : p + 2]
-                if b > a:
-                    m.counts[a:b, 1] = _right_counts(inputs.spec, m.block[a:b], inputs.test.union())
+                if rows:
+                    m.counts[lo:hi, 1] = _right_counts(inputs.spec, m.block[lo:hi], inputs.test.union())
             else:
-                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, range(p, c - 1, parts), m.distances)
+                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, rows, m.distances)
             os.write(answer, b"\n")
         code = 0
     except BaseException as exc:

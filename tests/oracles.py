@@ -21,7 +21,7 @@ client at a time, that the library's per-level arrays must equal; its
 `softmax_predict` is the argmax of the full softmax, which `predict_block`
 must equal without computing it on most rows; `softmax_round_metrics` builds
 a round's metrics on it, one model and one data set at a time, and
-`concat_g_metrics` scores each group model on its members' test splits
+`concat_group_metrics` scores each group model on its members' test splits
 joined by `concat_datasets`, where the library counts per member.
 `client_sets` splits a stack of sets into one `Dataset` per client.
 """
@@ -61,7 +61,7 @@ def _softmax_accuracy(spec, w, ds) -> float:
     return float(np.mean(softmax_predict(spec, w, ds) == ds.labels))
 
 
-def concat_g_metrics(spec, tree, tests, union):
+def concat_group_metrics(spec, tree, tests, union):
     """(g_spe, g_gen) for levels 1..K-1: each group model on the concatenation
     of its members' test sets `tests[c]` and on `union`, a group at a time."""
     g_spe, g_gen = [], []
@@ -78,7 +78,7 @@ def softmax_round_metrics(spec, t, block, test, tree) -> RoundMetrics:
     the stack `test` split into its clients' sets."""
     tests = client_sets(test)
     union = concat_datasets(tests)
-    g_spe, g_gen = concat_g_metrics(spec, tree, tests, union)
+    g_spe, g_gen = concat_group_metrics(spec, tree, tests, union)
     probs = forward(spec, tree.root, union)
     picked = probs[np.arange(len(union)), union.labels]
     return RoundMetrics(

@@ -115,6 +115,30 @@ def test_idx_truncated(tmp_path):
         load_idx(img, lbl)
 
 
+IMAGE = struct.pack(">iiii", 2051, 1, 1, 1) + bytes([5])
+LABEL = struct.pack(">ii", 2049, 1) + bytes([0])
+
+
+@pytest.mark.parametrize("image, label, message", [
+    (IMAGE[:10], LABEL, "image file {img} truncated: no header"),
+    (struct.pack(">iiii", 2049, 1, 1, 1) + bytes([5]), LABEL, "image file {img} has magic 2049, expected 2051"),
+    (struct.pack(">iiii", 2051, 2, 2, 1) + bytes([1, 2, 3]), LABEL, "image file {img} truncated: 3 payload bytes, expected 4"),
+    (IMAGE + bytes([6, 7]), LABEL, "image file {img} has 2 trailing bytes"),
+    (IMAGE, LABEL[:4], "label file {lbl} truncated: no header"),
+    (IMAGE, struct.pack(">ii", 2051, 1) + bytes([0]), "label file {lbl} has magic 2051, expected 2049"),
+    (IMAGE, struct.pack(">ii", 2049, 3) + bytes([0, 1]), "label file {lbl} truncated: 2 payload bytes, expected 3"),
+    (IMAGE, LABEL + bytes([1, 2]), "label file {lbl} has 2 trailing bytes"),
+    (struct.pack(">iiii", 2051, 2, 1, 1) + bytes([5, 6]), LABEL, "image file holds 2 items but label file holds 1"),
+])
+def test_idx_errors_name_the_file_and_the_fault_exactly(tmp_path, image, label, message):
+    img, lbl = tmp_path / "img", tmp_path / "lbl"
+    img.write_bytes(image)
+    lbl.write_bytes(label)
+    with pytest.raises(IdxFormatError) as raised:
+        load_idx(img, lbl)
+    assert str(raised.value) == message.format(img=img, lbl=lbl)
+
+
 def balanced_dataset(n_per_class=120, num_classes=10, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)

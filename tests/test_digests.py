@@ -73,7 +73,7 @@ ONE_CPU_CASE = "fork"
 KERNEL_TESTS = [
     "tests/test_models.py::test_a_split_solve_is_the_unsplit_solve_bit_for_bit",
     "tests/test_clustering.py::test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit",
-    "tests/test_metrics.py::test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit",
+    "tests/test_metrics.py::test_group_series_of_a_round_are_the_joined_splits_bit_for_bit",
     "tests/test_models.py::test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_products",
     "tests/test_models.py::test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit",
     "tests/test_models.py::test_the_class_major_softmax_is_the_softmax_bit_for_bit",

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from demlearn import models
 from demlearn.data import Dataset
 from demlearn.hierarchy import build_tree
-from demlearn.metrics import _right_counts, evaluate, g_metrics, round_metrics
+from demlearn.metrics import _right_counts, evaluate, round_metrics
 from demlearn.models import LOGISTIC, MLP, ModelSpec
 
-from oracles import client_sets, concat_datasets, concat_g_metrics, labels_of, softmax_round_metrics
+from oracles import client_sets, concat_datasets, concat_group_metrics, labels_of, softmax_round_metrics
 from test_hierarchy import laminar_assignments
 from test_models import chunks_of, forked_helpers, near_tie_bias, stack
 
@@ -37,12 +37,10 @@ def ds(features, labels):
     return Dataset(np.asarray(features, dtype=float), np.asarray(labels), 3)
 
 
-def counts(spec, block, test, union=None):
+def counts(spec, block, test):
     """The (C, 2) right counts that `models.local_solve` returns, by the
-    predicting path: each row on its own split and on the collective set,
-    the stack's union unless `union` is given."""
-    union = test.union() if union is None else union
-    return np.stack([_right_counts(spec, block, test), _right_counts(spec, block, union)], axis=1)
+    predicting path: each row on its own split and on the collective set."""
+    return np.stack([_right_counts(spec, block, test), _right_counts(spec, block, test.union())], axis=1)
 
 
 def client_metrics(block, test):
@@ -120,41 +118,38 @@ def test_c_gen_two_client_hand_count():
     assert acc == pytest.approx((1.0 + 0.5) / 2)
 
 
-
-
-def test_g_metrics_k1_empty():
+def test_round_metrics_k1_has_empty_group_series():
     w = np.zeros(SPEC.param_count)
-    union = ds([[1.0, 0.0]], [0])
-    block, test = clients(*[(w, union)] * 2)
+    block, test = clients(*[(w, ds([[1.0, 0.0]], [0]))] * 2)
     tree = build_tree(np.zeros((1, 2), np.intp), block)
-    gs, gg = g_metrics(SPEC, tree, test, union, counts(SPEC, block, test, union))
-    assert gs == () and gg == ()
+    m = round_metrics(SPEC, 0, counts(SPEC, block, test), test, tree)
+    assert m.g_spe == () and m.g_gen == ()
 
 
-def test_g_metrics_identical_models_match_global():
+def test_round_metrics_identical_models_groups_match_global():
     w = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
-    union = ds([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0]], [0, 2, 0])
-    block, test = clients(*[(w, union)] * 4)
+    split = ds([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0]], [0, 2, 0])
+    block, test = clients(*[(w, split)] * 4)
     tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
-    gs, gg = g_metrics(SPEC, tree, test, union, counts(SPEC, block, test, union))
-    ga, _ = evaluate(SPEC, tree.root, union)
-    assert all(v == pytest.approx(ga) for v in gg)
-    assert ga == pytest.approx(accuracy(SPEC, w, union))
+    m = round_metrics(SPEC, 0, counts(SPEC, block, test), test, tree)
+    ga, _ = evaluate(SPEC, tree.root, test.union())
+    assert m.global_acc == ga
+    assert all(v == pytest.approx(ga) for v in m.g_gen)
+    assert ga == pytest.approx(accuracy(SPEC, w, split))
 
 
-def test_g_metrics_two_group_hand_count():
+def test_round_metrics_two_group_hand_count():
     w_good = logits_model([[5.0, 0.0, -5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     w_anti = logits_model([[-5.0, 0.0, 5.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     t_pos = ds([[1.0, 0.0]], [0])
     t_neg = ds([[1.0, 0.0]], [2])
-    union = ds([[1.0, 0.0], [1.0, 0.0]], [0, 2])
     block, test = clients((w_good, t_pos), (w_good, t_pos), (w_anti, t_neg), (w_anti, t_neg))
     tree = build_tree(labels_of({2: [[0, 1, 2, 3]], 1: [[0, 1], [2, 3]]}), block)
-    gs, gg = g_metrics(SPEC, tree, test, union, counts(SPEC, block, test, union))
+    m = round_metrics(SPEC, 0, counts(SPEC, block, test), test, tree)
     # each group model is its members' (identical) model: fits own shard,
     # scores 1/2 on the union
-    assert gs[0] == pytest.approx(1.0)
-    assert gg[0] == pytest.approx(0.5)
+    assert m.g_spe[0] == pytest.approx(1.0)
+    assert m.g_gen[0] == pytest.approx(0.5)
 
 
 def test_round_metrics_invariant_under_client_reordering():
@@ -259,15 +254,14 @@ def test_a_group_of_one_child_is_its_model_and_takes_its_counts(case, kind, draw
             if len(kids) == 1:
                 assert model.tobytes() == below[kids[0]].tobytes()
         below, group = level.models, level.group
-    union = test.union()
     # the counts every group model gets by predicting, as the oracle joins them
-    expected = concat_g_metrics(spec, tree, client_sets(test), union)
-    assert g_metrics(spec, tree, test, union, counts(spec, block, test)) == expected
+    m = round_metrics(spec, 0, counts(spec, block, test), test, tree)
+    assert (m.g_spe, m.g_gen) == concat_group_metrics(spec, tree, client_sets(test), test.union())
 
 
 @settings(max_examples=100, deadline=None)
 @given(laminar_assignments(), st.sampled_from([LOGISTIC, MLP]), st.data())
-def test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit(case, kind, drawn):
+def test_group_series_of_a_round_are_the_joined_splits_bit_for_bit(case, kind, drawn):
     labels = labels_of(case[0])
     spec = ModelSpec(kind, 3, 4, 5 if kind == MLP else 0)
     rng = np.random.default_rng(drawn.draw(st.integers(0, 2**32 - 1)))
@@ -279,15 +273,14 @@ def test_g_spe_counted_per_member_is_the_joined_splits_bit_for_bit(case, kind, d
                 w[:] = 0.0
                 w[-spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
     copy_lone_groups(tree, block)
-    union = test.union()
     # G-GEN runs on the collective set in the chunks of the bound, or in
     # chunks of a few samples with a partial last one, in this process or
     # split over 2 or 3
     parts = drawn.draw(st.sampled_from([1, 2, 3]))
     with chunks_of(spec, drawn.draw(st.none() | st.integers(1, 7))), forked_helpers(spec, test, test, parts) as helpers:
-        got = g_metrics(spec, tree, test, union, counts(spec, block, test), helpers)
-    expected = concat_g_metrics(spec, tree, client_sets(test), union)
-    assert [[v.hex() for v in series] for series in got] == [
+        m = round_metrics(spec, 0, counts(spec, block, test), test, tree, helpers)
+    expected = concat_group_metrics(spec, tree, client_sets(test), test.union())
+    assert [[v.hex() for v in series] for series in (m.g_spe, m.g_gen)] == [
         [v.hex() for v in series] for series in expected
     ]
 
@@ -312,6 +305,9 @@ def test_round_metrics_checks_data_a_fixed_number_of_times_whatever_the_clients(
         calls.clear()
         round_metrics(SPEC, 0, right, test, build_tree(labels, block))
         checks.append(len(calls))
-    # the root's evaluate and two for level 2; the singletons of level 1 are
-    # their clients' models and take their counts
-    assert checks == [1 + 2] * 3
+    # the root's evaluate, one stacked G-SPE predict for each of levels 1
+    # and 2, and one G-GEN call for the groups of level 2 on the collective
+    # set: the singletons of level 1 are their clients' models and take
+    # their counts there.  Each call checks a whole stack or set, however
+    # many clients it holds.
+    assert checks == [1 + 2 + 1] * 3

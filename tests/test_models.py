@@ -1014,8 +1014,8 @@ def test_a_helper_failing_in_its_distance_rows_is_named_and_reaped(monkeypatch, 
     monkeypatch.setattr(models, "distance_rows", lambda *a: rows(*a) if os.getpid() == caller else raise_in_distance_rows(*a))
     # the helpers' stripes of the 5 rows with pairs: 0, 2, 4 of 2 processes;
     # 0, 3 and 1, 4 of 3
-    message = {2: r"client rows 0-2 \(exit code 1\) failed: ValueError: no good at rows \[0, 2, 4\]$",
-               3: r"client rows 0-1 \(exit code 1\), 2-3 \(exit code 1\) failed: ValueError: no good at rows \[0, 3\]; "
+    message = {2: r"client rows \[0, 2, 4\] \(exit code 1\) failed: ValueError: no good at rows \[0, 2, 4\]$",
+               3: r"client rows \[0, 3\] \(exit code 1\), \[1, 4\] \(exit code 1\) failed: ValueError: no good at rows \[0, 3\]; "
                   r"ValueError: no good at rows \[1, 4\]$"}[parts]
     with forked_helpers(spec, train, train, parts) as helpers:
         with pytest.raises(RuntimeError, match=r"^the forked distance rows of " + message):
@@ -1028,9 +1028,12 @@ def test_a_helper_failing_in_its_distance_rows_is_named_and_reaped(monkeypatch, 
 def test_a_helper_killed_before_a_task_fails_it_naming_its_rows(task):
     spec, w, train, *_ = guard_problem(MLP_SPEC, 5, 4, 1, 2)
     test = scoring_stack(spec, 5, 0)
+    # the one helper of 2 processes: the stripe 0, 2 of the 4 rows with
+    # pairs, or all 5 group models
+    rows = {"distance rows": r"client rows \[0, 2\]", "group scoring": "group-model rows 0-4"}[task]
     with forked_helpers(spec, train, test, 2) as helpers:
         os.kill(helpers._helpers[0].pid, signal.SIGKILL)  # as the kernel's out-of-memory killer would
-        with pytest.raises(RuntimeError, match=rf"^the forked {task} of client rows 0-1 \(exit code -{signal.SIGKILL:d}\) failed: no message$"):
+        with pytest.raises(RuntimeError, match=rf"^the forked {task} of {rows} \(exit code -{signal.SIGKILL:d}\) failed: no message$"):
             if task == "distance rows":
                 build_distance_matrix(w, "weights", helpers)
             else:
