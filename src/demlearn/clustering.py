@@ -2,7 +2,9 @@
 
 Clients are compared either by Euclidean distance between their flat model
 vectors or by 1 - cosine similarity between their last update directions,
-one stacked matmul per matrix row.  Average linkage runs as a Lance-Williams
+both from one Gram matrix of dot products taken in tiles small enough that
+BLAS runs each on one thread; the near pairs of the Euclidean metric take
+their differences instead.  Average linkage runs as a Lance-Williams
 update on the (n, n) matrix, ties going to the smallest pair of cluster ids.
 A step finds its merge in a few whole-matrix passes (argmin, compare, and a
 row-wise any when the minimum is tied), without listing the tied pairs, so
@@ -14,6 +16,7 @@ a (K, C) label array, row k - 1 numbering each client's level-k group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +24,20 @@ import numpy as np
 
 WEIGHT_METRIC = "weights"
 GRADIENT_METRIC = "gradients"
+
+# `_gram`'s tiles have products of at most this many multiply-adds, the
+# size up to which OpenBLAS runs a gemm on one thread (65,536 x its
+# GEMM_MULTITHREAD_THRESHOLD of 4).  A threaded product can round another
+# way, and can take ~8 ms where one thread takes ~0.03 (a 68 x 68 x 170
+# tile did, with OpenBLAS 0.3.31 on 2 CPUs).
+_TILE = 262_144
+# A pair this near, as a share of |a|^2 + |b|^2, takes its squared distance
+# from a - b.  The Gram form's rounding error is at most ~(M + 2) 2^-52
+# (|a|^2 + |b|^2), so at any other pair the relative error of its squared
+# distance is at most (M + 2) 2^-52 / _CLOSE, and of its distance half
+# that: 1e-5 at the MLP-32's M = 874 in the worst case, against 1.4e-11 on
+# the merge heights of the protocol's runs.
+_CLOSE = 1e-8
 
 
 class Merge(NamedTuple):
@@ -58,38 +75,37 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of `x`, as the cosine metric takes it."""
-    return np.sqrt(_dots(x, x))
+def _gram(x: np.ndarray) -> np.ndarray:
+    """The dot products of the rows of the (n, M) `x`, right of and on the
+    diagonal, from square tiles of rows whose products have at most `_TILE`
+    multiply-adds (a row each at the least); zeros left of it.  The tiles
+    depend only on the shape of `x`, so no bit depends on how many
+    processes or BLAS threads a run has."""
+    n, m = x.shape
+    t = max(1, math.isqrt(_TILE // m))
+    g = np.zeros((n, n))
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            g[i : i + t, j : j + t] = x[i : i + t] @ x[j : j + t].T
+    return g
 
 
-def distance_rows(x: np.ndarray, norms: np.ndarray | None, rows: range, out: np.ndarray) -> None:
-    """Fill the `rows` of the (n, n) `out` above the diagonal with the
-    distances between the rows of the (n, M) block `x`: Euclidean, or 1 -
-    cosine given the `row_norms` of all of `x`.  One stacked matmul a row,
-    whose bits do not depend on the other rows."""
-    for i in rows:
-        if norms is None:
-            diff = x[i + 1 :] - x[i]
-            out[i, i + 1 :] = np.sqrt(_dots(diff, diff))
-        else:
-            out[i, i + 1 :] = 1.0 - _dots(x[i + 1 :], x[i]) / (norms[i] * norms[i + 1 :])
+def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC) -> np.ndarray:
+    """Symmetric pairwise dissimilarity between the rows of a (C, M) block,
+    with a zero diagonal, from the dot products of `_gram`.
 
-
-def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC, helpers=None) -> np.ndarray:
-    """Symmetric pairwise dissimilarity between the rows of a (C, M) block.
-
-    `weights` takes the model block and uses Euclidean distance; `gradients`
-    takes the update-delta block and uses 1 - cosine (every row must have a
-    nonzero norm).  Row i is client i.  A `models.Helpers` set that has
-    forked for C clients of M parameters fills stripes of the rows in its
-    helpers, the same bits.
+    `weights` takes the model block and uses Euclidean distance, the square
+    root of |a|^2 + |b|^2 - 2 a.b, except that a pair with a squared
+    distance of at most `_CLOSE` (|a|^2 + |b|^2) takes it from the
+    difference a - b: identical rows are exactly 0 apart.  `gradients`
+    takes the update-delta block and uses 1 - a.b / (|a| |b|) (every row
+    must have a nonzero norm).  Row i is client i.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 clients to build a distance matrix")
-    norms = None
+    sq = _dots(x, x)
     if metric == GRADIENT_METRIC:
-        norms = row_norms(x)
+        norms = np.sqrt(sq)
         if np.any(norms == 0.0):
             cid = int(np.argmax(norms == 0.0))
             raise ValueError(f"client {cid} has a zero-norm update delta; cosine is undefined")
@@ -97,11 +113,23 @@ def build_distance_matrix(x: np.ndarray, metric: str = WEIGHT_METRIC, helpers=No
         raise ValueError(f"unknown clustering metric {metric!r}")
 
     n = len(x)
-    d = None if helpers is None else helpers.distances(x, norms)
-    if d is None:
-        d = np.zeros((n, n))
-        distance_rows(x, norms, range(n - 1), d)
-    np.copyto(d, d.T, where=np.tri(n, k=-1, dtype=bool))  # below the diagonal, the rows above
+    i, j = np.triu_indices(n, k=1)
+    g = _gram(x)[i, j]
+    if metric == GRADIENT_METRIC:
+        v = 1.0 - g / (norms[i] * norms[j])
+    else:
+        scale = sq[i] + sq[j]
+        v = scale - 2.0 * g
+        near = np.flatnonzero(v <= _CLOSE * scale)
+        step = max(1, _TILE // x.shape[1])
+        for lo in range(0, len(near), step):  # a bounded batch of differences at a time
+            k = near[lo : lo + step]
+            diff = x[i[k]] - x[j[k]]
+            v[k] = _dots(diff, diff)
+        v = np.sqrt(np.maximum(v, 0.0))
+    d = np.zeros((n, n))
+    d[i, j] = v
+    d[j, i] = v
     return d
 
 

@@ -18,14 +18,12 @@ that class 0 wins, where the logits pick class 2.  The test splits are a
 read as one set.  C-SPE and C-GEN come from the right counts that
 `models.local_solve` takes where each client trains.  G-SPE is one stacked
 predict per level of every client's group model on the client's split,
-the right labels summed per group.  G-GEN runs the group models of every
-level in one call, a model at a time on the collective set, in
+the right labels summed per group.  G-GEN runs each level's group models
+in one call, a model at a time on the collective set, in
 `models.predict_block`'s chunks of samples; a group of one child is that
 child's model bit for bit (`propagate_up` scales it by 1.0), so there it
-takes the child's count and does not predict.  Once a run's
-`models.Helpers` have forked, they split G-GEN's rows among them while the
-calling process evaluates the root and counts G-SPE.  `evaluate` alone
-keeps the full softmax, for the cross-entropy.
+takes the child's count and does not predict.  `evaluate` alone keeps the
+full softmax, for the cross-entropy.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .hierarchy import HierarchyTree
-from .models import Helpers, ModelSpec, _right_counts, cross_entropy, forward
+from .models import ModelSpec, _right_counts, cross_entropy, forward
 
 
 @dataclass
@@ -67,7 +65,6 @@ def round_metrics(
     right: np.ndarray,
     test: Dataset,
     tree: HierarchyTree,
-    helpers: Helpers | None = None,
 ) -> RoundMetrics:
     """Assemble the full metric record for one round from the (C, 2) counts
     of the labels each client's model gets right on its own split and on the
@@ -76,48 +73,26 @@ def round_metrics(
 
     Group metrics cover levels 1..K-1 (none when K = 1).  A group's own data
     is its members' test splits: its right labels summed over them, divided
-    by size * m, as on the splits joined.  Where `helpers` has forked for
-    this spec and `test`, its helpers score the group models on the
-    collective set while this process evaluates the root and counts G-SPE;
-    without them, it does all three in turn.
+    by size * m, as on the splits joined.
     """
     union = test.union()
-    levels = tree.levels[:-1]
-    # each level's groups that score on the collective set: those of more
-    # than one child
-    rests = []
-    n_below, group = len(right), np.arange(len(right))  # the clients: one-member groups
-    for level in levels:
-        parent = np.empty(n_below, dtype=np.intp)
-        parent[group] = level.group
-        rests.append(np.bincount(parent, minlength=len(level.models)) != 1)
-        n_below, group = len(level.models), level.group
-    block = np.concatenate([level.models[rest] for level, rest in zip(levels, rests)] or [np.empty((0, spec.param_count))])
-    m, root, g_spe = test.labels.shape[1], [], []
-
-    def own_part() -> None:  # the root on the collective set, and every client's group model on its split
-        root.extend(evaluate(spec, tree.root, union))
-        for level in levels:
-            groups = len(level.models)
-            own = np.bincount(level.group, _right_counts(spec, level.models[level.group], test), groups)
-            g_spe.append(float(np.mean(own / (np.bincount(level.group, minlength=groups) * m))))
-
-    scores = None
-    if len(block) and helpers is not None:
-        scores = helpers.scores(spec, block, test, own_part)
-    if scores is None:
-        own_part()
-        scores = _right_counts(spec, block, union) if len(block) else np.empty(0, dtype=np.intp)
-
-    g_gen, below = [], right[:, 1]  # each client's count one level down: its own model's at first
-    for level, rest in zip(levels, rests):
-        counts = np.empty(len(level.models), dtype=np.intp)
+    m, g_spe, g_gen = test.labels.shape[1], [], []
+    global_acc, global_loss = evaluate(spec, tree.root, union)
+    # each client's group one level down and its count: at first the
+    # client's own model's
+    group, below = np.arange(len(right)), right[:, 1]
+    for level in tree.levels[:-1]:
+        groups = len(level.models)
+        own = np.bincount(level.group, _right_counts(spec, level.models[level.group], test), groups)
+        g_spe.append(float(np.mean(own / (np.bincount(level.group, minlength=groups) * m))))
+        counts = np.empty(groups, dtype=np.intp)
         counts[level.group] = below  # right for a group of one child, whose members all share its count
-        k = np.count_nonzero(rest)
-        counts[rest], scores = scores[:k], scores[k:]  # the others' scores
+        first = np.unique(group, return_index=True)[1]  # a client of each child group
+        rest = np.bincount(level.group[first], minlength=groups) != 1  # the groups of more than one child
+        if rest.any():
+            counts[rest] = _right_counts(spec, level.models[rest], union)
         g_gen.append(float(np.mean(counts / len(union))))
-        below = counts[level.group]
-    global_acc, global_loss = root
+        group, below = level.group, counts[level.group]
     return RoundMetrics(
         t=t,
         # exact counts over each denominator: the bits of np.mean, a lot sooner

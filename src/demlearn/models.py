@@ -30,12 +30,9 @@ runs along a short axis.  The solve also counts each row's right labels on
 the test splits, for C-SPE and C-GEN.  A solve given a `Helpers` set of
 its stacks, such as a run's, trains and scores ranges of its rows in
 processes that the set forks once, one per CPU, each of which seeds and
-orders its own rows; the set's helpers then also fill the distance rows of
-`clustering.build_distance_matrix` and the group models' collective scores
-of `metrics.round_metrics`, each task through one wake with its tag and one
-answer.  A solve without such a set runs whole in the calling process.  A
-row depends only on its own data, seed row and pull, so no bit depends on
-the split.
+orders its own rows, through one wake and one answer per helper.  A solve
+without such a set runs whole in the calling process.  A row depends only
+on its own data, seed row and pull, so no bit depends on the split.
 
 `predict_block` gives each row of a block its labels, bit for bit the
 argmax of `forward`'s softmax rows, but finishes the softmax only on rows
@@ -63,7 +60,6 @@ from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
-from .clustering import distance_rows, row_norms
 from .data import Dataset
 
 LOGISTIC = "multinomial-logistic"
@@ -77,10 +73,12 @@ _LOG_FLOOR = 1e-12
 # divided by the same row sum s, rounds strictly below fl(1 / s).
 _TIE_MARGIN = 2.0**-40
 # `predict_block` runs a shared set in chunks whose layer products have at
-# most this many multiply-adds.  From ~1M, numpy's OpenBLAS runs a product
-# on several threads, and split processes that each did so ran 2-4x slower
-# than one process on 2 CPUs (MLP-32 on 1,800 samples, 0.92M, gained; on
-# 2,000, 1.02M, it did not).
+# most this many multiply-adds.  A threaded OpenBLAS product can take ~8 ms
+# where one thread takes ~0.03; whether it threads depends on its shape, not
+# its size alone.  With OpenBLAS 0.3.31 on 2 CPUs, the MLP-32's chunk of
+# 1,562 x 16 x 32 did not: inside a 1,000-client run, 0.22 ms at the median
+# and 0.29 ms at the 90th percentile.  2,000 x 16 x 32 (1.02M) did, and so
+# did `clustering`'s Gram tiles from 68 x 68 x 170 (0.79M).
 _SPLIT_SCORING = 800_000
 
 
@@ -609,16 +607,15 @@ class _Helper(NamedTuple):
 
 
 class _Map(NamedTuple):
-    """The arrays of a set's shared map, for C clients of M parameters, of
-    which the helpers solve the first k, with seed rows of width S."""
+    """The arrays of a set's shared map: the helpers' first k of C clients
+    of M parameters, with seed rows of width S."""
 
-    header: np.ndarray  # a solve's lr, batch size, whether it pulls and epochs; a scoring's rows
-    block: np.ndarray  # (C, M): the helpers' rows of a solve, the points of distances, or models to score
-    s: np.ndarray  # (k, 1) and (k, M): the helpers' rows of a solve's pull
+    header: np.ndarray  # a solve's lr, batch size, whether it pulls and epochs
+    block: np.ndarray  # (k, M): the models
+    s: np.ndarray  # (k, 1) and (k, M): the pull
     target: np.ndarray
-    counts: np.ndarray  # (C, 2): the helpers' rows of a solve's counts; a scoring's in column 1
+    counts: np.ndarray  # (k, 2)
     seeds: np.ndarray  # (k, S)
-    distances: np.ndarray  # (C, C): the rows of a distance matrix, above the diagonal
 
 
 def _edges(rows: int, parts: int) -> list[int]:
@@ -626,36 +623,19 @@ def _edges(rows: int, parts: int) -> list[int]:
     return [rows * p // parts for p in range(parts + 1)]
 
 
-def _rows(tag: bytes, p: int, parts: int, m: _Map) -> range:
-    """The rows of the task `tag` that process p of `parts`, the caller
-    last, runs: a range of the clients for a solve (b"s"), a stripe p, p + P,
-    ... of the distance rows (b"e", b"c"), or a range of the group models,
-    which the P - 1 helpers share, for a scoring (b"g")."""
-    if tag == b"s":
-        return range(*_edges(len(m.block), parts)[p : p + 2])
-    if tag == b"g":
-        return range(*_edges(int(m.header[4]), parts - 1)[p : p + 2])
-    return range(p, len(m.block) - 1, parts)
-
-
 class Helpers:
-    """Forked helper processes that share the per-client work of rounds on
-    one spec and one pair of train and test stacks, such as every round of
-    a run: all but the last range of rows of the solve, all but the last
-    stripe of the distance rows of a rebuild, and the group models' scores
-    on the collective set.
+    """Forked helper processes that solve all but the last range of rows
+    of the solves on one spec and one pair of train and test stacks, such
+    as every solve of a run.
 
     The set forks its P - 1 helpers at the first solve it is given where
     P > 1 (see `_processes`), and each inherits the stacks, which must not
-    change while the set is open.  Each task copies what the helpers read
-    into one anonymous shared map, wakes each helper with its one-byte tag
-    on the helper's pipe, does its own part, reads each helper's status
-    line and takes the helpers' results from the map.  A solve copies the helpers' rows of the block, of the
-    pull's (s, A) and of the seeds; a distance matrix, the whole (C, M)
-    block of points; a scoring, its models, which only the helpers score
-    while this process does other work.  A solve with another P or seed
-    width forks the set anew.  Distances and scores split exactly when the
-    set has forked.  A failure kills and reaps the helpers; `close`, or
+    change while the set is open.  Each solve copies the helpers' rows of
+    the block, of the pull's (s, A) and of the seeds into one anonymous
+    shared map, wakes each helper with a byte on its pipe, solves its own
+    rows, reads each helper's status line and takes the helpers' models
+    and counts from the map.  A solve with another P or seed width forks
+    the set anew.  A failure kills and reaps the helpers; `close`, or
     leaving a `with` block, closes their pipes, on whose EOF each exits,
     and reaps them.
     """
@@ -701,74 +681,37 @@ class Helpers:
         m = self._map
         k = len(m.seeds)  # the helpers' rows
         np.copyto(m.seeds, seeds[:k])
-        np.copyto(m.block[:k], w[:k])
+        np.copyto(m.block, w[:k])
         if pull is not None:
             np.copyto(m.s, pull[0][:k])
             np.copyto(m.target, pull[1][:k])
-        m.header[:4] = lr, batch_size, pull is not None, epochs
+        m.header[:] = lr, batch_size, pull is not None, epochs
         own_pull = None if pull is None else (pull[0][k:], pull[1][k:])
-        self._run(b"s", lambda: inputs.solve(k, w[k:], seeds[k:], epochs, own_pull, batch_size, lr, right[k:]))
-        w[:k] = m.block[:k]
-        right[:k] = m.counts[:k]
-
-    def distances(self, x: np.ndarray, norms: np.ndarray | None) -> np.ndarray | None:
-        """`distance_rows` of all rows of the (C, M) points `x`, with
-        `norms` for the cosine metric or None for the Euclidean, striped
-        over the P processes: process p fills rows p, p + P, ..., and this
-        one the last stripe, so each gets long and short rows alike.  The
-        (C, C) matrix, zero on and below the diagonal; None where the set
-        has not forked or `x` is not a C-contiguous float64 (C, M) array,
-        the layout of its copy in the map."""
-        m = self._map
-        if not self._helpers or x.shape != m.block.shape or x.dtype != m.block.dtype or not x.flags.c_contiguous:
-            return None
-        np.copyto(m.block, x)
-        parts = self._layout[0]
-        own = _rows(b"e", parts - 1, parts, m)
-        self._run(b"e" if norms is None else b"c", lambda: distance_rows(x, norms, own, m.distances))
-        return m.distances.copy()
-
-    def scores(self, spec: ModelSpec, block: np.ndarray, test: Dataset, own) -> np.ndarray | None:
-        """`_right_counts` of each row of the models `block` on the stack
-        `test` read as one set, in ranges of about equal rows, one per
-        helper, while this process runs `own()`, the caller's own work
-        (for `metrics.round_metrics`, the root and G-SPE); None, running
-        nothing, where the set has not forked for this spec and test stack,
-        or `block` has more rows than the stack has sets."""
-        m = self._map
-        if not self._helpers or spec != self.spec or test is not self.test or len(block) > len(m.block):
-            return None
-        q = len(block)
-        np.copyto(m.block[:q], block)
-        m.header[4] = q
-        self._run(b"g", own)
-        return m.counts[:q, 1].copy()
-
-    def _run(self, tag: bytes, own) -> None:
-        """Wake every helper on the task `tag`, do this process's part,
-        `own()`, and take every helper's answer; a failure kills and reaps
-        the helpers."""
         try:
             for helper in self._helpers:
                 try:
-                    os.write(helper.wake, tag)
+                    os.write(helper.wake, b"s")
                 except BrokenPipeError:  # a dead helper: its exit code tells
                     pass
-            own()
-            self._answers(tag)
+            inputs.solve(k, w[k:], seeds[k:], epochs, own_pull, batch_size, lr, right[k:])
+            self._answers()
         except BaseException:
             self._end(kill=True)
             raise
+        w[:k] = m.block
+        right[:k] = m.counts
 
     def _start(self, inputs: _Inputs, parts: int, width: int) -> None:
         # imported here, so that a run that never splits does not load it
         import mmap
 
-        c, m = len(self.train.labels), self.spec.param_count
-        k = _edges(c, parts)[-2]
-        layout = [((5,), np.float64), ((c, m), np.float64), ((k, 1), np.float64), ((k, m), np.float64),
-                  ((c, 2), np.intp), ((k, width), np.int64), ((c, c), np.float64)]
-        sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in layout]
+        m, k = self.spec.param_count, _edges(len(self.train.labels), parts)[-2]
+        layout = [((4,), np.float64), ((k, m), np.float64), ((k, 1), np.float64), ((k, m), np.float64),
+                  ((k, 2), np.intp), ((k, width), np.int64)]
+        # each array on a 64-byte boundary: a row of the block then has the
+        # alignment it has in the caller's block, which some BLAS kernels'
+        # bits depend on (OpenBLAS's Prescott)
+        sizes = [-(-int(np.prod(shape)) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in layout]
         mapping, offsets = mmap.mmap(-1, sum(sizes)), np.cumsum([0, *sizes]).tolist()
         self._map = _Map(*(
             np.frombuffer(mapping, dtype, int(np.prod(shape)), o).reshape(shape)
@@ -796,10 +739,9 @@ class Helpers:
             self._end(kill=True)
             raise
 
-    def _answers(self, tag: bytes) -> None:
-        """Read each helper's status line, and raise naming the task and
-        the rows of it of every helper that failed, which has exited and is
-        reaped."""
+    def _answers(self) -> None:
+        """Read each helper's status line, and raise naming the client rows
+        of every helper that failed, which has exited and is reaped."""
         failed, lines = [], []
         for p, helper in enumerate(list(self._helpers)):  # in process order: a failure ends them all
             line = helper.status.readline()
@@ -811,38 +753,27 @@ class Helpers:
             os.close(helper.wake)
             helper.status.close()
             code = os.waitstatus_to_exitcode(os.waitpid(helper.pid, 0)[1])
-            rows = _rows(tag, p, self._layout[0], self._map)
-            named = f"{rows.start}-{rows.stop - 1}" if rows.step == 1 and rows else str(list(rows))
-            failed.append(f"{named} (exit code {code})")
+            lo, hi = _edges(len(self.train.labels), self._layout[0])[p : p + 2]
+            failed.append(f"{lo}-{hi - 1} (exit code {code})")
         if failed:
-            task = {b"s": "solve of client", b"g": "group scoring of group-model"}.get(tag, "distance rows of client")
             rows, message = ", ".join(failed), "; ".join(lines)
-            raise RuntimeError(f"the forked {task} rows {rows} failed: {message or 'no message'}")
+            raise RuntimeError(f"the forked solve of client rows {rows} failed: {message or 'no message'}")
 
 
 def _serve(inputs: _Inputs, m: _Map, p: int, parts: int, wake: int, answer: int, ends: list[int]) -> None:
     """Helper p's life, once it has closed the caller's pipe `ends`: each
-    time a tag arrives on `wake`, do its rows of that task (see `_rows`)
+    time a byte arrives on `wake`, solve its range of rows (see `_edges`)
     from the shared map `m` and answer with an empty status line; on an
-    error, answer its text and exit 1; on EOF, exit 0.  The tags: b"s"
-    solves, b"e" and b"c" fill Euclidean or cosine distance rows, and b"g"
-    scores group models."""
+    error, answer its text and exit 1; on EOF, exit 0."""
     code = 1
     try:
         for fd in ends:
             os.close(fd)
-        while tag := os.read(wake, 1):
-            rows = _rows(tag, p, parts, m)
-            lo, hi = rows.start, rows.stop
-            if tag == b"s":
-                lr, batch_size, pulls, epochs, _ = m.header
-                pull = (m.s[lo:hi], m.target[lo:hi]) if pulls else None
-                inputs.solve(lo, m.block[lo:hi], m.seeds[lo:hi], int(epochs), pull, int(batch_size), lr, m.counts[lo:hi])
-            elif tag == b"g":
-                if rows:
-                    m.counts[lo:hi, 1] = _right_counts(inputs.spec, m.block[lo:hi], inputs.test.union())
-            else:
-                distance_rows(m.block, row_norms(m.block) if tag == b"c" else None, rows, m.distances)
+        lo, hi = _edges(len(inputs.test.labels), parts)[p : p + 2]
+        while os.read(wake, 1):
+            lr, batch_size, pulls, epochs = m.header
+            pull = (m.s[lo:hi], m.target[lo:hi]) if pulls else None
+            inputs.solve(lo, m.block[lo:hi], m.seeds[lo:hi], int(epochs), pull, int(batch_size), lr, m.counts[lo:hi])
             os.write(answer, b"\n")
         code = 0
     except BaseException as exc:

@@ -18,9 +18,8 @@ Client i's rng in round t is seeded by the row [run.seed, 1, i, t].
 On a host with several CPUs every solve of a run trains and scores ranges
 of its clients in helper processes, one per CPU up to one per client,
 which `run` forks once, at round 0's solve, and ends when it returns or
-raises (no fork while another thread runs); they also fill stripes of a
-rebuild's distance rows and score ranges of the group models.  No output
-byte depends on the CPU count.
+raises (no fork while another thread runs).  The rest of a round runs in
+the calling process.  No output byte depends on the CPU count.
 A round whose solve leaves a model with a non-finite squared norm (a
 non-finite entry, or entries so large that distances overflow) fails at
 once, naming the client, the round, lr and mu; so does a re-clustering
@@ -209,7 +208,7 @@ def _client_seeds(cfg: RunConfig, n: int, t: int) -> np.ndarray:
 
 
 def _rebuild_structure(
-    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int, helpers: Helpers | None = None
+    models: np.ndarray, deltas: np.ndarray, cfg: RunConfig, t: int
 ) -> tuple[HierarchyTree, Optional[Dendrogram]]:
     """Cluster the clients by their models or their update deltas, and cut
     the dendrogram into a K-level tree.
@@ -217,8 +216,7 @@ def _rebuild_structure(
     With K = 1 or a lone client there is nothing to cluster: the tree is one
     group of all clients at every level, and no dendrogram is built.  A zero
     update has no cosine distance, so under metric=gradients it fails naming
-    the client and round t.  The distance rows split over the processes of
-    `helpers` where it has forked.
+    the client and round t.
     """
     if cfg.k_levels == 1 or len(models) == 1:
         return build_tree(np.zeros((cfg.k_levels, len(models)), dtype=np.intp), models), None
@@ -230,7 +228,7 @@ def _rebuild_structure(
                 f"client {np.flatnonzero(still)[0]} made a zero update in round {t}: "
                 f"metric=gradients needs a nonzero update delta for its cosine distance (lr={cfg.lr})"
             )
-    dend = clustering.agglomerate(clustering.build_distance_matrix(x, cfg.metric, helpers))
+    dend = clustering.agglomerate(clustering.build_distance_matrix(x, cfg.metric))
     return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
 
@@ -240,8 +238,7 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
     Order: client restart and local proximal solve, delta recording, periodic
     restructuring, bottom-up model propagation, metrics.  The solve splits
     over the helper processes of `helpers`, if given, and runs whole
-    without; once they have forked, the distance rows and the group scores
-    split over them too.
+    without.
     """
     n = len(state.model_block)
     hierarchical = cfg.algorithm in HIERARCHICAL
@@ -291,10 +288,10 @@ def run_round(state: RoundState, cfg: RunConfig, helpers: Helpers | None = None)
     # initial models) so group membership is constant across all rounds
     state.dendrogram = None
     if hierarchical and not cfg.fixed_structure and state.t % cfg.tau == 0:
-        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t, helpers)
+        state.tree, state.dendrogram = _rebuild_structure(w, start, cfg, state.t)
     propagate_up(state.tree, w)
 
-    state.metrics = round_metrics(state.spec, state.t, right, state.test, state.tree, helpers)
+    state.metrics = round_metrics(state.spec, state.t, right, state.test, state.tree)
     state.t += 1
     return state
 

@@ -1,11 +1,18 @@
 """Distance metrics, UPGMA agglomeration, and top-K truncation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demlearn.clustering import (
+    _CLOSE,
     Dendrogram,
     Merge,
     agglomerate,
@@ -15,7 +22,6 @@ from demlearn.clustering import (
     truncate,
 )
 from demlearn.hierarchy import build_tree, members
-from demlearn.models import MLP, ModelSpec
 
 from oracles import (
     brute_force_upgma,
@@ -29,7 +35,6 @@ from oracles import (
     recursive_format_dendrogram,
     weight_distance,
 )
-from test_models import forked_helpers, random_data, stack
 
 
 def random_distance_matrix(n, rng):
@@ -115,9 +120,9 @@ def test_distance_matrix_names_the_first_zero_norm_client():
 
 
 @st.composite
-def blocks(draw, min_m=1):
+def blocks(draw):
     n = draw(st.integers(2, 30))
-    m = draw(st.integers(min_m, 60))
+    m = draw(st.integers(1, 60))
     scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.normal(0.0, scale, (n, m))
@@ -126,27 +131,88 @@ def blocks(draw, min_m=1):
     return w
 
 
+def pair_loop_bound(x, metric):
+    """How far the Gram matrix may lie from the pair loop: relative for
+    Euclidean distances, absolute for 1 - cosine, whose scale is 1.  With
+    eps = 2^-52, a pair further apart than `_CLOSE` gets a squared distance
+    within (M + 2) eps / _CLOSE of the exact one, relatively, and so a
+    distance within half that, where the pair loop's is within ~M eps; each
+    side's 1 - cosine is within ~(M + 2) eps of the exact one."""
+    eps, m = np.finfo(np.float64).eps, x.shape[1]
+    return (m + 2) * eps / _CLOSE if metric == "weights" else 3 * (m + 2) * eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(), st.sampled_from(["weights", "gradients"]))
+def test_the_distance_matrix_is_symmetric_with_a_zero_diagonal_and_near_the_pair_loop(x, metric):
+    got, want = build_distance_matrix(x, metric), pairwise_distance_matrix(x, metric)
+    assert got.tobytes() == got.T.tobytes()
+    assert np.diag(got).tobytes() == np.zeros(len(x)).tobytes()
+    error = np.abs(got - want)
+    bound = pair_loop_bound(x, metric)
+    assert np.all(error <= bound * want if metric == "weights" else error <= bound)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Blocks whose rows are copies of 1-4 distinct rows, in any order, at
+    shapes whose Gram matrix spans several tiles."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.sampled_from([1, 7, 60, 170, 874, 1001]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(0.0, draw(st.sampled_from([1e-6, 1.0, 1e8])), (draw(st.integers(1, 4)), m))
+    return base[rng.integers(0, len(base), n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_rows() | blocks())
+@example(np.tile(np.linspace(-1.0, 1.0, 874), (50, 1)))
+def test_identical_rows_are_exactly_0_apart(x):
+    # the Gram matrix can give one row's dot products other bits in another
+    # place of a tile, or another tile; a pair this near takes a - b
+    d = build_distance_matrix(x, "weights")
+    same = (x[:, None] == x[None]).all(axis=2)
+    assert not d[same].any()
+    assert d[~same].all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocks(), st.sampled_from(["weights", "gradients"]))
-def test_distance_matrix_equals_the_pair_loop_bit_for_bit(x, metric):
-    got = build_distance_matrix(x, metric)
-    assert got.tobytes() == pairwise_distance_matrix(x, metric).tobytes()
+def test_agglomerate_of_the_distance_matrix_gives_the_pair_loops_merges(x, metric):
+    want = pairwise_distance_matrix(x, metric)
+    upper = want[np.triu_indices(len(x), 1)]
+    if len(np.unique(upper)) < len(upper):  # ties, which a last bit may break
+        return
+    got = agglomerate(build_distance_matrix(x, metric)).merges
+    pair_loop = agglomerate(want).merges
+    assert [(m.left, m.right, m.new_id, m.size) for m in got] == [(m.left, m.right, m.new_id, m.size) for m in pair_loop]
+    heights = np.array([m.height for m in got]), np.array([m.height for m in pair_loop])
+    bound = pair_loop_bound(x, metric)
+    error = np.abs(heights[0] - heights[1])
+    assert np.all(error <= bound * heights[1] if metric == "weights" else error <= bound)
 
 
-@pytest.mark.parametrize("parts", [2, 3])
-@settings(max_examples=30, deadline=None)
-# 3 points in 3 processes: the helpers' stripes are rows 0 and 1, the caller's none
-@example(np.arange(18.0).reshape(3, 6) ** 2, "weights")
-@given(blocks(min_m=6), st.sampled_from(["weights", "gradients"]))
-def test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit(parts, x, metric):
-    # a (C, M) block splits over helpers forked for C clients of M
-    # parameters: an MLP of M - 5 inputs, 1 hidden unit and 2 classes
-    spec = ModelSpec(MLP, x.shape[1] - 5, 2, hidden_dim=1)
-    rng = np.random.default_rng(0)
-    train = stack([random_data(spec, 1, rng) for _ in range(len(x))])
-    with forked_helpers(spec, train, train, parts) as helpers:
-        got = build_distance_matrix(x, metric, helpers)
-    assert got.tobytes() == pairwise_distance_matrix(x, metric).tobytes()
+# shapes whose whole product X X^T has more than `_TILE` multiply-adds
+THREADED_SHAPES = [(120, 170), (333, 1001), (1000, 874)]
+
+
+def distance_digest() -> str:
+    """The SHA-256 of the distance matrices of both metrics at
+    `THREADED_SHAPES`, on fixed random blocks."""
+    rng = np.random.default_rng(31)
+    blocks = [rng.normal(0.0, 0.1, shape) for shape in THREADED_SHAPES]
+    matrices = [build_distance_matrix(x, metric) for x in blocks for metric in ("weights", "gradients")]
+    return hashlib.sha256(b"".join(d.tobytes() for d in matrices)).hexdigest()
+
+
+def test_the_distance_matrix_has_the_same_bits_on_one_blas_thread():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_clustering; print(test_clustering.distance_digest())"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.stdout.strip() == distance_digest()
 
 
 # ---------------------------------------------------------------- UPGMA

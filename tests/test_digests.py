@@ -67,12 +67,13 @@ CASES = {
 # repeated in a child process that may run on one CPU only
 ONE_CPU_CASE = "fork"
 # tests whose bits must be equal on every kernel: split and whole solves,
-# distance matrices and group scores, chunked and whole predictions, the
-# class-major and the plain softmax, and the lockstep and the scalar solver;
-# with one digest case, which skips on a kernel other than the manifest's
+# zero distances between identical rows, group metrics, chunked and whole
+# predictions, the class-major and the plain softmax, and the lockstep and
+# the scalar solver; with one digest case, which skips on a kernel other
+# than the manifest's
 KERNEL_TESTS = [
     "tests/test_models.py::test_a_split_solve_is_the_unsplit_solve_bit_for_bit",
-    "tests/test_clustering.py::test_a_split_distance_matrix_equals_the_pair_loop_bit_for_bit",
+    "tests/test_clustering.py::test_identical_rows_are_exactly_0_apart",
     "tests/test_metrics.py::test_group_series_of_a_round_are_the_joined_splits_bit_for_bit",
     "tests/test_models.py::test_the_split_scores_the_collective_set_in_each_process_in_chunks_of_small_products",
     "tests/test_models.py::test_predict_block_stacks_are_the_softmax_argmax_bit_for_bit",

@@ -15,7 +15,7 @@ from demlearn.models import LOGISTIC, MLP, ModelSpec
 
 from oracles import client_sets, concat_datasets, concat_group_metrics, labels_of, softmax_round_metrics
 from test_hierarchy import laminar_assignments
-from test_models import chunks_of, forked_helpers, near_tie_bias, stack
+from test_models import chunks_of, near_tie_bias, stack
 
 SPEC = ModelSpec(LOGISTIC, 2, 3)
 
@@ -274,11 +274,9 @@ def test_group_series_of_a_round_are_the_joined_splits_bit_for_bit(case, kind, d
                 w[-spec.num_classes :] = near_tie_bias(rng, spec.num_classes)
     copy_lone_groups(tree, block)
     # G-GEN runs on the collective set in the chunks of the bound, or in
-    # chunks of a few samples with a partial last one, in this process or
-    # split over 2 or 3
-    parts = drawn.draw(st.sampled_from([1, 2, 3]))
-    with chunks_of(spec, drawn.draw(st.none() | st.integers(1, 7))), forked_helpers(spec, test, test, parts) as helpers:
-        m = round_metrics(spec, 0, counts(spec, block, test), test, tree, helpers)
+    # chunks of a few samples with a partial last one
+    with chunks_of(spec, drawn.draw(st.none() | st.integers(1, 7))):
+        m = round_metrics(spec, 0, counts(spec, block, test), test, tree)
     expected = concat_group_metrics(spec, tree, client_sets(test), test.union())
     assert [[v.hex() for v in series] for series in (m.g_spe, m.g_gen)] == [
         [v.hex() for v in series] for series in expected

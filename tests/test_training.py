@@ -524,8 +524,8 @@ def test_hierarchical_k1_skips_clustering_with_the_same_models(monkeypatch):
     assert skipped.dendrograms == []
     assert [m.tolist() for m in members(skipped.state.tree.levels[0].group)] == [[0, 1, 2, 3, 4]]
 
-    def clustered(models, deltas, cfg, t, helpers=None):
-        dend = clustering.agglomerate(clustering.build_distance_matrix(models, cfg.metric, helpers))
+    def clustered(models, deltas, cfg, t):
+        dend = clustering.agglomerate(clustering.build_distance_matrix(models, cfg.metric))
         return build_tree(clustering.truncate(dend, cfg.k_levels), models), dend
 
     monkeypatch.setattr(training, "_rebuild_structure", clustered)
