@@ -1009,6 +1009,40 @@ def test_a_solve_on_other_stacks_does_not_use_the_sets_helpers():
     assert len(forks) == 1
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_helper_failing_in_its_solve_is_named_and_reaped(parts):
+    spec, w, train, levels, mu, epochs, batch_size, lr, _ = guard_problem(MLP_SPEC, 6, 5, 2, 2)
+    test = scoring_stack(spec, 6, 0)
+    caller, train_rows = os.getpid(), models._train_rows
+
+    def solve(helpers=None):
+        block = w.copy()
+        right = local_solve(spec, block, train, fold(levels, mu), epochs, batch_size, lr, np.arange(6)[:, None], test, helpers)
+        return block.tobytes(), right.tolist()
+
+    def failing(spec, w, features, labels, orders, *rest):
+        if os.getpid() != caller:
+            raise ValueError(f"no good at row {rows_of(orders)}")
+        train_rows(spec, w, features, labels, orders, *rest)
+
+    # the helpers' ranges of 6 clients: 0-2 of 2 processes; 0-1 and 2-3 of 3
+    message = {2: r"client rows 0-2 \(exit code 1\) failed: ValueError: no good at row 0$",
+               3: r"client rows 0-1 \(exit code 1\), 2-3 \(exit code 1\) failed: ValueError: no good at row 0; "
+                  r"ValueError: no good at row 2$"}[parts]
+    with split_solves(1):
+        alone = solve()
+    with split_solves(parts) as forks, Helpers(spec, train, test) as helpers:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_train_rows", failing)  # the helpers fork with it
+            with pytest.raises(RuntimeError, match=r"^the forked solve of " + message):
+                solve(helpers)
+        assert helpers._helpers == []  # killed and reaped
+        assert len(forks) == parts - 1
+        # the next solve through the set forks its helpers anew, without the fault
+        assert solve(helpers) == alone
+        assert len(forks) == 2 * (parts - 1)
+
+
 # -------------------------------------------- the solver's class-major softmax
 
 
